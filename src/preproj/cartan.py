@@ -181,7 +181,11 @@ def find_symmetrizer(c: CartanMatrix, request="minimal") -> Symmetrizer:
             for v, k in zip(comp, ints):
                 out[v - 1] = k // g
         return Symmetrizer(tuple(out), minimal=True)
-    vec = tuple(int(x) for x in request)
+    if not isinstance(request, (list, tuple)) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in request):
+        raise NotASymmetrizer(
+            f"expected a list of integers or 'minimal', got {request!r}")
+    vec = tuple(request)
     if len(vec) != c.n:
         raise NotASymmetrizer(f"expected {c.n} entries, got {len(vec)}")
     if any(x < 1 for x in vec):

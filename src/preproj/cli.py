@@ -56,6 +56,12 @@ class RunConfig:
             self.field = QQ
 
 
+def _int_key(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{key}: must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a JSON config; defaults: minimal symmetrizer, rationals."""
     if not isinstance(raw, dict):
@@ -84,13 +90,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     except ValidationError as exc:
         raise ValidationError(f"field: {exc}") from exc
     caps = raw.get("caps", {})
+    if not isinstance(caps, dict):
+        raise ValidationError(f"caps: must be an object, got {caps!r}")
     cfg = RunConfig(
         data=data,
         field=fld,
-        weyl_cap=int(caps.get("weyl", raw.get("weyl_cap", 1_000_000))),
-        max_degree=int(caps.get("max_degree", 64)),
-        max_basis=int(caps.get("max_basis", 20000)),
-        seed=int(raw.get("seed", 0)),
+        weyl_cap=(_int_key("caps.weyl", caps["weyl"]) if "weyl" in caps
+                  else _int_key("weyl_cap", raw.get("weyl_cap", 1_000_000))),
+        max_degree=_int_key("caps.max_degree", caps.get("max_degree", 64)),
+        max_basis=_int_key("caps.max_basis", caps.get("max_basis", 20000)),
+        seed=_int_key("seed", raw.get("seed", 0)),
     )
     if cfg.weyl_cap <= 0 or cfg.max_degree <= 0 or cfg.max_basis <= 0:
         raise ValidationError("caps: must be positive")
@@ -153,7 +162,10 @@ def cmd_check(cfg: RunConfig):
 
 def cmd_algebra(cfg: RunConfig):
     algebra = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
-    report = verify_algebra(algebra)
+    try:
+        report = verify_algebra(algebra)
+    finally:
+        algebra.clear_caches()
     payload = {
         "dim": report.dim,
         "vertex_dims": report.vertex_dims,
@@ -212,7 +224,10 @@ def _dynkin_algebra(cfg: RunConfig):
 
 def cmd_stt(cfg: RunConfig):
     algebra, group = _dynkin_algebra(cfg)
-    graph = mutation_graph(algebra, group, validate="none")
+    try:
+        graph = mutation_graph(algebra, group, validate="none")
+    finally:
+        algebra.clear_caches()
     pairs = []
     for ws in sorted(graph.nodes, key=lambda s: (len(s), s)):
         node = graph.nodes[ws]
@@ -234,7 +249,10 @@ def cmd_stt(cfg: RunConfig):
 def cmd_mutation_graph(cfg: RunConfig):
     algebra, group = _dynkin_algebra(cfg)
     validate = "all" if cfg.data.n <= 2 else "sample"
-    graph = mutation_graph(algebra, group, validate=validate, seed=cfg.seed)
+    try:
+        graph = mutation_graph(algebra, group, validate=validate, seed=cfg.seed)
+    finally:
+        algebra.clear_caches()
     if cfg.dot:
         return 0, graph.to_dot()
     payload = graph.to_json_dict()
@@ -310,8 +328,6 @@ def cmd_verify(cfg: RunConfig):
                                  cfg.max_basis)
         box["rep"] = verify_algebra(box["A"])
 
-    record("algebra construction and verification", check_build)
-
     def check_homological():
         A = box["A"]
         nak = nakayama(A)
@@ -337,20 +353,23 @@ def cmd_verify(cfg: RunConfig):
                 assert is_isomorphic(auslander_reiten_translate(blk), Ei,
                                      seed=cfg.seed)
 
-    record("homological identities", check_homological)
-
     def check_classification():
         rep = classification_report(box["A"], group_box["W"], seed=cfg.seed)
         box["report"] = rep
-
-    record("classification report", check_classification)
 
     def check_graph():
         validate = "all" if d.n <= 2 else "sample"
         box["graph"] = mutation_graph(box["A"], group_box["W"],
                                       validate=validate, seed=cfg.seed)
 
-    record("mutation graph with left-mutation cross-check", check_graph)
+    try:
+        record("algebra construction and verification", check_build)
+        record("homological identities", check_homological)
+        record("classification report", check_classification)
+        record("mutation graph with left-mutation cross-check", check_graph)
+    finally:
+        if "A" in box:
+            box["A"].clear_caches()
 
     ok = all(c[1] for c in checks)
     lines = []

@@ -1,13 +1,21 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
 Every algebraic computation in the package is generic over a ``field``
-object exposing ``zero``, ``one`` and ``from_int``; the scalars themselves
-carry the arithmetic through operator overloading (``Fraction`` for the
-rationals, :class:`FpElement` for prime fields).
+object exposing ``zero``, ``one``, ``from_int`` and ``inv``; the scalars
+themselves carry the ring arithmetic (+, -, *) through operator overloading.
+Division happens only through ``field.inv``, so callers scale by one inverse
+instead of dividing entry by entry.
+
+Rational scalars are plain ``int`` until a division by a non-unit forces a
+``Fraction``: ``QQ.inv`` returns +-1 unchanged and ``Fraction(1, c)``
+otherwise, and ``Fraction`` mixes exactly with ``int`` from then on.  Every
+structure constant of Pi(C, D) is an integer, so most computations never
+leave ``int``.  Prime-field scalars are :class:`FpElement`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import FieldDegenerate, ValidationError
@@ -15,12 +23,21 @@ from .errors import FieldDegenerate, ValidationError
 
 class Rationals:
     kind = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
-    def from_int(k: int) -> Fraction:
-        return Fraction(k)
+    def from_int(k: int) -> int:
+        return operator.index(k)
+
+    @staticmethod
+    def inv(c):
+        """1/c: +-1 stays an int, any other non-zero c gives a Fraction."""
+        if c == 1 or c == -1:
+            return c
+        if not c:
+            raise FieldDegenerate("division by zero in QQ")
+        return Fraction(1, c)
 
     def __repr__(self):
         return "QQ"
@@ -101,6 +118,11 @@ class PrimeField:
 
     def from_int(self, k: int) -> FpElement:
         return FpElement(k, self.p)
+
+    def inv(self, c: FpElement) -> FpElement:
+        if not c.val:
+            raise FieldDegenerate(f"division by zero in F_{self.p}")
+        return FpElement(pow(c.val, -1, self.p), self.p)
 
     def __repr__(self):
         return f"F_{self.p}"

@@ -146,7 +146,8 @@ def rref(rows, ncols, field):
         work[r], work[piv] = work[piv], work[r]
         lead = work[r][c]
         if lead != field.one:
-            work[r] = [a / lead for a in work[r]]
+            inv = field.inv(lead)
+            work[r] = [inv * a for a in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]
@@ -200,6 +201,8 @@ def solve_matrix(a: Matrix, b: Matrix):
 class Subspace:
     """A subspace of field^ambient maintained in reduced row echelon form."""
 
+    __slots__ = ("ambient", "field", "rows", "pivots")
+
     def __init__(self, ambient: int, field):
         self.ambient = ambient
         self.field = field
@@ -241,7 +244,8 @@ class Subspace:
             return False
         la = v[lead]
         if la != self.field.one:
-            v = [a / la for a in v]
+            inv = self.field.inv(la)
+            v = [inv * a for a in v]
         # clear the new pivot column in the existing rows
         for i, row in enumerate(self.rows):
             c = row[lead]

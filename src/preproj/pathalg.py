@@ -223,7 +223,7 @@ class _Completion:
             raise CapExceeded(
                 f"Groebner basis exceeds {self.max_basis} elements")
         if c != self.field.one:
-            elem = el_scale(elem, self.field.one / c)
+            elem = el_scale(elem, self.field.inv(c))
         gi = len(self.gb)
         self.gb.append(elem)
         self.leads.append(m[1])
@@ -322,7 +322,7 @@ class FiniteDimAlgebra:
     """Pi(C, D) on its normal-monomial basis, with table multiplication."""
 
     def __init__(self, cartan_data: CartanData, field, completion: _Completion,
-                 basis):
+                 basis, relations: RelationSet):
         self.data = cartan_data
         self.quiver = cartan_data.quiver
         self.field = field
@@ -340,9 +340,18 @@ class FiniteDimAlgebra:
                           for v in range(1, self.n + 1)}
         self._mul_table = {}
         self.dynkin = cartan_data.dynkin
+        self.relations = relations
         self._proj_cache = {}
         self._ideal_cache = {}
-        self._name_cache = []
+        self._arrow_coords_cache = None
+
+    def clear_caches(self):
+        """Drop the memoized modules and ideals.  They point back at the
+        algebra, so clearing them frees a finished computation at once
+        instead of at the next cycle collection."""
+        self._proj_cache.clear()
+        self._ideal_cache.clear()
+        self._arrow_coords_cache = None
 
     # -- element plumbing ---------------------------------------------------
 
@@ -481,7 +490,7 @@ def groebner_quotient(relations: RelationSet, field=None, max_degree: int = 64,
             tuple(tuple(quiver.symmetrizer[i] * quiver.cartan[i, j]
                         for j in range(1, quiver.n + 1))
                   for i in range(1, quiver.n + 1)))
-    return FiniteDimAlgebra(cartan_data, field, comp, basis)
+    return FiniteDimAlgebra(cartan_data, field, comp, basis, relations)
 
 
 def build_algebra(data: CartanData, field=QQ, max_degree: int = 64,
@@ -556,8 +565,7 @@ def verify_algebra(algebra: FiniteDimAlgebra) -> AlgebraReport:
     """Relations reduce to zero, associativity (exhaustive when dim <= 64),
     identity decomposition, plus dimension and radical-layer data."""
     field = algebra.field
-    rels = preprojective_relations(algebra.quiver, field)
-    for rel in rels.all_nonzero():
+    for rel in algebra.relations.all_nonzero():
         if algebra.nf_free(rel):
             raise VerificationFailed("relation does not reduce to zero",
                                      witness=el_str(algebra.quiver, rel))

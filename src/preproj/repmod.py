@@ -45,9 +45,7 @@ class ModuleRep:
                 raise VerificationFailed(
                     f"action matrix for {a.name} has shape "
                     f"{(m.nrows, m.ncols)}, expected {want}")
-        from .pathalg import preprojective_relations
-        rels = preprojective_relations(q, self.algebra.field)
-        for rel in rels.all_nonzero():
+        for rel in self.algebra.relations.all_nonzero():
             mat = self._eval_relation(rel)
             if mat is not None and not mat.is_zero():
                 raise VerificationFailed("relation does not annihilate module")
@@ -104,7 +102,7 @@ class ModuleRep:
 # ---------------------------------------------------------------------------
 
 def _arrow_coords(algebra: FiniteDimAlgebra):
-    cached = getattr(algebra, "_arrow_coords_cache", None)
+    cached = algebra._arrow_coords_cache
     if cached is None:
         cached = {a.index: algebra.coords({arrow_mon(algebra.quiver, a.index):
                                            algebra.field.one})
@@ -127,7 +125,6 @@ def projective_module(algebra: FiniteDimAlgebra, v: int) -> ModuleRep:
         return cached
     mod = module_from_subspace(
         algebra, [{i: algebra.field.one} for i in algebra.by_target[v]])
-    mod._projective_vertex = v
     algebra._proj_cache[v] = mod
     return mod
 
@@ -278,9 +275,7 @@ def quotient_module(parent: ModuleRep, sub_spaces) -> ModuleRep:
             for r, c in enumerate(img):
                 out.rows[r][col] = c
         act[a.index] = out
-    mod = ModuleRep(parent.algebra, dims, act, validate=False)
-    mod._quotient_proj = projs
-    return mod
+    return ModuleRep(parent.algebra, dims, act, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +390,11 @@ def structure_series(mod: ModuleRep) -> SeriesReport:
 
 @dataclass
 class Presentation:
-    """P1 --X--> P0 --cover--> M -> 0 with both covers minimal."""
+    """P1 --X--> P0 --cover--> M -> 0 with both covers minimal.
 
-    module: ModuleRep
+    Cached on M, so it holds no reference back to M: the pair then frees
+    by reference counting alone."""
+
     p0: list                 # vertices u_k
     p0_layout: dict          # vertex v -> list of (k, global basis index)
     cover: dict              # vertex v -> Matrix (dim M_v x dim P0_v)
@@ -496,7 +493,7 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    pres = Presentation(mod, p0, p0_layout, cover, section, syz, p1, x_matrix)
+    pres = Presentation(p0, p0_layout, cover, section, syz, p1, x_matrix)
     mod._cache["presentation"] = pres
     return pres
 
@@ -606,12 +603,11 @@ def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
 # Auslander-Reiten translate and Nakayama functor
 # ---------------------------------------------------------------------------
 
-def _left_module_data(pres: Presentation):
+def _left_module_data(A: FiniteDimAlgebra, pres: Presentation):
     """Hom(P0,Pi) -> Hom(P1,Pi) as left modules (+)_k Pi e_{u_k} etc.
 
     Left modules are graded by TARGET vertex; left multiplication by the
     arrow a maps the vertex-s(a) piece to the vertex-t(a) piece."""
-    A = pres.module.algebra
     field = A.field
     l0_layout = {v: [] for v in range(1, A.n + 1)}
     for k, u in enumerate(pres.p0):
@@ -662,7 +658,7 @@ def auslander_reiten_translate(M: ModuleRep) -> ModuleRep:
     pres = minimal_projective_presentation(M)
     if not pres.p1:
         return zero_module(A)
-    _, l1_layout, psi = _left_module_data(pres)
+    _, l1_layout, psi = _left_module_data(A, pres)
     images = {}
     for v in range(1, A.n + 1):
         sub = Subspace(len(l1_layout[v]), field)
@@ -700,7 +696,7 @@ def nakayama_nu(M: ModuleRep) -> ModuleRep:
     if M.total_dim == 0:
         return zero_module(A)
     pres = minimal_projective_presentation(M)
-    l0_layout, _, psi = _left_module_data(pres)
+    l0_layout, _, psi = _left_module_data(A, pres)
     kernels = {}
     for v in range(1, A.n + 1):
         if pres.p1:

@@ -46,6 +46,7 @@ class Ideal:
         self.word = word
         self._blocks = {}
         self._module = None
+        self._sparse_rows = None
 
     @property
     def dim(self) -> int:
@@ -61,7 +62,10 @@ class Ideal:
         return hash(self.key())
 
     def sparse_rows(self):
-        return [self.algebra.sparse(r) for r in self.space.rows]
+        """The echelon rows as sparse coordinates; shared, do not mutate."""
+        if self._sparse_rows is None:
+            self._sparse_rows = [self.algebra.sparse(r) for r in self.space.rows]
+        return self._sparse_rows
 
     def block(self, v: int):
         """The right module e_v I (None when zero)."""

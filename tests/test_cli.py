@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -151,3 +153,50 @@ def test_main_field_flag(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["dim"] == 8
     assert payload["field"] == "F_101"
+
+
+@pytest.mark.parametrize("command", ["algebra", "stt", "mutation-graph",
+                                     "verify"])
+def test_main_clears_and_frees_algebra(command, monkeypatch, capsys):
+    """After main returns the algebra's caches are empty and nothing cyclic
+    holds it, so it is freed without the cycle collector."""
+    import preproj.cli as cli
+    built = []
+    cli_build = cli.build_algebra
+
+    def recording_build(*args, **kwargs):
+        built.append(cli_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_algebra", recording_build)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main([command, "--config", json.dumps(EG1)]) == 0
+        (algebra,) = built
+        assert algebra._proj_cache == {}
+        assert algebra._ideal_cache == {}
+        assert algebra._arrow_coords_cache is None
+        ref = weakref.ref(algebra)
+        del algebra
+        built.clear()
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"seed": "abc"}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"caps": 5}, "caps"),
+    ({"caps": {"max_degree": "64"}}, "caps.max_degree"),
+    ({"weyl_cap": "many"}, "weyl_cap"),
+    ({"symmetrizer": [2.5, 2.5]}, "symmetrizer"),
+    ({"symmetrizer": 2}, "symmetrizer"),
+])
+def test_main_bad_config_key_exits_2(extra, key, capsys):
+    raw = {"cartan": [[2, -1], [-1, 2]], **extra}
+    assert main(["check", "--config", json.dumps(raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:"), err

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from preproj.errors import FieldDegenerate, ValidationError
@@ -5,9 +7,23 @@ from preproj.fields import QQ, FpElement, PrimeField, field_from_spec
 
 
 def test_rationals():
-    assert QQ.from_int(3) / QQ.from_int(2) + QQ.one == QQ.from_int(5) / QQ.from_int(2)
+    total = QQ.from_int(3) * QQ.inv(QQ.from_int(2)) + QQ.one
+    assert type(total) is Fraction and total == Fraction(5, 2)
     assert not QQ.zero
     assert QQ.one
+
+
+def test_rational_scalars_stay_int_until_a_non_unit_division():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-4)) is int
+    for unit in (1, -1):
+        inv = QQ.inv(QQ.from_int(unit))
+        assert type(inv) is int and inv == unit
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    with pytest.raises(TypeError):
+        QQ.from_int(2.5)
+    with pytest.raises(FieldDegenerate):
+        QQ.inv(QQ.zero)
 
 
 def test_fp_arithmetic():
@@ -26,6 +42,13 @@ def test_fp_division_by_zero():
     F = PrimeField(101)
     with pytest.raises(FieldDegenerate):
         F.one / F.zero
+
+
+def test_fp_inv():
+    F = PrimeField(7)
+    assert F.inv(F.from_int(5)) == F.from_int(3)
+    with pytest.raises(FieldDegenerate):
+        F.inv(F.zero)
 
 
 def test_prime_validation():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -315,3 +316,27 @@ def test_emitters(algebras, weyl_groups):
     assert json.loads(json.dumps(payload)) == payload
     assert len(payload["nodes"]) == 6
     assert {"from": "", "to": "1", "label": 1} in payload["edges"]
+
+
+def test_b3_qq_scalars_are_exact(algebras, weyl_groups):
+    """No float anywhere on the rational path: Groebner basis, structure
+    constants, one I_w and its block action matrices."""
+    def exact(values):
+        return all(type(x) in (int, Fraction) for x in values)
+
+    A = algebras["b3"]
+    for g in A._completion.gb:
+        assert exact(g.values())
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert exact(A.mul_basis(i, j).values())
+    W = weyl_groups["b3"]
+    w = next(e for e in W.sorted_elements() if e.length == 4)
+    ideal = ideal_of_word(A, W, w)
+    assert 0 < ideal.dim < A.dim
+    assert exact(x for row in ideal.space.rows for x in row)
+    for v in range(1, A.n + 1):
+        blk = ideal.block(v)
+        if blk is not None:
+            for m in blk.act.values():
+                assert exact(x for row in m.rows for x in row)
