@@ -77,9 +77,6 @@ class Orientation:
             return 1
         return -1
 
-    def opposite(self) -> "Orientation":
-        return Orientation(frozenset((j, i) for (i, j) in self.pairs))
-
 
 @dataclass(frozen=True)
 class Arrow:
@@ -326,10 +323,6 @@ def dynkin_components(c: CartanMatrix, d: Symmetrizer):
                 break
         out.append((comp, ok))
     return out
-
-
-def has_no_dynkin_component(c: CartanMatrix, d: Symmetrizer) -> bool:
-    return all(not ok for _, ok in dynkin_components(c, d))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .errors import (
     PreprojectiveError,
     ReportFailure,
     ValidationError,
+    VerificationFailed,
 )
 from .fields import QQ, field_from_spec
 from .pathalg import build_algebra, mon_str, verify_algebra
@@ -85,8 +86,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ValidationError(f"{key}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cartan: {exc}") from exc
+    spec = raw.get("field")
+    if isinstance(spec, dict) and "p" in spec:
+        _int_key("field.p", spec["p"])
     try:
-        fld = field_from_spec(raw.get("field"))
+        fld = field_from_spec(spec)
     except ValidationError as exc:
         raise ValidationError(f"field: {exc}") from exc
     caps = raw.get("caps", {})
@@ -266,6 +270,16 @@ def cmd_mutation_graph(cfg: RunConfig):
     return 0, "\n".join(lines)
 
 
+def _failure_text(exc: Exception) -> str:
+    """The exception, then the witness or failure list it carries."""
+    text = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, VerificationFailed) and exc.witness is not None:
+        text += f"; witness: {exc.witness!r}"
+    if isinstance(exc, ReportFailure) and exc.failures:
+        text += "; failures: " + "; ".join(map(str, exc.failures))
+    return text
+
+
 def cmd_verify(cfg: RunConfig):
     """Aggregated verification; one pass/fail line per check."""
     checks = []
@@ -275,7 +289,7 @@ def cmd_verify(cfg: RunConfig):
             fn()
             checks.append((name, True, ""))
         except Exception as exc:  # noqa: BLE001 - report, do not crash
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
+            checks.append((name, False, _failure_text(exc)))
 
     d = cfg.data
     group_box = {}

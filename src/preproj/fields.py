@@ -1,16 +1,24 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
 Every algebraic computation in the package is generic over a ``field``
-object exposing ``zero``, ``one``, ``from_int`` and ``inv``; the scalars
-themselves carry the ring arithmetic (+, -, *) through operator overloading.
-Division happens only through ``field.inv``, so callers scale by one inverse
-instead of dividing entry by entry.
+object exposing ``zero``, ``one``, ``from_int``, ``inv`` and
+``characteristic`` (0 for QQ, p for F_p).  Both fields use one scalar
+type, the plain ``int``; division happens only through ``field.inv``, so
+callers scale by one inverse instead of dividing entry by entry.
 
-Rational scalars are plain ``int`` until a division by a non-unit forces a
+Rational scalars stay ``int`` until a division by a non-unit forces a
 ``Fraction``: ``QQ.inv`` returns +-1 unchanged and ``Fraction(1, c)``
 otherwise, and ``Fraction`` mixes exactly with ``int`` from then on.  Every
 structure constant of Pi(C, D) is an integer, so most computations never
-leave ``int``.  Prime-field scalars are :class:`FpElement`.
+leave ``int``.
+
+Prime-field scalars are ``int`` in ``range(p)``.  That is the invariant:
+every scalar stored in a matrix or subspace row, a coordinate dict or a
+free element is reduced.  The kernels that produce scalars (``linalg``,
+the Groebner completion and ``FiniteDimAlgebra.mul_coords`` in
+``pathalg``, and the few sums in ``repmod``) read the characteristic once
+per call and reduce their output ``% p``; inside one call, intermediate
+values may grow before that reduction.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ class Rationals:
     kind = "rational"
     zero = 0
     one = 1
+
+    def __init__(self):
+        # an instance attribute: the kernels read it on every call, and that
+        # lookup is faster than one that falls through to the class
+        self.characteristic = 0
 
     @staticmethod
     def from_int(k: int) -> int:
@@ -52,49 +65,6 @@ class Rationals:
 QQ = Rationals()
 
 
-class FpElement:
-    """An element of F_p.  Arithmetic only mixes elements of the same p."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val: int, p: int):
-        self.val = val % p
-        self.p = p
-
-    def __add__(self, other):
-        return FpElement(self.val + other.val, self.p)
-
-    def __sub__(self, other):
-        return FpElement(self.val - other.val, self.p)
-
-    def __mul__(self, other):
-        return FpElement(self.val * other.val, self.p)
-
-    def __truediv__(self, other):
-        if other.val % other.p == 0:
-            raise FieldDegenerate(f"division by zero in F_{self.p}")
-        return FpElement(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"{self.val}"
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -108,21 +78,23 @@ def _is_prime(p: int) -> bool:
 
 class PrimeField:
     kind = "prime"
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValidationError(f"p must be an integer, got {p!r}")
         if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
-        self.p = p
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
+        self.p = self.characteristic = p
 
-    def from_int(self, k: int) -> FpElement:
-        return FpElement(k, self.p)
+    def from_int(self, k: int) -> int:
+        return operator.index(k) % self.p
 
-    def inv(self, c: FpElement) -> FpElement:
-        if not c.val:
+    def inv(self, c: int) -> int:
+        if not c % self.p:
             raise FieldDegenerate(f"division by zero in F_{self.p}")
-        return FpElement(pow(c.val, -1, self.p), self.p)
+        return pow(c, -1, self.p)
 
     def __repr__(self):
         return f"F_{self.p}"
@@ -159,5 +131,5 @@ def field_from_spec(spec) -> Rationals | PrimeField:
         if kind == "prime":
             if "p" not in spec:
                 raise ValidationError("prime field spec needs 'p'")
-            return PrimeField(int(spec["p"]))
+            return PrimeField(spec["p"])
     raise ValidationError(f"bad field spec {spec!r}")

@@ -4,6 +4,10 @@ Matrices carry their shape explicitly so zero-dimensional vertex spaces
 (which occur constantly in module computations) never get ambiguous.
 Subspaces are kept in reduced row echelon form, which makes membership,
 equality and canonical keys exact.
+
+Scalars are ``int`` (``Fraction`` after a non-unit QQ pivot).  Over F_p
+every kernel reads ``p = field.characteristic`` once and reduces what it
+returns or stores ``% p``; the QQ loops (``p == 0``) do no reduction.
 """
 
 from __future__ import annotations
@@ -47,11 +51,9 @@ class Matrix:
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def mul(self, other: "Matrix") -> "Matrix":
         assert self.ncols == other.nrows, (self.ncols, other.nrows)
+        p = self.field.characteristic
         out = Matrix.zeros(self.nrows, other.ncols, self.field)
         for i in range(self.nrows):
             ri = self.rows[i]
@@ -65,6 +67,8 @@ class Matrix:
                     b = rk[j]
                     if b:
                         oi[j] = oi[j] + a * b
+        if p:
+            out.rows = [[x % p for x in r] for r in out.rows]
         return out
 
     def vec(self, v):
@@ -79,6 +83,9 @@ class Matrix:
                 if x:
                     acc = acc + ri[j] * x
             out[i] = acc
+        p = self.field.characteristic
+        if p:
+            return [x % p for x in out]
         return out
 
     def transpose(self) -> "Matrix":
@@ -90,13 +97,22 @@ class Matrix:
 
     def add(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.nrows, self.ncols, self.field)
+        p = self.field.characteristic
+        if p:
+            rows = [[(a + b) % p for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.rows, other.rows)]
+        else:
+            rows = [[a + b for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix(rows, self.nrows, self.ncols, self.field)
 
     def scale(self, c) -> "Matrix":
-        return Matrix([[c * a for a in r] for r in self.rows],
-                      self.nrows, self.ncols, self.field)
+        p = self.field.characteristic
+        if p:
+            rows = [[c * a % p for a in r] for r in self.rows]
+        else:
+            rows = [[c * a for a in r] for r in self.rows]
+        return Matrix(rows, self.nrows, self.ncols, self.field)
 
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
@@ -108,30 +124,12 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def block_matrix(blocks, row_dims, col_dims, field) -> Matrix:
-    """Assemble a matrix from a grid of blocks (``None`` means zero)."""
-    nrows = sum(row_dims)
-    ncols = sum(col_dims)
-    out = Matrix.zeros(nrows, ncols, field)
-    r0 = 0
-    for bi, rd in enumerate(row_dims):
-        c0 = 0
-        for bj, cd in enumerate(col_dims):
-            blk = blocks[bi][bj]
-            if blk is not None:
-                assert blk.nrows == rd and blk.ncols == cd
-                for i in range(rd):
-                    out.rows[r0 + i][c0:c0 + cd] = list(blk.rows[i])
-            c0 += cd
-        r0 += rd
-    return out
-
-
 def rref(rows, ncols, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
     Zero rows are dropped; pivots are monic and their columns cleared,
     so the output is the canonical basis of the row span."""
+    p = field.characteristic
     work = [list(r) for r in rows if any(r)]
     pivots = []
     r = 0
@@ -147,12 +145,18 @@ def rref(rows, ncols, field):
         lead = work[r][c]
         if lead != field.one:
             inv = field.inv(lead)
-            work[r] = [inv * a for a in work[r]]
+            if p:
+                work[r] = [inv * a % p for a in work[r]]
+            else:
+                work[r] = [inv * a for a in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]
                 wr = work[r]
-                work[i] = [a - f * b for a, b in zip(work[i], wr)]
+                if p:
+                    work[i] = [(a - f * b) % p for a, b in zip(work[i], wr)]
+                else:
+                    work[i] = [a - f * b for a, b in zip(work[i], wr)]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -170,6 +174,7 @@ def nullspace(m: Matrix):
     """Basis of {v : m @ v = 0}, as a list of length-ncols vectors."""
     rows, pivots = rref(m.rows, m.ncols, m.field)
     field = m.field
+    p = field.characteristic
     pivset = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivset]
     basis = []
@@ -177,7 +182,7 @@ def nullspace(m: Matrix):
         v = [field.zero] * m.ncols
         v[fc] = field.one
         for r, pc in zip(rows, pivots):
-            v[pc] = -r[fc]
+            v[pc] = -r[fc] % p if p else -r[fc]
         basis.append(v)
     return basis
 
@@ -223,10 +228,13 @@ class Subspace:
     def reduce(self, vec):
         """Residue of vec modulo the subspace (pivot coordinates cleared)."""
         v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
+        for row, pc in zip(self.rows, self.pivots):
+            c = v[pc]  # no other echelon row touches column pc
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
+        p = self.field.characteristic
+        if p:
+            return [a % p for a in v]
         return v
 
     def contains(self, vec) -> bool:
@@ -243,14 +251,18 @@ class Subspace:
         if lead is None:
             return False
         la = v[lead]
+        p = self.field.characteristic
         if la != self.field.one:
             inv = self.field.inv(la)
-            v = [inv * a for a in v]
+            v = [inv * a % p for a in v] if p else [inv * a for a in v]
         # clear the new pivot column in the existing rows
         for i, row in enumerate(self.rows):
             c = row[lead]
             if c:
-                self.rows[i] = [a - c * b for a, b in zip(row, v)]
+                if p:
+                    self.rows[i] = [(a - c * b) % p for a, b in zip(row, v)]
+                else:
+                    self.rows[i] = [a - c * b for a, b in zip(row, v)]
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < lead:
             pos += 1
@@ -268,12 +280,13 @@ class Subspace:
         """Coefficients of vec over the echelon rows, or None."""
         v = list(vec)
         coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
+        for row, pc in zip(self.rows, self.pivots):
+            c = v[pc]
             coeffs.append(c)
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
-        if any(v):
+        p = self.field.characteristic
+        if any(a % p for a in v) if p else any(v):
             return None
         return coeffs
 
@@ -286,12 +299,6 @@ class Subspace:
 
     def __hash__(self):
         return hash(self.key())
-
-    def copy(self) -> "Subspace":
-        s = Subspace(self.ambient, self.field)
-        s.rows = [list(r) for r in self.rows]
-        s.pivots = list(self.pivots)
-        return s
 
     def quotient(self):
         """Projection onto a complement: (proj(vec)->coords, dim, lifts)."""

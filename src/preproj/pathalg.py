@@ -34,10 +34,6 @@ def mon_target(quiver: DoubledQuiver, m: Mon) -> int:
     return quiver.arrows[m[1][0]].target if m[1] else m[0]
 
 
-def mon_len(m: Mon) -> int:
-    return len(m[1])
-
-
 def mon_key(m: Mon):
     return (len(m[1]), m[1], m[0])
 
@@ -67,27 +63,22 @@ def loop_power(quiver: DoubledQuiver, v: int, k: int) -> Mon:
 # free elements: dict Mon -> scalar
 # ---------------------------------------------------------------------------
 
-def el_add_term(elem: dict, m: Mon, c):
+def el_add_term(elem: dict, m: Mon, c, p: int):
+    """elem[m] += c; ``p`` is the field characteristic (0 for QQ)."""
     cur = elem.get(m)
     new = c if cur is None else cur + c
+    if p:
+        new %= p
     if new:
         elem[m] = new
     elif cur is not None:
         del elem[m]
 
 
-def el_scale(elem: dict, c) -> dict:
+def el_scale(elem: dict, c, p: int) -> dict:
+    if p:
+        return {m: c * a % p for m, a in elem.items()}
     return {m: c * a for m, a in elem.items()}
-
-
-def el_mul(quiver: DoubledQuiver, x: dict, y: dict) -> dict:
-    out = {}
-    for m1, a in x.items():
-        for m2, b in y.items():
-            m = mon_mul(quiver, m1, m2)
-            if m is not None:
-                el_add_term(out, m, a * b)
-    return out
 
 
 def el_leading(elem: dict):
@@ -129,6 +120,8 @@ def preprojective_relations(quiver: DoubledQuiver, field=QQ) -> RelationSet:
     """(P1) eps_i^{c_i}; (P2) eps_i^{f_ji} a_ij = a_ij eps_j^{f_ij};
     (P3) the mesh sum at every vertex."""
     one = field.one
+    minus_one = field.from_int(-1)
+    p = field.characteristic
     d = quiver.symmetrizer
     nil = []
     for v in range(1, quiver.n + 1):
@@ -142,14 +135,14 @@ def preprojective_relations(quiver: DoubledQuiver, field=QQ) -> RelationSet:
             lhs = mon_mul(quiver, loop_power(quiver, i, fji), am)
             rhs = mon_mul(quiver, am, loop_power(quiver, j, fij))
             rel = {}
-            el_add_term(rel, lhs, one)
-            el_add_term(rel, rhs, -one)
+            el_add_term(rel, lhs, one, p)
+            el_add_term(rel, rhs, minus_one, p)
             comm.append(rel)
     mesh = []
     for i in range(1, quiver.n + 1):
         rel = {}
         for j in sorted(quiver.cartan.neighbors(i)):
-            sgn = one if quiver.orientation.sgn(i, j) == 1 else -one
+            sgn = one if quiver.orientation.sgn(i, j) == 1 else minus_one
             fji = quiver.fij[(j, i)]
             fam_ij = quiver.arrow_family(i, j)
             fam_ji = quiver.arrow_family(j, i)
@@ -159,7 +152,7 @@ def preprojective_relations(quiver: DoubledQuiver, field=QQ) -> RelationSet:
                 for f in range(fji):
                     m = mon_mul(quiver, loop_power(quiver, i, f), two)
                     m = mon_mul(quiver, m, loop_power(quiver, i, fji - 1 - f))
-                    el_add_term(rel, m, sgn)
+                    el_add_term(rel, m, sgn, p)
         mesh.append(rel)
     return RelationSet(quiver, field, nil, comm, mesh)
 
@@ -172,6 +165,7 @@ class _Completion:
     def __init__(self, quiver, field, max_degree, max_basis):
         self.quiver = quiver
         self.field = field
+        self.p = field.characteristic
         self.max_degree = max_degree
         self.max_basis = max_basis
         self.gb = []            # list of monic elements
@@ -190,6 +184,7 @@ class _Completion:
         return None
 
     def normal_form(self, elem: dict) -> dict:
+        p = self.p
         work = dict(elem)
         out = {}
         while work:
@@ -199,18 +194,18 @@ class _Completion:
                 continue
             occ = self.find_occurrence(m[1])
             if occ is None:
-                el_add_term(out, m, c)
+                el_add_term(out, m, c, p)
                 continue
             pos, ell, gi = occ
             g = self.gb[gi]
             lead = self.leads[gi]
-            p = m[1][:pos]
+            pre = m[1][:pos]
             q = m[1][pos + ell:]
             for tm, tc in g.items():
                 if tm[1] == lead:
                     continue
-                word = p + tm[1] + q
-                el_add_term(work, (m[0], word), -(c * tc))
+                word = pre + tm[1] + q
+                el_add_term(work, (m[0], word), -(c * tc), p)
         return out
 
     def add_element(self, elem: dict):
@@ -223,7 +218,7 @@ class _Completion:
             raise CapExceeded(
                 f"Groebner basis exceeds {self.max_basis} elements")
         if c != self.field.one:
-            elem = el_scale(elem, self.field.inv(c))
+            elem = el_scale(elem, self.field.inv(c), self.p)
         gi = len(self.gb)
         self.gb.append(elem)
         self.leads.append(m[1])
@@ -235,28 +230,29 @@ class _Completion:
         """Overlap and inclusion ambiguities between leads i and j."""
         u = self.leads[gi]
         w = self.leads[gj]
+        p = self.p
         out = []
         # proper overlaps: a suffix of u equals a prefix of w
         for o in range(1, min(len(u), len(w))):
             if u[-o:] == w[:o]:
                 q = w[o:]
-                p = u[:-o]
+                pre = u[:-o]
                 left = {}
                 for tm, tc in self.gb[gi].items():
-                    el_add_term(left, (self._ext_source(q, tm), tm[1] + q), tc)
+                    el_add_term(left, (self._ext_source(q, tm), tm[1] + q), tc, p)
                 for tm, tc in self.gb[gj].items():
-                    el_add_term(left, (tm[0], p + tm[1]), -tc)
+                    el_add_term(left, (tm[0], pre + tm[1]), -tc, p)
                 out.append(left)
         # inclusion: w a proper subword of u
         if len(w) < len(u) and gi != gj:
             for pos in range(len(u) - len(w) + 1):
                 if u[pos:pos + len(w)] == w:
-                    p = u[:pos]
+                    pre = u[:pos]
                     q = u[pos + len(w):]
                     s = dict(self.gb[gi])
                     for tm, tc in self.gb[gj].items():
-                        word = p + tm[1] + q
-                        el_add_term(s, (self._ext_source(q, tm), word), -tc)
+                        word = pre + tm[1] + q
+                        el_add_term(s, (self._ext_source(q, tm), word), -tc, p)
                     out.append(s)
         return out
 
@@ -371,14 +367,8 @@ class FiniteDimAlgebra:
         nf = self.nf_free(elem)
         return {self.index[m]: c for m, c in nf.items()}
 
-    def from_coords(self, coords: dict) -> dict:
-        return {self.basis[i]: c for i, c in coords.items() if c}
-
     def unit_coords(self) -> dict:
         return {self.e_index[v - 1]: self.field.one for v in range(1, self.n + 1)}
-
-    def idempotent_coords(self, v: int) -> dict:
-        return {self.e_index[v - 1]: self.field.one}
 
     def mul_basis(self, i: int, j: int) -> dict:
         key = (i, j)
@@ -395,6 +385,20 @@ class FiniteDimAlgebra:
 
     def mul_coords(self, x: dict, y: dict) -> dict:
         out = {}
+        p = self.field.characteristic
+        if p:
+            for i, a in x.items():
+                for j, b in y.items():
+                    prod = self.mul_basis(i, j)
+                    if prod:
+                        ab = a * b
+                        for k, c in prod.items():
+                            new = (out.get(k, 0) + ab * c) % p
+                            if new:
+                                out[k] = new
+                            else:
+                                out.pop(k, None)
+            return out
         for i, a in x.items():
             for j, b in y.items():
                 prod = self.mul_basis(i, j)

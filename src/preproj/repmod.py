@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotDynkin, RadicalUnavailable, SocleNotSimple, VerificationFailed
-from .fields import PrimeField
 from .linalg import Matrix, Subspace, mat_rank, nullspace, solve_matrix
 from .pathalg import FiniteDimAlgebra, arrow_mon
 
@@ -89,9 +88,6 @@ class ModuleRep:
     @property
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-    def dims_tuple(self):
-        return tuple(self.dims)
 
     def __repr__(self):
         return f"Module(dims={tuple(self.dims)})"
@@ -403,10 +399,6 @@ class Presentation:
     p1: list                 # vertices v_l
     x_elems: list            # [k][l] algebra coords in e_{u_k} Pi e_{v_l}
 
-    @property
-    def p0_dim(self):
-        return sum(len(self.p0_layout[v]) for v in self.p0_layout)
-
 
 def _top_lifts(mod: ModuleRep):
     """Per vertex, coordinate vectors lifting a basis of M_v / (rad M)_v."""
@@ -469,6 +461,7 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     p0_mod = _p0_module(A, p0, p0_layout)
     syz = submodule(p0_mod, kvecs)
     syz_lifts = _top_lifts(syz)
+    p = field.characteristic
     p1 = []
     x_elems = []
     for v in range(1, A.n + 1):
@@ -481,6 +474,8 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
                     for pos, rc in enumerate(row):
                         if rc:
                             p0vec[pos] = p0vec[pos] + c * rc
+            if p:
+                p0vec = [a % p for a in p0vec]
             p1.append(v)
             col = []
             for k in range(len(p0)):
@@ -725,18 +720,12 @@ class Nakayama:
     sigma: tuple      # sigma[i-1] = sigma(i), from soc(e_i Pi) = S_{sigma(i)}
     algebra: FiniteDimAlgebra
 
-    def nu(self, M: ModuleRep) -> ModuleRep:
-        return nakayama_nu(M)
-
     def apply(self, i: int) -> int:
         return self.sigma[i - 1]
 
-    def inverse(self, j: int) -> int:
-        return self.sigma.index(j) + 1
-
 
 def nakayama(algebra: FiniteDimAlgebra) -> Nakayama:
-    """The permutation with soc(e_i Pi) = S_{sigma(i)}, plus the functor."""
+    """The permutation with soc(e_i Pi) = S_{sigma(i)}."""
     if not algebra.dynkin:
         raise NotDynkin("Nakayama data requires Dynkin type")
     sigma = []
@@ -780,10 +769,6 @@ def locally_free_rank(M: ModuleRep):
             return None
         ranks.append(r)
     return tuple(ranks)
-
-
-def rank_length(rank_vector) -> int:
-    return sum(rank_vector)
 
 
 def is_tau_rigid(M: ModuleRep) -> bool:
@@ -871,9 +856,10 @@ def is_indecomposable(M: ModuleRep) -> bool:
     ends = hom_space(M, M)
     e = ends.dim
     field = M.algebra.field
-    if isinstance(field, PrimeField) and field.p <= e:
+    p = field.characteristic
+    if p and p <= e:
         raise RadicalUnavailable(
-            f"p = {field.p} <= dim End = {e}; rerun over the rationals")
+            f"p = {p} <= dim End = {e}; rerun over the rationals")
     gram = Matrix.zeros(e, e, field)
     for a in range(e):
         for b in range(a, e):
@@ -882,6 +868,8 @@ def is_indecomposable(M: ModuleRep) -> bool:
                 prod = ends.maps[a][v].mul(ends.maps[b][v])
                 for i in range(prod.nrows):
                     tr = tr + prod.rows[i][i]
+            if p:
+                tr %= p
             gram.rows[a][b] = tr
             gram.rows[b][a] = tr
     rad_dim = e - mat_rank(gram)

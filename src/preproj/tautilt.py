@@ -88,10 +88,6 @@ class Ideal:
         self._blocks[v] = mod
         return mod
 
-    def nonzero_block_vertices(self):
-        return [v for v in range(1, self.algebra.n + 1)
-                if self.block(v) is not None]
-
     def module(self) -> ModuleRep:
         """The ideal as a right module (direct sum of its blocks)."""
         if self._module is None:
@@ -101,9 +97,6 @@ class Ideal:
                 self._module = module_from_subspace(self.algebra,
                                                     self.sparse_rows())
         return self._module
-
-    def contains(self, other: "Ideal") -> bool:
-        return all(self.space.contains(r) for r in other.space.rows)
 
     def __repr__(self):
         w = "".join(map(str, self.word)) if self.word is not None else "?"

@@ -1,11 +1,18 @@
 """Shared fixtures: the acceptance algebras and independent brute oracles."""
 
 import pytest
+from hypothesis import settings
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
 from preproj.linalg import Matrix, nullspace
 from preproj.pathalg import build_algebra
+
+# Property tests draw the same examples on every run and never time out,
+# so their outcome and the test count do not depend on luck or host load.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 ALGEBRA_SPECS = {
     # criterion-4 family (minimal symmetrizers) plus the two worked examples

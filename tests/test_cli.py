@@ -129,6 +129,40 @@ def test_cmd_verify_eg1(capsys):
     assert "FAIL" not in out
 
 
+def test_cmd_verify_prints_failure_witnesses(monkeypatch, capsys):
+    """A FAIL line carries the witness or failure list of its exception;
+    the PASS lines stay as they were."""
+    import preproj.cli as cli
+    from preproj.errors import ReportFailure, VerificationFailed
+
+    def failing_report(*args, **kwargs):
+        raise ReportFailure("classification report failed",
+                            ["pair at 12: ['|M| + |P| != n']", "I_1 I_2 != I_(u*v)"])
+
+    def failing_graph(*args, **kwargs):
+        raise VerificationFailed("exchange quiver is not 2-regular",
+                                 witness={"12": 3})
+
+    monkeypatch.setattr(cli, "classification_report", failing_report)
+    monkeypatch.setattr(cli, "mutation_graph", failing_graph)
+    assert main(["verify", "--config", json.dumps(EG1)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "PASS weyl enumeration",
+        "PASS coxeter orders of sigma_i*",
+        "PASS algebra construction and verification",
+        "PASS homological identities",
+    ]
+    assert lines[4] == (
+        "FAIL classification report (ReportFailure: classification report "
+        "failed; failures: pair at 12: ['|M| + |P| != n']; I_1 I_2 != I_(u*v))")
+    assert lines[5] == (
+        "FAIL mutation graph with left-mutation cross-check "
+        "(VerificationFailed: exchange quiver is not 2-regular; "
+        "witness: {'12': 3})")
+    assert len(lines) == 6
+
+
 def test_cmd_verify_affine(capsys):
     assert main(["verify", "--config", json.dumps(AFFINE)]) == 0
     out = capsys.readouterr().out
@@ -194,6 +228,11 @@ def test_main_clears_and_frees_algebra(command, monkeypatch, capsys):
     ({"weyl_cap": "many"}, "weyl_cap"),
     ({"symmetrizer": [2.5, 2.5]}, "symmetrizer"),
     ({"symmetrizer": 2}, "symmetrizer"),
+    ({"field": {"type": "prime", "p": "x"}}, "field.p"),
+    ({"field": {"type": "prime", "p": [7]}}, "field.p"),
+    ({"field": {"type": "prime", "p": 2.5}}, "field.p"),
+    ({"field": {"type": "prime", "p": "7"}}, "field.p"),
+    ({"field": {"type": "prime", "p": True}}, "field.p"),
 ])
 def test_main_bad_config_key_exits_2(extra, key, capsys):
     raw = {"cartan": [[2, -1], [-1, 2]], **extra}

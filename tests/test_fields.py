@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from preproj.errors import FieldDegenerate, ValidationError
-from preproj.fields import QQ, FpElement, PrimeField, field_from_spec
+from preproj.fields import QQ, PrimeField, field_from_spec
 
 
 def test_rationals():
@@ -27,21 +27,25 @@ def test_rational_scalars_stay_int_until_a_non_unit_division():
 
 
 def test_fp_arithmetic():
+    """F_p scalars are plain ints in range(p); from_int reduces."""
     F = PrimeField(7)
-    a = F.from_int(3)
-    b = F.from_int(5)
-    assert a + b == F.from_int(1)
-    assert a * b == F.from_int(1)
-    assert -a == F.from_int(4)
-    assert a / b == a * F.from_int(3)  # 5^{-1} = 3 mod 7
-    assert (a - a) == F.zero
-    assert hash(a) == hash(F.from_int(10))
+    assert type(F.zero) is int and type(F.one) is int
+    assert (F.zero, F.one) == (0, 1)
+    assert F.characteristic == 7 and QQ.characteristic == 0
+    for k in range(-20, 21):
+        r = F.from_int(k)
+        assert type(r) is int and r in range(7) and (r - k) % 7 == 0
+    assert F.from_int(-3) == 4
+    assert F.from_int(10) == F.from_int(3) == 3
+    assert F.inv(5) == 3  # 5 * 3 = 15 = 1 mod 7
+    assert all(a * F.inv(a) % 7 == 1 for a in range(1, 7))
 
 
 def test_fp_division_by_zero():
-    F = PrimeField(101)
-    with pytest.raises(FieldDegenerate):
-        F.one / F.zero
+    F = PrimeField(7)
+    for zero in (F.zero, 7, -14):
+        with pytest.raises(FieldDegenerate):
+            F.inv(zero)
 
 
 def test_fp_inv():
@@ -56,6 +60,9 @@ def test_prime_validation():
         PrimeField(6)
     with pytest.raises(ValidationError):
         PrimeField(1)
+    for bad in (7.0, "7", True, [7]):
+        with pytest.raises(ValidationError):
+            PrimeField(bad)
 
 
 def test_field_from_spec():
@@ -63,12 +70,18 @@ def test_field_from_spec():
     assert field_from_spec("rational").kind == "rational"
     assert field_from_spec("fp:101").p == 101
     assert field_from_spec({"type": "prime", "p": 13}).p == 13
-    for bad in ("fp:abc", "float", {"type": "prime"}, {"type": "real"}, 5):
+    for bad in ("fp:abc", "float", {"type": "prime"}, {"type": "real"}, 5,
+                {"type": "prime", "p": 2.5}, {"type": "prime", "p": "7"}):
         with pytest.raises(ValidationError):
             field_from_spec(bad)
 
 
 def test_fp_element_int_compare():
+    """from_int takes integers only, like QQ.from_int."""
     F = PrimeField(5)
     assert F.from_int(7) == 2
-    assert FpElement(4, 5) != FpElement(4, 7)
+    assert F.from_int(True) == 1
+    for bad in (2.5, "3", None):
+        with pytest.raises(TypeError):
+            F.from_int(bad)
+    assert PrimeField(5) == F and PrimeField(7) != F

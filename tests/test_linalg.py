@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from preproj.fields import QQ, PrimeField
-from preproj.linalg import Subspace, rref
+from preproj.linalg import Matrix, Subspace, nullspace, rref
 
 
 def _assert_exact(row):
@@ -36,3 +39,61 @@ def test_rref_over_prime_field_scales_by_inverse():
     F = PrimeField(7)
     rows, _ = rref([[F.from_int(3), F.from_int(1)]], 2, F)
     assert rows == [[F.one, F.from_int(5)]]  # 3^{-1} = 5 mod 7
+
+
+@st.composite
+def small_fp_matrices(draw):
+    p = draw(st.sampled_from([5, 7]))
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=ncols,
+                                  max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return p, rows, ncols
+
+
+@given(small_fp_matrices())
+def test_rref_over_small_prime_fields(case):
+    """rref over F_p: reduced int rows, monic pivots, cleared pivot columns,
+    every input row in the span, rank equal to log_p |row span|, nullspace
+    vectors annihilated; ``Subspace`` echelonizes to the same rows and
+    expresses each input row by reduced coefficients; mul, add and scale
+    agree with sums taken mod p."""
+    p, rows, ncols = case
+    F = PrimeField(p)
+    out, pivots = rref(rows, ncols, F)
+    assert len(out) == len(pivots)
+    assert pivots == sorted(set(pivots))
+    for row, pc in zip(out, pivots):
+        assert all(type(x) is int and 0 <= x < p for x in row)
+        assert row[pc] == 1 and not any(row[:pc])
+    for pc_i, (_, pc) in enumerate(zip(out, pivots)):
+        assert [r[pc] for r in out] == [int(k == pc_i) for k in range(len(out))]
+    for vec in rows:
+        residue = list(vec)
+        for row, pc in zip(out, pivots):
+            c = residue[pc]
+            residue = [(a - c * b) % p for a, b in zip(residue, row)]
+        assert not any(residue)
+    space = Subspace.span(rows, ncols, F)
+    assert space.rows == out and space.pivots == pivots
+    for vec in rows:
+        coeffs = space.express(vec)
+        assert all(type(c) is int and 0 <= c < p for c in coeffs)
+        assert [sum(c * r[j] for c, r in zip(coeffs, out)) % p
+                for j in range(ncols)] == vec
+    span = {tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % p
+                  for j in range(ncols))
+            for coeffs in itertools.product(range(p), repeat=len(rows))}
+    assert len(span) == p ** len(pivots)
+    m = Matrix.from_rows(rows, ncols, F)
+    gram = m.mul(m.transpose())
+    assert gram.rows == [[sum(a * b for a, b in zip(r1, r2)) % p for r2 in rows]
+                         for r1 in rows]
+    assert m.add(m).rows == [[2 * a % p for a in r] for r in rows]
+    assert m.scale(F.from_int(-1)).rows == [[-a % p for a in r] for r in rows]
+    kernel = nullspace(m)
+    assert len(kernel) == ncols - len(pivots)
+    for v in kernel:
+        assert all(type(x) is int and 0 <= x < p for x in v)
+        assert not any(m.vec(v))

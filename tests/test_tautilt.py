@@ -2,18 +2,22 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import ALGEBRA_SPECS
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import demazure_product, enumerate_weyl
 from preproj.errors import NotMutable
+from preproj.fields import PrimeField
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
+    auslander_reiten_translate,
     direct_sum,
     generalized_simple,
     hom_space,
     in_fac,
     is_isomorphic,
     locally_free_rank,
+    minimal_projective_presentation,
     projective_module,
 )
 from preproj.tautilt import (
@@ -340,3 +344,40 @@ def test_b3_qq_scalars_are_exact(algebras, weyl_groups):
         if blk is not None:
             for m in blk.act.values():
                 assert exact(x for row in m.rows for x in row)
+
+
+def test_b3_fp_scalars_are_reduced_ints(weyl_groups):
+    """Over F_101 every scalar is an int in range(101): Groebner basis,
+    structure constants, a product, one I_w, its block matrices, one
+    presentation and one tau."""
+    def reduced(values):
+        return all(type(x) is int and 0 <= x < 101 for x in values)
+
+    A = build_algebra(cartan_data(*ALGEBRA_SPECS["b3"]), field=PrimeField(101))
+    for g in A._completion.gb:
+        assert reduced(g.values())
+    assert any(100 in g.values() for g in A._completion.gb)  # -1 mod 101
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert reduced(A.mul_basis(i, j).values())
+    minus_one = {i: 100 for i in range(A.dim)}
+    square = A.mul_coords(minus_one, minus_one)
+    assert square and reduced(square.values())
+    W = weyl_groups["b3"]
+    w = next(e for e in W.sorted_elements() if e.length == 4)
+    ideal = ideal_of_word(A, W, w)
+    assert 0 < ideal.dim < A.dim
+    assert reduced(x for row in ideal.space.rows for x in row)
+    blocks = [ideal.block(v) for v in range(1, A.n + 1)]
+    blocks = [b for b in blocks if b is not None]
+    assert blocks
+    for blk in blocks:
+        for m in blk.act.values():
+            assert reduced(x for row in m.rows for x in row)
+    pres = minimal_projective_presentation(blocks[0])
+    assert pres.p1
+    assert reduced(c for col in pres.x_elems for x in col for c in x.values())
+    tau = auslander_reiten_translate(blocks[0])
+    assert tau.total_dim > 0
+    for m in tau.act.values():
+        assert reduced(x for row in m.rows for x in row)
