@@ -14,6 +14,7 @@ is free), which keeps every linear solve small.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -24,7 +25,12 @@ from .pathalg import FiniteDimAlgebra, arrow_mon
 
 
 class ModuleRep:
-    """A right module: per-vertex dimensions plus arrow action matrices."""
+    """A right module: per-vertex dimensions plus arrow action matrices.
+
+    A module is never mutated after construction: ``dims``, ``act`` and the
+    action matrices stay as the constructor left them.  Values that depend
+    only on the module (presentation, tau, series, indecomposability,
+    locally free rank) are therefore memoized in ``_cache``."""
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, act, validate=True):
         self.algebra = algebra
@@ -91,6 +97,20 @@ class ModuleRep:
 
     def __repr__(self):
         return f"Module(dims={tuple(self.dims)})"
+
+
+def _memoized(key):
+    """Memoize a function of one module in ``M._cache[key]``."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(M):
+            try:
+                return M._cache[key]
+            except KeyError:
+                value = M._cache[key] = fn(M)
+                return value
+        return wrapper
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +337,7 @@ class SeriesReport:
     loewy_length: int
 
 
+@_memoized("series")
 def structure_series(mod: ModuleRep) -> SeriesReport:
     """Radical filtration, socle series, and the top with multiplicities."""
     field = mod.algebra.field
@@ -417,11 +438,9 @@ def _top_lifts(mod: ModuleRep):
     return lifts
 
 
+@_memoized("presentation")
 def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     """Projective cover P0 -> M and a cover P1 of its kernel."""
-    cached = mod._cache.get("presentation")
-    if cached is not None:
-        return cached
     A = mod.algebra
     field = A.field
     lifts = _top_lifts(mod)
@@ -488,9 +507,7 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    pres = Presentation(p0, p0_layout, cover, section, syz, p1, x_matrix)
-    mod._cache["presentation"] = pres
-    return pres
+    return Presentation(p0, p0_layout, cover, section, syz, p1, x_matrix)
 
 
 def _p0_module(A: FiniteDimAlgebra, p0, p0_layout) -> ModuleRep:
@@ -642,6 +659,7 @@ def _left_action(A, layout, v_from, v_to, arrow_idx):
     return out
 
 
+@_memoized("tau")
 def auslander_reiten_translate(M: ModuleRep) -> ModuleRep:
     """tau M = D coker(Hom(P0, Pi) -> Hom(P1, Pi)); zero iff M projective."""
     A = M.algebra
@@ -745,6 +763,7 @@ def nakayama(algebra: FiniteDimAlgebra) -> Nakayama:
 # predicates
 # ---------------------------------------------------------------------------
 
+@_memoized("locally_free_rank")
 def locally_free_rank(M: ModuleRep):
     """(r_1, ..., r_n) if each M e_i is free over K[eps_i]/(eps_i^{c_i}),
     else None.  Checked by the Jordan-rank profile of the loop action."""
@@ -846,20 +865,25 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> bool:
     return False
 
 
+@_memoized("indecomposable")
 def is_indecomposable(M: ModuleRep) -> bool:
-    """End(M) local, via the trace-form radical; simple socle fast path."""
+    """End(M) local, via the trace-form radical; simple socle fast path.
+
+    Over F_p the radical of the trace form is rad End(M) only when no
+    nonzero idempotent has trace (its rank, at most dim M) divisible by p,
+    so the test refuses when p <= dim M."""
     if M.total_dim == 0:
         return False
     soc = socle_subspaces(M)
     if sum(soc[v].dim for v in soc) == 1:
         return True
-    ends = hom_space(M, M)
-    e = ends.dim
     field = M.algebra.field
     p = field.characteristic
-    if p and p <= e:
+    if p and p <= M.total_dim:
         raise RadicalUnavailable(
-            f"p = {p} <= dim End = {e}; rerun over the rationals")
+            f"p = {p} <= dim M = {M.total_dim}; rerun over the rationals")
+    ends = hom_space(M, M)
+    e = ends.dim
     gram = Matrix.zeros(e, e, field)
     for a in range(e):
         for b in range(a, e):

@@ -86,3 +86,28 @@ def brute_minimal_symmetrizer(entries, bound=8):
         if ok and (best is None or sum(vec) < sum(best)):
             best = vec
     return best
+
+
+def weyl_orbit_sizes(entries):
+    """Oracle: |W . omega_i| for each fundamental weight of a finite type.
+
+    Enumerates the orbit in integer weight coordinates from the Cartan matrix
+    alone: s_j(lambda) = lambda - lambda_j alpha_j, where alpha_j is column j
+    of the Cartan matrix.  Independent of ``preproj.coxeter``."""
+    n = len(entries)
+    sizes = []
+    for i in range(n):
+        start = tuple(int(k == i) for k in range(n))
+        orbit = {start}
+        work = [start]
+        while work:
+            lam = work.pop()
+            for j in range(n):
+                if lam[j]:
+                    mu = tuple(lam[k] - lam[j] * entries[k][j]
+                               for k in range(n))
+                    if mu not in orbit:
+                        orbit.add(mu)
+                        work.append(mu)
+        sizes.append(len(orbit))
+    return sizes

@@ -3,6 +3,7 @@ import json
 import weakref
 
 import pytest
+from conftest import weyl_orbit_sizes
 
 from preproj.cli import config_from_dict, load_config, main, run_command
 from preproj.errors import NotDynkin, ParseError, ValidationError
@@ -218,6 +219,28 @@ def test_main_clears_and_frees_algebra(command, monkeypatch, capsys):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_stt_builds_each_block_once(monkeypatch, capsys):
+    """B3 ``stt`` builds at most one module per distinct nonzero block,
+    sum_i (|W omega_i| - 1) of them, plus the n projectives."""
+    import preproj.repmod as repmod
+    import preproj.tautilt as tautilt
+    b3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+    calls = []
+    build = repmod.module_from_subspace
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(repmod, "module_from_subspace", counting)
+    monkeypatch.setattr(tautilt, "module_from_subspace", counting)
+    assert main(["stt", "--config", json.dumps({"cartan": b3})]) == 0
+    assert "48 support tau-tilting pairs" in capsys.readouterr().out
+    bound = sum(s - 1 for s in weyl_orbit_sizes(b3)) + len(b3)
+    assert bound == 26
+    assert 0 < len(calls) <= bound
 
 
 @pytest.mark.parametrize("extra, key", [

@@ -2,10 +2,13 @@ import pytest
 
 from conftest import brute_hom_dim
 from preproj.cartan import cartan_data
+from preproj.coxeter import enumerate_weyl
 from preproj.errors import RadicalUnavailable
-from preproj.fields import PrimeField
+from preproj.fields import QQ, PrimeField
+from preproj.linalg import Matrix, Subspace
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
+    ModuleRep,
     auslander_reiten_translate,
     direct_sum,
     ext1_dim,
@@ -20,13 +23,14 @@ from preproj.repmod import (
     nakayama,
     nakayama_nu,
     projective_module,
+    quotient_module,
     simple_module,
     structure_series,
     submodule,
     uniserial_module,
     zero_module,
 )
-from preproj.tautilt import vertex_ideal
+from preproj.tautilt import ideal_of_word, vertex_ideal
 
 
 def test_generalized_simple_shapes(algebras):
@@ -271,6 +275,75 @@ def test_radical_unavailable_small_prime():
     M, _ = direct_sum(A, [simple_module(A, 1), simple_module(A, 1)])
     with pytest.raises(RadicalUnavailable):
         is_indecomposable(M)
+
+
+def _projective_over_block(A, W, word, v):
+    """e_v Pi / e_v I_w as a quotient of the projective e_v Pi."""
+    P = projective_module(A, v)
+    blk = ideal_of_word(A, W, W.from_word(word)).block(v)
+    subs = {}
+    for u in range(1, A.n + 1):
+        sub = Subspace(P.dims[u - 1], A.field)
+        for row in blk._embedding[u].rows if blk is not None else ():
+            sub.add(P._embedding[u].express(row))
+        subs[u] = sub
+    return quotient_module(P, subs)
+
+
+def test_indecomposable_over_prime_field_agrees_or_refuses():
+    """A prime field answers as QQ does, or refuses: the trace of an
+    idempotent is its rank, which vanishes mod p once p <= dim M."""
+    entries = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    answers = {}
+    for field in (QQ, PrimeField(3), PrimeField(5)):
+        A = build_algebra(cartan_data(entries, "minimal"), field=field)
+        W = enumerate_weyl(A.data.cartan)
+        for w in W:
+            for v in range(1, A.n + 1):
+                Q = _projective_over_block(A, W, w.word, v)
+                if Q.total_dim == 0:
+                    continue
+                try:
+                    got = is_indecomposable(Q)
+                except RadicalUnavailable:
+                    assert 0 < field.characteristic <= Q.total_dim
+                    got = "refused"
+                answers.setdefault((w.word, v), {})[field.characteristic] = got
+    for (word, v), got in answers.items():
+        assert got[5] == got[0], (word, v)
+        assert got[3] in (got[0], "refused"), (word, v)
+    # the witness: dim 3, a two-dimensional socle, End = K
+    assert answers[((2, 1, 3), 2)] == {0: True, 3: "refused", 5: True}
+
+
+def test_memoized_values_match_a_fresh_module(algebras, weyl_groups):
+    """tau, indecomposability, series and locally free rank read from a
+    shared block's cache equal the values of an uncached copy."""
+    A, W = algebras["b3"], weyl_groups["b3"]
+    blocks = {}
+    for w in W:
+        ideal = ideal_of_word(A, W, w)
+        for v in range(1, A.n + 1):
+            blk = ideal.block(v)
+            if blk is not None:
+                blocks[id(blk)] = blk
+                auslander_reiten_translate(blk)
+                is_indecomposable(blk)
+                structure_series(blk)
+                locally_free_rank(blk)
+    assert len(blocks) == 23
+    for blk in blocks.values():
+        act = {a: Matrix.from_rows(m.rows, m.ncols, A.field)
+               for a, m in blk.act.items()}
+        fresh = ModuleRep(A, list(blk.dims), act)
+        tau = auslander_reiten_translate(blk)
+        fresh_tau = auslander_reiten_translate(fresh)
+        assert auslander_reiten_translate(blk) is tau
+        assert tau.dims == fresh_tau.dims
+        assert all(tau.act[a].rows == fresh_tau.act[a].rows for a in tau.act)
+        assert is_indecomposable(blk) is is_indecomposable(fresh) is True
+        assert structure_series(blk) == structure_series(fresh)
+        assert locally_free_rank(blk) == locally_free_rank(fresh)
 
 
 def test_submodule_roundtrip(algebras):

@@ -2,12 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import ALGEBRA_SPECS
+from conftest import ALGEBRA_SPECS, weyl_orbit_sizes
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import demazure_product, enumerate_weyl
 from preproj.errors import NotMutable
 from preproj.fields import PrimeField
+from preproj.linalg import Subspace
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
     auslander_reiten_translate,
@@ -381,3 +382,38 @@ def test_b3_fp_scalars_are_reduced_ints(weyl_groups):
     assert tau.total_dim > 0
     for m in tau.act.values():
         assert reduced(x for row in m.rows for x in row)
+
+
+B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("g2", 10), ("a3", 11), ("b3", 23), ("b4", 76)])
+def test_blocks_shared_across_weyl_elements(name, expected, algebras,
+                                            weyl_groups):
+    """e_v I_w depends only on w^-1 omega_v, so there are
+    sum_i (|W omega_i| - 1) distinct nonzero blocks, and equal blocks of
+    different ideals are one module object."""
+    if name == "b4":
+        A = build_algebra(cartan_data(B4, "minimal"))
+        W = enumerate_weyl(A.data.cartan)
+    else:
+        A, W = algebras[name], weyl_groups[name]
+    entries = [list(r) for r in A.data.cartan.entries]
+    assert sum(s - 1 for s in weyl_orbit_sizes(entries)) == expected
+    by_subspace = {}
+    distinct = {}
+    for w in W:
+        ideal = ideal_of_word(A, W, w)
+        for v in range(1, A.n + 1):
+            cols = A.by_target[v]
+            sub = Subspace(len(cols), A.field)
+            for row in ideal.space.rows:
+                sub.add([row[g] for g in cols])
+            blk = ideal.block(v)
+            if sub.dim == 0:
+                assert blk is None
+                continue
+            assert by_subspace.setdefault((v, sub.key()), blk) is blk
+            distinct[id(blk)] = blk
+    assert len(distinct) == len(by_subspace) == expected
