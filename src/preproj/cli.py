@@ -349,8 +349,7 @@ def cmd_verify(cfg: RunConfig):
             Ei = generalized_simple(A, i)
             si = nak.apply(i)
             assert A.quiver.symmetrizer[i] == A.quiver.symmetrizer[si]
-            assert is_isomorphic(nakayama_nu(generalized_simple(A, si)), Ei,
-                                 seed=cfg.seed)
+            assert is_isomorphic(nakayama_nu(generalized_simple(A, si)), Ei)
             dims = [projective_module(A, j).total_dim for j in range(1, A.n + 1)]
             lhs = Ei.total_dim + generalized_simple(A, si).total_dim + sum(
                 abs(A.data.cartan[j, i]) * dims[j - 1]
@@ -364,8 +363,7 @@ def cmd_verify(cfg: RunConfig):
             assert locally_free_rank(Ii.module()) is not None
             blk = Ii.block(i)
             if blk is not None:
-                assert is_isomorphic(auslander_reiten_translate(blk), Ei,
-                                     seed=cfg.seed)
+                assert is_isomorphic(auslander_reiten_translate(blk), Ei)
 
     def check_classification():
         rep = classification_report(box["A"], group_box["W"], seed=cfg.seed)

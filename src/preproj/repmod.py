@@ -2,7 +2,9 @@
 homological toolkit: Hom/Ext^1, radical and socle series, minimal projective
 presentations, the Auslander-Reiten translate, the Nakayama permutation and
 functor, locally-free ranks, tau-rigidity, Fac membership, isomorphism and
-indecomposability tests.
+indecomposability tests.  Every test is deterministic: the isomorphism test
+looks for an invertible map among the basis maps of Hom(M, N), which is
+exact when one of the two modules is indecomposable.
 
 A module stores one space per vertex (M_v = M e_v, coordinates of elements
 whose paths start at v) and one matrix per arrow.  Right multiplication by
@@ -15,8 +17,6 @@ is free), which keeps every linear solve small.
 from __future__ import annotations
 
 import functools
-import itertools
-import random
 from dataclasses import dataclass
 
 from .errors import NotDynkin, RadicalUnavailable, SocleNotSimple, VerificationFailed
@@ -826,43 +826,20 @@ def _screen_invariants(M: ModuleRep, N: ModuleRep) -> bool:
             and sm.socle_layers == sn.socle_layers)
 
 
-def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> bool:
-    """Invariant screening, then a seeded search for an invertible hom."""
+def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
+    """Invariant screening, then a basis map of Hom(M, N) of full rank at
+    every vertex.
+
+    Precondition: M or N is indecomposable.  Then End(M) is local when
+    M ~ N, so the non-isomorphisms in Hom(M, N) = phi End(M) form a proper
+    subspace, which no basis lies inside: some basis map is invertible.
+    The argument holds over any field."""
     if not _screen_invariants(M, N):
         return False
-    if M.total_dim == 0:
-        return True
-    homs = hom_space(M, N)
-    if homs.dim == 0:
-        return False
-
-    def invertible(coeffs):
-        for v in range(1, M.algebra.n + 1):
-            if M.dims[v - 1] == 0:
-                continue
-            total = Matrix.zeros(N.dims[v - 1], M.dims[v - 1], M.algebra.field)
-            for c, h in zip(coeffs, homs.maps):
-                if c:
-                    total = total.add(h[v].scale(c))
-            if mat_rank(total) != M.dims[v - 1]:
-                return False
-        return True
-
-    field = M.algebra.field
-    if homs.dim == 1:
-        return invertible([field.one])
-    rng = random.Random(seed)
-    for trial in range(20):
-        bound = 2 + trial // 5
-        coeffs = [field.from_int(rng.randint(-bound, bound))
-                  for _ in range(homs.dim)]
-        if invertible(coeffs):
-            return True
-    if homs.dim <= 4:
-        for combo in itertools.product(range(-2, 3), repeat=homs.dim):
-            if any(combo) and invertible([field.from_int(c) for c in combo]):
-                return True
-    return False
+    n = M.algebra.n
+    return M.total_dim == 0 or any(
+        all(mat_rank(h[v]) == M.dims[v - 1] for v in range(1, n + 1))
+        for h in hom_space(M, N).maps)
 
 
 @_memoized("indecomposable")

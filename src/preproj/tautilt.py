@@ -14,7 +14,14 @@ w^-1 omega_v, so a B4 run meets 76 distinct nonzero blocks among its
 ``algebra._ideal_cache["blocks"]`` (keyed by the vertex and the echelon rows
 of e_v I) and builds it once, so everything memoized on a module (its
 presentation, tau, series, indecomposability, locally free rank) and its
-display name are computed once per distinct block.
+display name are computed once per distinct block.  Isomorphic blocks are
+the same block, so ``ModuleNamer`` names them by identity and rank tests,
+without an isomorphism search.
+
+Left mutation finds the minimal left approximation in one sweep over the
+basis maps X -> U_k; the only seeded choices in this module are the edges
+sampled by ``mutation_graph`` and the Demazure pairs sampled by
+``classification_report``.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .repmod import (
     ModuleRep,
     auslander_reiten_translate,
     direct_sum,
-    generalized_simple,
     hom_space,
     in_fac,
     is_indecomposable,
@@ -38,7 +44,6 @@ from .repmod import (
     locally_free_rank,
     module_from_subspace,
     nakayama,
-    projective_module,
     quotient_module,
     zero_module,
     _arrow_coords,
@@ -242,40 +247,41 @@ def ideal_of_word(algebra: FiniteDimAlgebra, weyl: WeylGroup,
 # ---------------------------------------------------------------------------
 
 class ModuleNamer:
-    """Stable display names: e{i}P, E{i}, e{i}I{i}, then e{i}Iw<word>."""
+    """Stable display names: e{i}P, E{i}, e{i}I{i}, then e{v}Iw<word>.
 
-    def __init__(self, algebra: FiniteDimAlgebra, semigroup: IdealSemigroup):
-        self.algebra = algebra
+    Isomorphic blocks are one object.  Pi is selfinjective, so an
+    isomorphism between blocks e_vI_w and e_uI_x (submodules of e_vPi and
+    e_uPi) matches their simple socles, which forces u = v, and extends to
+    left multiplication by some x in e_vPi e_v.  That maps e_vI_w into
+    itself, so e_uI_x lies in e_vI_w, and equal dimensions make the two
+    blocks equal.  Hence a block is e{v}P iff it *is* e_vI_e and e{v}I{v} iff
+    it *is* e_vI_v (one table per algebra), and it is E{i} iff its locally
+    free rank is delta_i: dimension vector c_i delta_i and eps_i one Jordan
+    block, which is E_i up to a change of basis."""
+
+    def __init__(self, semigroup: IdealSemigroup):
         self.semigroup = semigroup
-        self._named = []
         self._key_cache = {}
-        for i in range(1, algebra.n + 1):
-            self._named.append((f"e{i}P", projective_module(algebra, i)))
-        for i in range(1, algebra.n + 1):
-            self._named.append((f"E{i}", generalized_simple(algebra, i)))
-        for i in range(1, algebra.n + 1):
-            blk = self.semigroup.generator(i).block(i)
-            if blk is not None:
-                self._named.append((f"e{i}I{i}", blk))
 
     def name_block(self, vertex: int, word, mod: ModuleRep) -> str:
         """Name of the block ``mod = I_w.block(vertex)``, memoized by its
         block-table key."""
         key = mod._block_key
-        cached = self._key_cache.get(key)
-        if cached is not None:
-            return cached
-        name = self.name_module(mod)
+        name = self._key_cache.get(key)
         if name is None:
-            name = f"e{vertex}Iw{''.join(map(str, word))}"
-        self._key_cache[key] = name
+            name = self._key_cache[key] = self._name(vertex, word, mod)
         return name
 
-    def name_module(self, mod: ModuleRep):
-        for name, candidate in self._named:
-            if is_isomorphic(mod, candidate):
-                return name
-        return None
+    def _name(self, vertex: int, word, mod: ModuleRep) -> str:
+        sg = self.semigroup
+        if mod is sg.of_element(sg.weyl.identity).block(vertex):
+            return f"e{vertex}P"
+        rank = locally_free_rank(mod)
+        if rank is not None and sum(rank) == 1:
+            return f"E{rank.index(1) + 1}"
+        if mod is sg.generator(vertex).block(vertex):
+            return f"e{vertex}I{vertex}"
+        return f"e{vertex}Iw{''.join(map(str, word))}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +297,6 @@ class SttPair:
     summands: list                 # indecomposable ModuleReps
     projective_vertices: tuple     # j with e_j Pi a summand of P
     word: tuple = None
-    ideal: Ideal = None
     block_vertices: tuple = None   # for ideal pairs: vertex of each summand
 
     @property
@@ -329,7 +334,7 @@ def stt_pair(algebra: FiniteDimAlgebra, weyl: WeylGroup,
             summands.append(blk)
             verts.append(i)
     return SttPair(algebra, summands, tuple(sorted(proj)), word=w.word,
-                   ideal=ideal, block_vertices=tuple(verts))
+                   block_vertices=tuple(verts))
 
 
 def _nakayama_cached(algebra: FiniteDimAlgebra):
@@ -366,7 +371,8 @@ def left_mutation(pair: SttPair, vertex_or_index) -> SttPair:
 
     The exchange: take the minimal left add(U)-approximation f : X -> U',
     set Y = coker f; the new pair is (U, P + e_j Pi) when Y = 0 and
-    (U + Y', P) with Y = Y'^m otherwise."""
+    (U + Y, P) otherwise.  In general Y = Y'^m; the package needs m = 1 and
+    fails with the dimension vector of Y as witness when Y decomposes."""
     A = pair.algebra
     if pair.block_vertices and vertex_or_index in pair.block_vertices:
         idx = pair.block_vertices.index(vertex_or_index)
@@ -381,11 +387,7 @@ def left_mutation(pair: SttPair, vertex_or_index) -> SttPair:
     if in_fac(U, X):
         raise NotMutable("summand lies in Fac of the complement; "
                          "only a right mutation exists here")
-    copies = []
-    for k, Uk in enumerate(others):
-        for h in hom_space(X, Uk).maps:
-            copies.append((k, h))
-    copies = _minimize_approximation(A, X, others, copies)
+    copies = _minimal_approximation(A, X, others)
     new_summands = list(others)
     if not copies:
         Y = zero_module(A)
@@ -417,62 +419,49 @@ def left_mutation(pair: SttPair, vertex_or_index) -> SttPair:
                 "candidates; expected exactly one")
         proj = tuple(sorted(pair.projective_vertices + (candidates[0],)))
         return SttPair(A, new_summands, proj)
-    Yp = _isotypic_component(pair, vertex_or_index, Y)
-    new_summands.append(Yp)
+    if not is_indecomposable(Y):
+        raise VerificationFailed("mutation cokernel is decomposable",
+                                 witness=Y.dims)
+    new_summands.append(Y)
     return SttPair(A, new_summands, pair.projective_vertices)
 
 
-def _minimize_approximation(A, X, others, copies):
-    """Strip copies whose component map factors through the rest; iterate."""
-    changed = True
-    while changed:
-        changed = False
-        for c in range(len(copies)):
-            kc, fc = copies[c]
-            rest = [copies[t] for t in range(len(copies)) if t != c]
-            span = Subspace(
-                sum(others[kc].dims[v] * X.dims[v] for v in range(A.n)),
-                A.field)
-            for kp, fp in rest:
-                for g in hom_space(others[kp], others[kc]).maps:
-                    span.add(_flatten_map(A, X, others[kc],
-                                          {v: g[v].mul(fp[v])
-                                           for v in g}))
-            if span.contains(_flatten_map(A, X, others[kc], fc)):
-                copies.pop(c)
-                changed = True
-                break
-    return copies
+def _minimal_approximation(A, X, others):
+    """The maps (k, f : X -> U_k) of a minimal left add(U)-approximation.
+
+    One sweep over the basis maps of each Hom(X, U_k): the map c is dropped
+    when it lies in the span of g f_p over the maps p != c still kept and
+    every g in Hom(U_{k_p}, U_{k_c}).  Dropping a map only shrinks these
+    spans, so a map kept earlier never becomes droppable later."""
+    copies = [(k, f) for k, Uk in enumerate(others)
+              for f in hom_space(X, Uk).maps]
+    homs = {}  # (l, k) -> basis of Hom(U_l, U_k)
+    kept = list(range(len(copies)))
+    for c, (kc, fc) in enumerate(copies):
+        span = Subspace(
+            sum(others[kc].dims[v] * X.dims[v] for v in range(A.n)), A.field)
+        for p in kept:
+            kp, fp = copies[p]
+            if p == c:
+                continue
+            if (kp, kc) not in homs:
+                homs[kp, kc] = hom_space(others[kp], others[kc]).maps
+            for g in homs[kp, kc]:
+                span.add(_flatten_map({v: g[v].mul(fp[v]) for v in g}))
+        if span.contains(_flatten_map(fc)):
+            kept.remove(c)
+    return [copies[c] for c in kept]
 
 
-def _flatten_map(A, src, tgt, h):
-    out = []
-    for v in range(1, A.n + 1):
-        m = h[v]
-        for row in m.rows:
-            out.extend(row)
-    return out
+def _flatten_map(h):
+    """The entries of a per-vertex map, vertex by vertex and row by row."""
+    return [c for v in sorted(h) for row in h[v].rows for c in row]
 
 
-def _isotypic_component(pair: SttPair, vertex, Y: ModuleRep) -> ModuleRep:
-    """Identify Y' with Y = Y'^m; m = 1 throughout this corpus."""
-    if is_indecomposable(Y):
-        return Y
-    A = pair.algebra
-    if pair.ideal is None:
-        raise VerificationFailed("decomposable cokernel without an ideal witness")
-    candidate = ideal_product(vertex_ideal(A, {vertex}), pair.ideal).block(vertex)
-    if candidate is None or Y.total_dim % candidate.total_dim:
-        raise VerificationFailed("cokernel is not isotypic on the predicted block")
-    m = Y.total_dim // candidate.total_dim
-    power, _ = direct_sum(A, [candidate] * m)
-    if not is_isomorphic(Y, power):
-        raise VerificationFailed("cokernel does not match the predicted block power")
-    return candidate
+def pairs_isomorphic(p1: SttPair, p2: SttPair) -> bool:
+    """Same projective part; summands match bijectively up to isomorphism.
 
-
-def pairs_isomorphic(p1: SttPair, p2: SttPair, seed: int = 0) -> bool:
-    """Same projective part; summands match bijectively up to isomorphism."""
+    The summands must be indecomposable, as ``is_isomorphic`` requires."""
     if p1.projective_vertices != p2.projective_vertices:
         return False
     if len(p1.summands) != len(p2.summands):
@@ -481,7 +470,7 @@ def pairs_isomorphic(p1: SttPair, p2: SttPair, seed: int = 0) -> bool:
     for s in p1.summands:
         hit = None
         for t in unused:
-            if is_isomorphic(s, p2.summands[t], seed=seed):
+            if is_isomorphic(s, p2.summands[t]):
                 hit = t
                 break
         if hit is None:
@@ -549,7 +538,8 @@ def mutation_graph(algebra: FiniteDimAlgebra, weyl: WeylGroup,
     """Nodes I_w, edges I_w -> I_{s_i w} for l(s_i w) > l(w), labelled i.
 
     validate="all" reproduces every edge by an independent
-    approximation-theoretic left mutation; validate="sample" checks ``sample`` random edges."""
+    approximation-theoretic left mutation; validate="sample" checks
+    ``sample`` edges drawn with ``seed``."""
     if not algebra.dynkin:
         raise NotDynkin("the exchange quiver requires Dynkin type")
     if not weyl.complete:
@@ -595,14 +585,14 @@ def mutation_graph(algebra: FiniteDimAlgebra, weyl: WeylGroup,
             rng = random.Random(seed)
             to_check = rng.sample(to_check, sample)
         for (src, dst, i) in to_check:
-            _check_edge(algebra, weyl, ctx, src, dst, i, seed)
+            _check_edge(algebra, weyl, src, dst, i)
     return graph
 
 
 def _namer_cached(algebra, ctx):
     namer = algebra._ideal_cache.get("namer")
     if namer is None:
-        namer = ModuleNamer(algebra, ctx)
+        namer = ModuleNamer(ctx)
         algebra._ideal_cache["namer"] = namer
     return namer
 
@@ -611,13 +601,13 @@ def _element_of_word_str(weyl: WeylGroup, ws: str) -> WeylElement:
     return weyl.from_word(tuple(int(c) for c in ws))
 
 
-def _check_edge(algebra, weyl, ctx, src, dst, i, seed):
+def _check_edge(algebra, weyl, src, dst, i):
     wsrc = _element_of_word_str(weyl, src)
     wdst = _element_of_word_str(weyl, dst)
     pair = stt_pair(algebra, weyl, wsrc)
     expected = stt_pair(algebra, weyl, wdst)
     mutated = left_mutation(pair, i)
-    if not pairs_isomorphic(mutated, expected, seed=seed):
+    if not pairs_isomorphic(mutated, expected):
         raise VerificationFailed(
             f"left mutation does not reproduce edge {src} -> {dst} (label {i})")
 

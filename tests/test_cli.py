@@ -130,6 +130,16 @@ def test_cmd_verify_eg1(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_stdout_does_not_depend_on_seed(capsys):
+    g2 = json.dumps({"cartan": [[2, -1], [-3, 2]], "symmetrizer": [3, 1]})
+    outs = []
+    for seed in ("0", "12345"):
+        assert main(["verify", "--config", g2, "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "FAIL" not in outs[0]
+
+
 def test_cmd_verify_prints_failure_witnesses(monkeypatch, capsys):
     """A FAIL line carries the witness or failure list of its exception;
     the PASS lines stay as they were."""

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from conftest import brute_hom_dim
@@ -5,7 +7,7 @@ from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
 from preproj.errors import RadicalUnavailable
 from preproj.fields import QQ, PrimeField
-from preproj.linalg import Matrix, Subspace
+from preproj.linalg import Matrix, Subspace, solve_matrix
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
     ModuleRep,
@@ -259,6 +261,63 @@ def test_isomorphism(algebras):
                              projective_module(eg1, 2))
     assert is_indecomposable(vertex_ideal(eg2, {2}).block(2))
     assert vertex_ideal(eg2, {2}).block(2).total_dim == 3
+
+
+def _distinct_blocks(A, W):
+    blocks = {}
+    for w in W:
+        ideal = ideal_of_word(A, W, w)
+        for v in range(1, A.n + 1):
+            blk = ideal.block(v)
+            if blk is not None:
+                blocks.setdefault(id(blk), blk)
+    return list(blocks.values())
+
+
+def _conjugate(M):
+    """M in another basis: act[a] -> P_s act[a] P_t^-1, where each P_v is a
+    unit lower times a unit upper triangular matrix (invertible over any
+    field) with entries fixed by the vertex and the position."""
+    A = M.algebra
+    field = A.field
+    P, P_inv = {}, {}
+    for v in range(1, A.n + 1):
+        d = M.dims[v - 1]
+        lower = Matrix.identity(d, field)
+        upper = Matrix.identity(d, field)
+        for r in range(d):
+            for c in range(d):
+                if r > c:
+                    lower.rows[r][c] = field.from_int(r + 2 * c + v)
+                elif r < c:
+                    upper.rows[r][c] = field.from_int(2 * r + c + v + 1)
+        P[v] = lower.mul(upper)
+        P_inv[v] = solve_matrix(P[v], Matrix.identity(d, field))
+    act = {a.index: P[a.source].mul(M.act[a.index]).mul(P_inv[a.target])
+           for a in A.quiver.arrows}
+    return ModuleRep(A, M.dims, act)
+
+
+@pytest.mark.parametrize("entries, sym", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal"),
+    ([[2, -1], [-3, 2]], (3, 1))], ids=["b3", "g2"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["qq", "f3"])
+def test_isomorphism_is_deterministic_on_blocks(entries, sym, field):
+    """Every distinct block is isomorphic to a copy in another basis, and
+    distinct blocks are pairwise non-isomorphic; no seed is involved."""
+    assert "seed" not in inspect.signature(is_isomorphic).parameters
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    blocks = _distinct_blocks(A, enumerate_weyl(A.data.cartan))
+    largest_hom = 0
+    for blk in blocks:
+        copy = _conjugate(blk)
+        assert is_isomorphic(blk, copy) and is_isomorphic(copy, blk)
+        largest_hom = max(largest_hom, hom_space(blk, copy).dim)
+    # the check reaches Hom spaces of dimension > 4
+    assert largest_hom > 4
+    for a, M in enumerate(blocks):
+        for N in blocks[a + 1:]:
+            assert not is_isomorphic(M, N)
 
 
 def test_indecomposability(algebras):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from preproj.repmod import (
     projective_module,
 )
 from preproj.tautilt import (
+    ModuleNamer,
     SttPair,
+    _minimal_approximation,
     classification_report,
     extend_right,
     full_ideal,
@@ -417,3 +420,75 @@ def test_blocks_shared_across_weyl_elements(name, expected, algebras,
             assert by_subspace.setdefault((v, sub.key()), blk) is blk
             distinct[id(blk)] = blk
     assert len(distinct) == len(by_subspace) == expected
+
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+B3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+G2 = [[2, -1], [-3, 2]]
+B2 = [[2, -1], [-2, 2]]
+
+
+@pytest.mark.parametrize("entries, sym", [
+    (A3, "minimal"), (B3, "minimal"), (G2, (3, 1)), (B2, (4, 2))],
+    ids=["a3", "b3", "g2", "b2-42"])
+def test_minimal_approximation_counts_match_cartan(entries, sym):
+    """On the edge I_w -> I_{s_i w}, the minimal left approximation of
+    e_i I_w keeps |c_ji| maps into the complement block at vertex j, and
+    none into a block at a non-neighbour of i."""
+    A = build_algebra(cartan_data(entries, sym))
+    W = enumerate_weyl(A.data.cartan)
+    graph = mutation_graph(A, W, validate="all")
+    for src, _, i in graph.edges:
+        pair = stt_pair(A, W, W.from_word(tuple(int(c) for c in src)))
+        idx = pair.block_vertices.index(i)
+        others = pair.summands[:idx] + pair.summands[idx + 1:]
+        verts = pair.block_vertices[:idx] + pair.block_vertices[idx + 1:]
+        kept = _minimal_approximation(A, pair.summands[idx], others)
+        want = {j: abs(A.data.cartan[j, i]) for j in verts
+                if A.data.cartan[j, i]}
+        assert Counter(verts[k] for k, _ in kept) == want, (src, i)
+
+
+@pytest.mark.parametrize("entries, sym", [
+    (G2, (3, 1)), (A3, "minimal"), (B3, "minimal"), (B2, (4, 2)),
+    ([[2, 0, -2], [0, 2, -1], [-1, -1, 2]], "minimal"),
+    ([[2, -1], [-1, 2]], (2, 2))],
+    ids=["g2", "a3", "b3", "b2-42", "b3-relabelled", "a2-22"])
+def test_block_names_match_first_isomorphic_candidate(entries, sym):
+    """The direct naming rule gives every distinct block the name of the
+    first candidate it is isomorphic to (e{i}P, then E{i}, then e{i}I{i}),
+    with ``is_isomorphic`` as the oracle.  In A2 with D = (2, 2),
+    e_1I_1 ~ E_2 is named E2, which pins the priority of E over I."""
+    A = build_algebra(cartan_data(entries, sym))
+    W = enumerate_weyl(A.data.cartan)
+    namer = ModuleNamer(ideal_semigroup(A, W))
+    vertices = range(1, A.n + 1)
+    candidates = ([(f"e{i}P", projective_module(A, i)) for i in vertices]
+                  + [(f"E{i}", generalized_simple(A, i)) for i in vertices]
+                  + [(f"e{i}I{i}", vertex_ideal(A, {i}).block(i))
+                     for i in vertices
+                     if vertex_ideal(A, {i}).block(i) is not None])
+    seen = set()
+    for w in W:
+        ideal = ideal_of_word(A, W, w)
+        for v in vertices:
+            blk = ideal.block(v)
+            if blk is None or id(blk) in seen:
+                continue
+            seen.add(id(blk))
+            want = next((name for name, cand in candidates
+                         if is_isomorphic(blk, cand)),
+                        f"e{v}Iw{''.join(map(str, w.word))}")
+            assert namer.name_block(v, w.word, blk) == want
+    assert len(seen) == sum(s - 1 for s in weyl_orbit_sizes(entries))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("entries, sym", [
+    ([[2, -1], [-1, 2]], (2, 2)), (G2, (3, 1)), (B2, (4, 2))],
+    ids=["a2-22", "g2", "b2-42"])
+def test_mutation_graph_validates_over_small_primes(entries, sym, p):
+    A = build_algebra(cartan_data(entries, sym), field=PrimeField(p))
+    W = enumerate_weyl(A.data.cartan)
+    graph = mutation_graph(A, W, validate="all")
+    assert len(graph.nodes) == W.order
