@@ -205,6 +205,18 @@ def default_orientation(c: CartanMatrix) -> Orientation:
     return omega
 
 
+def orientation_from_pairs(c: CartanMatrix, pairs) -> Orientation:
+    """An ``Orientation`` from a list of [i, j] pairs of vertices 1..n."""
+    if not isinstance(pairs, (list, tuple, set, frozenset)):
+        raise OrientationError(f"expected a list of [i, j] pairs, got {pairs!r}")
+    for p in pairs:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                and all(type(v) is int and 1 <= v <= c.n for v in p)):
+            raise OrientationError(
+                f"expected a pair [i, j] of vertices 1..{c.n}, got {p!r}")
+    return Orientation(frozenset(tuple(p) for p in pairs))
+
+
 def validate_orientation(c: CartanMatrix, omega: Orientation):
     """Axioms: (A1) exactly one of (i,j),(j,i) per edge; (A2) acyclic."""
     for i in range(1, c.n + 1):
@@ -351,7 +363,6 @@ def cartan_data(entries, symmetrizer="minimal", orientation=None) -> CartanData:
     if orientation is None:
         omega = default_orientation(c)
     else:
-        omega = Orientation(frozenset(tuple(p) for p in orientation))
-        validate_orientation(c, omega)
+        omega = validate_orientation(c, orientation_from_pairs(c, orientation))
     q = double_quiver(c, d, omega)
     return CartanData(c, d, omega, q, gram_matrix(c, d))

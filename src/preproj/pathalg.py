@@ -419,9 +419,6 @@ class FiniteDimAlgebra:
             v[i] = c
         return v
 
-    def sparse(self, vec) -> dict:
-        return {i: c for i, c in enumerate(vec) if c}
-
     def dims_matrix(self):
         """dim e_i Pi e_j = # basis paths with target i, source j."""
         out = [[0] * self.n for _ in range(self.n)]

@@ -2,21 +2,21 @@
 (I_w, P_w), left mutation by minimal approximations, the exchange quiver, and the classification
 report tying the three together.
 
-Ideals are stored as echelonized subspaces of the algebra, so equality is
-exact and canonical.  I_w is memoized per Weyl element; the recursion
-follows the canonical reduced word by left extension (I_w = I_i I_{s_i w}),
-while ``ideal_product`` multiplies spanning sets pairwise and serves as the
-independent route for the 0-Hecke consistency checks.
+An ideal is the n-tuple of the ids of its blocks e_vI, which
+``BlockTable`` interns once per algebra as echelon rows in e_vPi, so
+equality is exact and canonical and every ideal operation works inside one
+e_vPi.  I_w is memoized per Weyl element; the recursion follows the
+canonical reduced word by left extension (I_w = I_i I_{s_i w}), which
+changes block i only, while ``ideal_product`` multiplies block rows and
+serves as the independent route for the 0-Hecke consistency checks.
 
-The block modules e_v I are shared per algebra: e_v I_w depends only on
-w^-1 omega_v, so a B4 run meets 76 distinct nonzero blocks among its
-384 x 4 pairs (w, v).  ``Ideal.block`` looks each one up in the table
-``algebra._ideal_cache["blocks"]`` (keyed by the vertex and the echelon rows
-of e_v I) and builds it once, so everything memoized on a module (its
-presentation, tau, series, indecomposability, locally free rank) and its
-display name are computed once per distinct block.  Isomorphic blocks are
-the same block, so ``ModuleNamer`` names them by identity and rank tests,
-without an isomorphism search.
+The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
+distinct nonzero blocks among its 384 x 4 pairs (w, v).  ``Ideal.block``
+builds the module of each block once, so everything memoized on a module
+(its presentation, tau, series, indecomposability, locally free rank) and
+its display name are computed once per distinct block.  Isomorphic blocks
+are the same block, so ``ModuleNamer`` names them by identity and rank
+tests, without an isomorphism search.
 
 Left mutation finds the minimal left approximation in one sweep over the
 basis maps X -> U_k; the only seeded choices in this module are the edges
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .coxeter import WeylElement, WeylGroup, demazure_product
 from .errors import NotDynkin, NotMutable, ReportFailure, VerificationFailed
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .pathalg import FiniteDimAlgebra
 from .repmod import (
     ModuleRep,
@@ -50,73 +50,107 @@ from .repmod import (
 )
 
 
-class Ideal:
-    """A two-sided ideal of Pi as a canonical echelonized subspace."""
+class BlockTable:
+    """The distinct blocks e_vI of the ideals of one algebra, and the
+    memoized steps between them.
 
-    def __init__(self, algebra: FiniteDimAlgebra, space: Subspace, word=None):
+    Block ``b`` is e_vI for v = ``vertex[b]``, stored as the echelon rows
+    ``rows[b]`` of e_vI in the coordinates of e_vPi: the basis paths
+    ``by_target[v]`` in ascending order.  A two-sided ideal is the direct
+    sum of its blocks, and its global echelon form is the disjoint union of
+    theirs, so equal blocks get one id and an ideal is the n-tuple of its
+    block ids.  Each row lies in one e_vPie_u, which the steps below use."""
+
+    def __init__(self, algebra: FiniteDimAlgebra):
         self.algebra = algebra
-        self.space = space
+        self.vertex = []    # block id -> v
+        self.rows = []      # block id -> echelon rows in e_vPi coordinates
+        self.vectors = []   # block id -> the rows as sparse algebra coordinates
+        self.modules = []   # block id -> ModuleRep, built on first use
+        self.left = {}      # (i, block ids at the neighbours of i) -> block id
+        self.right = {}     # (block id, i) -> block id
+        self._ids = {}      # (v, rows) -> block id
+        self._local = {v: {g: k for k, g in enumerate(algebra.by_target[v])}
+                       for v in range(1, algebra.n + 1)}
+
+    def local(self, v: int, x: dict):
+        """The sparse element ``x`` of e_vPi in the coordinates of e_vPi."""
+        vec = [self.algebra.field.zero] * len(self._local[v])
+        index = self._local[v]
+        for g, c in x.items():
+            vec[index[g]] = c
+        return vec
+
+    def span(self, v: int, vectors) -> int:
+        """The id of the block spanned by sparse elements of e_vPi."""
+        sub = Subspace(len(self._local[v]), self.algebra.field)
+        for x in vectors:
+            if x:
+                sub.add(self.local(v, x))
+        return self.intern(v, sub)
+
+    def intern(self, v: int, sub: Subspace) -> int:
+        rows = tuple(map(tuple, sub.rows))
+        b = self._ids.get((v, rows))
+        if b is None:
+            b = self._ids[v, rows] = len(self.rows)
+            cols = self.algebra.by_target[v]
+            self.vertex.append(v)
+            self.rows.append(rows)
+            self.vectors.append([{cols[k]: c for k, c in enumerate(row) if c}
+                                 for row in rows])
+            self.modules.append(None)
+        return b
+
+    def module(self, b: int):
+        """The right module of block ``b``, or None when the block is zero."""
+        mod = self.modules[b]
+        if mod is None and self.rows[b]:
+            mod = self.modules[b] = module_from_subspace(self.algebra,
+                                                         self.vectors[b])
+        return mod
+
+
+def _block_table(algebra: FiniteDimAlgebra) -> BlockTable:
+    table = algebra._ideal_cache.get("blocks")
+    if table is None:
+        table = algebra._ideal_cache["blocks"] = BlockTable(algebra)
+    return table
+
+
+class Ideal:
+    """A two-sided ideal of Pi as the n-tuple of the ids of its blocks e_vI
+    in the algebra's ``BlockTable``: equal ideals have equal tuples."""
+
+    def __init__(self, table: BlockTable, blocks: tuple, word=None):
+        self.algebra = table.algebra
+        self.table = table
+        self.blocks = blocks
         self.word = word
-        self._blocks = {}
-        self._module = None
-        self._sparse_rows = None
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return sum(len(self.table.rows[b]) for b in self.blocks)
 
     def key(self):
-        return self.space.key()
+        return self.blocks
 
     def __eq__(self, other):
-        return isinstance(other, Ideal) and self.space.rows == other.space.rows
+        return (isinstance(other, Ideal) and self.table is other.table
+                and self.blocks == other.blocks)
 
     def __hash__(self):
-        return hash(self.key())
-
-    def sparse_rows(self):
-        """The echelon rows as sparse coordinates; shared, do not mutate."""
-        if self._sparse_rows is None:
-            self._sparse_rows = [self.algebra.sparse(r) for r in self.space.rows]
-        return self._sparse_rows
+        return hash(self.blocks)
 
     def block(self, v: int):
         """The right module e_v I (None when zero), shared per algebra: equal
         blocks of different ideals are one ``ModuleRep``."""
-        cached = self._blocks.get(v, "miss")
-        if cached != "miss":
-            return cached
-        A = self.algebra
-        cols = set(A.by_target[v])
-        vecs = []
-        for row in self.sparse_rows():
-            proj = {i: c for i, c in row.items() if i in cols}
-            if proj:
-                vecs.append(proj)
-        if not vecs:
-            self._blocks[v] = None
-            return None
-        # A two-sided ideal is the direct sum of its blocks e_v I, so the
-        # projected echelon rows are the echelon rows of e_v I: canonical.
-        key = (v, tuple(tuple(vec.items()) for vec in vecs))
-        table = A._ideal_cache.setdefault("blocks", {})
-        mod = table.get(key)
-        if mod is None:
-            mod = module_from_subspace(A, vecs)
-            mod._block_key = key
-            table[key] = mod
-        self._blocks[v] = mod
-        return mod
+        return self.table.module(self.blocks[v - 1])
 
     def module(self) -> ModuleRep:
         """The ideal as a right module (direct sum of its blocks)."""
-        if self._module is None:
-            if self.dim == 0:
-                self._module = zero_module(self.algebra)
-            else:
-                self._module = module_from_subspace(self.algebra,
-                                                    self.sparse_rows())
-        return self._module
+        blocks = (self.block(v) for v in range(1, self.algebra.n + 1))
+        return direct_sum(self.algebra, [b for b in blocks if b is not None])[0]
 
     def __repr__(self):
         w = "".join(map(str, self.word)) if self.word is not None else "?"
@@ -124,82 +158,108 @@ class Ideal:
 
 
 def full_ideal(algebra: FiniteDimAlgebra) -> Ideal:
-    space = Subspace.span(
-        Matrix.identity(algebra.dim, algebra.field).rows,
-        algebra.dim, algebra.field)
-    return Ideal(algebra, space, word=())
+    table = _block_table(algebra)
+    one = algebra.field.one
+    blocks = tuple(table.span(v, ({g: one} for g in algebra.by_target[v]))
+                   for v in range(1, algebra.n + 1))
+    return Ideal(table, blocks, word=())
 
 
 def vertex_ideal(algebra: FiniteDimAlgebra, vertices) -> Ideal:
-    """Pi (1 - sum_{i in S} e_i) Pi: the span of all p e_j q with j not in S."""
+    """Pi (1 - sum_{i in S} e_i) Pi: block v is the span of the products
+    p q of basis paths with p in e_v Pi e_j and j not in S."""
     S = set(vertices)
-    space = Subspace(algebra.dim, algebra.field)
-    for j in range(1, algebra.n + 1):
-        if j in S:
-            continue
-        for p in algebra.by_source[j]:
-            for q in algebra.by_target[j]:
-                prod = algebra.mul_basis(p, q)
-                if prod:
-                    space.add(algebra.dense(prod))
+    table = _block_table(algebra)
+    blocks = tuple(
+        table.span(v, (algebra.mul_basis(p, q)
+                       for p in algebra.by_target[v]
+                       if algebra.source[p] not in S
+                       for q in algebra.by_target[algebra.source[p]]))
+        for v in range(1, algebra.n + 1))
     word = (next(iter(S)),) if len(S) == 1 else None
-    return Ideal(algebra, space, word=word)
+    return Ideal(table, blocks, word=word)
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    """Echelonized span of pairwise products of spanning vectors."""
+    """IJ block by block: e_v(IJ) = (e_vI)J is spanned by the products of
+    the rows of e_vI with the rows of J, each row of e_vIe_u meeting only
+    the rows of e_uJ."""
     A = I.algebra
-    space = Subspace(A.dim, A.field)
-    jrows = J.sparse_rows()
-    for x in I.sparse_rows():
-        for y in jrows:
-            prod = A.mul_coords(x, y)
-            if prod:
-                space.add(A.dense(prod))
+    table = I.table
+    blocks = []
+    for b in I.blocks:
+        prods = []
+        for x in table.vectors[b]:
+            u = A.source[next(iter(x))]
+            prods.extend(A.mul_coords(x, y)
+                         for y in table.vectors[J.blocks[u - 1]])
+        blocks.append(table.span(table.vertex[b], prods))
     word = None
     if I.word is not None and J.word is not None:
         word = I.word + J.word
-    return Ideal(A, space, word=word)
-
-
-def _closure_extend(algebra: FiniteDimAlgebra, seeds, left: bool) -> Subspace:
-    """Close a span under multiplication by arrows on one side."""
-    arrows = _arrow_coords(algebra)
-    space = Subspace(algebra.dim, algebra.field)
-    work = []
-    for vec in seeds:
-        if space.add(algebra.dense(vec)):
-            work.append(vec)
-    while work:
-        x = work.pop()
-        for a in algebra.quiver.arrows:
-            if left:
-                prod = algebra.mul_coords(arrows[a.index], x)
-            else:
-                prod = algebra.mul_coords(x, arrows[a.index])
-            if prod and space.add(algebra.dense(prod)):
-                work.append(prod)
-    return space
+    return Ideal(table, tuple(blocks), word=word)
 
 
 def extend_left(algebra: FiniteDimAlgebra, i: int, J: Ideal) -> Ideal:
-    """I_i J = Pi (1 - e_i) J: left closure of the target-projected rows."""
-    seeds = []
-    for row in J.sparse_rows():
-        proj = {g: c for g, c in row.items() if algebra.target[g] != i}
-        if proj:
-            seeds.append(proj)
-    return Ideal(algebra, _closure_extend(algebra, seeds, left=True))
+    """I_i J = Pi (1 - e_i) J: block i becomes e_i Pi (1 - e_i) J, and the
+    other blocks are those of J.
+
+    A path into i from another vertex is eps_i^k a q with a a non-loop
+    arrow into i, and q J lies in e_{s(a)} J, so block i is spanned by the
+    eps_i^k a y with y in e_{s(a)} J.  The relations are homogeneous in the
+    number of non-loop arrows, so the basis paths p of e_i Pi e_j with one
+    non-loop arrow span the eps_i^k a eps_j^m, and block i is the span of
+    p x over the neighbours j of i and the rows x of e_j J.  That span is
+    already a right module, as e_j J is.  Memoized on i and the blocks of J
+    at the neighbours of i."""
+    table = J.table
+    neighbours = algebra.data.cartan.neighbors(i)
+    key = (i, tuple(J.blocks[j - 1] for j in neighbours))
+    b = table.left.get(key)
+    if b is None:
+        arrows = algebra.quiver.arrows
+        one = algebra.field.one
+        prods = []
+        for p in algebra.by_target[i]:
+            j = algebra.source[p]
+            if j != i and sum(not arrows[a].is_loop
+                              for a in algebra.basis[p][1]) == 1:
+                prods.extend(algebra.mul_coords({p: one}, x)
+                             for x in table.vectors[J.blocks[j - 1]])
+        b = table.left[key] = table.span(i, prods)
+    blocks = J.blocks[:i - 1] + (b,) + J.blocks[i:]
+    return Ideal(table, blocks)
 
 
 def extend_right(algebra: FiniteDimAlgebra, J: Ideal, i: int) -> Ideal:
-    """J I_i = J (1 - e_i) Pi: right closure of the source-projected rows."""
-    seeds = []
-    for row in J.sparse_rows():
-        proj = {g: c for g, c in row.items() if algebra.source[g] != i}
-        if proj:
-            seeds.append(proj)
-    return Ideal(algebra, _closure_extend(algebra, seeds, left=False))
+    """J I_i = J (1 - e_i) Pi, block by block: e_v(J I_i) is the right
+    closure of the rows of e_v J with source != i, under multiplication by
+    arrows inside e_v Pi.  Memoized on (block, i)."""
+    table = J.table
+    return Ideal(table, tuple(_right_step(table, b, i) for b in J.blocks))
+
+
+def _right_step(table: BlockTable, b: int, i: int) -> int:
+    out = table.right.get((b, i))
+    if out is None:
+        A = table.algebra
+        v = table.vertex[b]
+        arrows = _arrow_coords(A)
+        sub = Subspace(len(A.by_target[v]), A.field)
+        work = [x for x in table.vectors[b] if A.source[next(iter(x))] != i]
+        for x in work:
+            sub.add(table.local(v, x))
+        while work:
+            x = work.pop()
+            u = A.source[next(iter(x))]
+            for a in A.quiver.arrows:
+                if a.target != u:
+                    continue
+                prod = A.mul_coords(x, arrows[a.index])
+                if prod and sub.add(table.local(v, prod)):
+                    work.append(prod)
+        out = table.right[b, i] = table.intern(v, sub)
+    return out
 
 
 class IdealSemigroup:
@@ -261,15 +321,14 @@ class ModuleNamer:
 
     def __init__(self, semigroup: IdealSemigroup):
         self.semigroup = semigroup
-        self._key_cache = {}
+        self._names = {}  # block module -> name
 
     def name_block(self, vertex: int, word, mod: ModuleRep) -> str:
-        """Name of the block ``mod = I_w.block(vertex)``, memoized by its
-        block-table key."""
-        key = mod._block_key
-        name = self._key_cache.get(key)
+        """Name of the block ``mod = I_w.block(vertex)``, memoized per
+        block."""
+        name = self._names.get(mod)
         if name is None:
-            name = self._key_cache[key] = self._name(vertex, word, mod)
+            name = self._names[mod] = self._name(vertex, word, mod)
         return name
 
     def _name(self, vertex: int, word, mod: ModuleRep) -> str:
@@ -656,7 +715,7 @@ def classification_report(algebra: FiniteDimAlgebra, weyl: WeylGroup,
             if v.length < u.length:
                 continue
             via_product = extend_right(algebra, iu, i)
-            if via_product.space.rows != ctx.of_element(v).space.rows:
+            if via_product != ctx.of_element(v):
                 well_defined = False
                 failures.append(
                     f"I_({_word_str(u.word)}) * I_{i} != I_({_word_str(v.word)})")
@@ -701,7 +760,7 @@ def classification_report(algebra: FiniteDimAlgebra, weyl: WeylGroup,
     for u, v in pair_list:
         prod = ideal_product(ctx.of_element(u), ctx.of_element(v))
         target = ctx.of_element(demazure_product(weyl, u, v))
-        if prod.space.rows != target.space.rows:
+        if prod != target:
             demazure_ok = False
             failures.append(
                 f"I_{_word_str(u.word)} I_{_word_str(v.word)} != I_(u*v)")

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import weakref
 
@@ -266,9 +267,51 @@ def test_stt_builds_each_block_once(monkeypatch, capsys):
     ({"field": {"type": "prime", "p": 2.5}}, "field.p"),
     ({"field": {"type": "prime", "p": "7"}}, "field.p"),
     ({"field": {"type": "prime", "p": True}}, "field.p"),
+    ({"orientation": [[1, 2], [5, 7]]}, "orientation"),
+    ({"orientation": [[1, 2], [1, 2, 9]]}, "orientation"),
+    ({"orientation": [[True, 2]]}, "orientation"),
+    ({"orientation": [[1.0, 2]]}, "orientation"),
+    ({"orientation": "x"}, "orientation"),
 ])
 def test_main_bad_config_key_exits_2(extra, key, capsys):
     raw = {"cartan": [[2, -1], [-1, 2]], **extra}
     assert main(["check", "--config", json.dumps(raw)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}:"), err
+
+
+# Outputs recorded from the package before ideals were stored as blocks;
+# a refactor of the ideal layer must leave them byte for byte unchanged.
+_G2 = {"cartan": [[2, -1], [-3, 2]]}
+_B2_42 = {"cartan": [[2, -1], [-2, 2]], "symmetrizer": [4, 2]}
+_B3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]}
+_C3 = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}
+_D4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                  [0, -1, 0, 2]]}
+
+
+@pytest.mark.parametrize("command, raw, flags, digest", [
+    ("stt", _G2, ["--json"],
+     "674a1b398e11c5b05a8fecfde0af22f35ea46a3dbeca408431ec5b1126328506"),
+    ("stt", _B2_42, ["--json"],
+     "9d6cfdef04733e7ef6e706ea485dc53ed51a105220de2278a986180f466a52c3"),
+    ("stt", _B3, ["--json"],
+     "00132ddd7d674079946f672c8540f22253bc9cca0217f9f395e7d961b83f0633"),
+    ("stt", _C3, ["--json"],
+     "bc972706b609528d2d76e440790489f1c1ef937b021cd23e517fd3e24d7d8ec6"),
+    ("stt", _D4, ["--json"],
+     "5c058064867e1a85d4666d2997af5b3f30d4aa5dc814439e96d18535386555b2"),
+    ("mutation-graph", _G2, ["--json"],
+     "879004047a5f22091c0c41dd94253ddbf14d5c62c89977dd5822380f1b25c0f1"),
+    ("mutation-graph", _B2_42, ["--json"],
+     "d02486cd7d2b7ba94cfb8fb87cd0b01801b045585dee935845db0e4293c82523"),
+    ("verify", _G2, [],
+     "48cbb1dd4dbbf2cdb35de559f46669f851f33f7d647065c7eff61846a3309821"),
+    ("verify", _B3, ["--field", "fp:101"],
+     "dd563e4b212b749e968795b63ad1d39c0e5fc69481eef2afca4b445c0327f134"),
+], ids=["stt-g2", "stt-b2-42", "stt-b3", "stt-c3", "stt-d4", "graph-g2",
+        "graph-b2-42", "verify-g2", "verify-b3-fp101"])
+def test_golden_stdout(command, raw, flags, digest, capsys):
+    assert main([command, "--config", json.dumps(raw), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -274,10 +274,10 @@ def _distinct_blocks(A, W):
     return list(blocks.values())
 
 
-def _conjugate(M):
+def _conjugate(M, offset=0):
     """M in another basis: act[a] -> P_s act[a] P_t^-1, where each P_v is a
     unit lower times a unit upper triangular matrix (invertible over any
-    field) with entries fixed by the vertex and the position."""
+    field) with entries fixed by the vertex, the position and ``offset``."""
     A = M.algebra
     field = A.field
     P, P_inv = {}, {}
@@ -288,9 +288,10 @@ def _conjugate(M):
         for r in range(d):
             for c in range(d):
                 if r > c:
-                    lower.rows[r][c] = field.from_int(r + 2 * c + v)
+                    lower.rows[r][c] = field.from_int(r + 2 * c + v + offset)
                 elif r < c:
-                    upper.rows[r][c] = field.from_int(2 * r + c + v + 1)
+                    upper.rows[r][c] = field.from_int(
+                        2 * r + c + v + 1 + offset)
         P[v] = lower.mul(upper)
         P_inv[v] = solve_matrix(P[v], Matrix.identity(d, field))
     act = {a.index: P[a.source].mul(M.act[a.index]).mul(P_inv[a.target])
@@ -326,6 +327,19 @@ def test_indecomposability(algebras):
     two, _ = direct_sum(eg1, [simple_module(eg1, 1), simple_module(eg1, 1)])
     assert not is_indecomposable(two)
     assert not is_indecomposable(zero_module(eg1))
+
+
+def test_indecomposable_reduces_the_trace_mod_p():
+    """Over F_7 the trace form of End(M) for M = S_2 + e_1Pi + e_2Pi, in a
+    conjugated basis, has entries that are multiples of 7 before the
+    reduction; unreduced, the rank computation divides by one of them."""
+    A = build_algebra(cartan_data([[2, -1], [-1, 2]], "minimal"),
+                      field=PrimeField(7))
+    M, _ = direct_sum(A, [simple_module(A, 2), projective_module(A, 1),
+                          projective_module(A, 2)])
+    M = _conjugate(M, offset=1)
+    assert M.dims == [2, 3]
+    assert is_indecomposable(M) is False
 
 
 def test_radical_unavailable_small_prime():

@@ -8,7 +8,7 @@ from conftest import ALGEBRA_SPECS, weyl_orbit_sizes
 from preproj.cartan import cartan_data
 from preproj.coxeter import demazure_product, enumerate_weyl
 from preproj.errors import NotMutable
-from preproj.fields import PrimeField
+from preproj.fields import QQ, PrimeField
 from preproj.linalg import Subspace
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
@@ -60,7 +60,7 @@ def test_ideal_idempotent_and_braid(algebras):
         A = algebras[name]
         gens = [vertex_ideal(A, {i}) for i in range(1, A.n + 1)]
         for I in gens:
-            assert ideal_product(I, I).space.rows == I.space.rows
+            assert ideal_product(I, I).blocks == I.blocks
         from preproj.coxeter import coxeter_order
         for i in range(1, A.n + 1):
             for j in range(1, A.n + 1):
@@ -72,7 +72,7 @@ def test_ideal_idempotent_and_braid(algebras):
                 for k in range(m):
                     left = ideal_product(left, gens[(i, j)[k % 2] - 1])
                     right = ideal_product(right, gens[(j, i)[k % 2] - 1])
-                assert left.space.rows == right.space.rows
+                assert left.blocks == right.blocks
 
 
 def test_rank2_zero_products():
@@ -279,7 +279,7 @@ def test_demazure_route_matches_product(algebras, weyl_groups):
         for v in W:
             lhs = ideal_product(ctx.of_element(u), ctx.of_element(v))
             rhs = ctx.of_element(demazure_product(W, u, v))
-            assert lhs.space.rows == rhs.space.rows
+            assert lhs.blocks == rhs.blocks
 
 
 def test_extend_right_matches_product(algebras, weyl_groups):
@@ -290,7 +290,7 @@ def test_extend_right_matches_product(algebras, weyl_groups):
         for i in (1, 2):
             via_closure = extend_right(A, iw, i)
             via_product = ideal_product(iw, vertex_ideal(A, {i}))
-            assert via_closure.space.rows == via_product.space.rows
+            assert via_closure.blocks == via_product.blocks
 
 
 def test_classification_agrees_over_prime_field(weyl_groups):
@@ -342,7 +342,8 @@ def test_b3_qq_scalars_are_exact(algebras, weyl_groups):
     w = next(e for e in W.sorted_elements() if e.length == 4)
     ideal = ideal_of_word(A, W, w)
     assert 0 < ideal.dim < A.dim
-    assert exact(x for row in ideal.space.rows for x in row)
+    assert exact(x for b in ideal.blocks for row in ideal.table.rows[b]
+                 for x in row)
     for v in range(1, A.n + 1):
         blk = ideal.block(v)
         if blk is not None:
@@ -371,7 +372,8 @@ def test_b3_fp_scalars_are_reduced_ints(weyl_groups):
     w = next(e for e in W.sorted_elements() if e.length == 4)
     ideal = ideal_of_word(A, W, w)
     assert 0 < ideal.dim < A.dim
-    assert reduced(x for row in ideal.space.rows for x in row)
+    assert reduced(x for b in ideal.blocks for row in ideal.table.rows[b]
+                   for x in row)
     blocks = [ideal.block(v) for v in range(1, A.n + 1)]
     blocks = [b for b in blocks if b is not None]
     assert blocks
@@ -404,22 +406,21 @@ def test_blocks_shared_across_weyl_elements(name, expected, algebras,
         A, W = algebras[name], weyl_groups[name]
     entries = [list(r) for r in A.data.cartan.entries]
     assert sum(s - 1 for s in weyl_orbit_sizes(entries)) == expected
-    by_subspace = {}
+    by_rows = {}
     distinct = {}
     for w in W:
         ideal = ideal_of_word(A, W, w)
         for v in range(1, A.n + 1):
-            cols = A.by_target[v]
-            sub = Subspace(len(cols), A.field)
-            for row in ideal.space.rows:
-                sub.add([row[g] for g in cols])
+            rows = ideal.table.rows[ideal.blocks[v - 1]]
             blk = ideal.block(v)
-            if sub.dim == 0:
+            if not rows:
                 assert blk is None
                 continue
-            assert by_subspace.setdefault((v, sub.key()), blk) is blk
+            assert Subspace.span(rows, len(A.by_target[v]), A.field).key() \
+                == rows
+            assert by_rows.setdefault((v, rows), blk) is blk
             distinct[id(blk)] = blk
-    assert len(distinct) == len(by_subspace) == expected
+    assert len(distinct) == len(by_rows) == expected
 
 
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -492,3 +493,66 @@ def test_mutation_graph_validates_over_small_primes(entries, sym, p):
     W = enumerate_weyl(A.data.cartan)
     graph = mutation_graph(A, W, validate="all")
     assert len(graph.nodes) == W.order
+
+
+def test_semigroup_memos_are_bounded():
+    """A B4 ``stt`` computes at most 151 left steps for its 383 extensions,
+    one per distinct (i, blocks at the neighbours of i); the ascent check
+    I_u I_i = I_{u s_i} memoizes at most one right step per (block, i)."""
+    A = build_algebra(cartan_data(B4, "minimal"))
+    W = enumerate_weyl(A.data.cartan)
+    mutation_graph(A, W, validate="none")
+    table = A._ideal_cache["blocks"]
+    assert 0 < len(table.left) <= 151
+    ctx = ideal_semigroup(A, W)
+    for u in W:
+        for i in range(1, A.n + 1):
+            v = W.right_mul(u, i)
+            if v.length > u.length:
+                assert extend_right(A, ctx.of_element(u), i) == \
+                    ctx.of_element(v)
+    assert 0 < len(table.right) <= len(table.rows) * A.n
+
+
+def _rank_vector(entries, word, i):
+    """sum over k with i_k = i of s_{i_l} ... s_{i_{k+1}}(alpha_i) for
+    word = (i_1, ..., i_l), with s_j(x) = x - (sum_k c_jk x_k) alpha_j."""
+    n = len(entries)
+    total = [0] * n
+    for k, ik in enumerate(word):
+        if ik != i:
+            continue
+        x = [int(t == i - 1) for t in range(n)]
+        for j in word[k + 1:]:
+            x[j - 1] -= sum(entries[j - 1][t] * x[t] for t in range(n))
+        total = [a + b for a, b in zip(total, x)]
+    return total
+
+
+C3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+C4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("entries, sym, p", [
+    (G2, (3, 1), 0), (G2, (6, 2), 0), (B2, (4, 2), 0),
+    ([[2, -1], [-1, 2]], (2, 2), 0), (B3, "minimal", 0), (C3, "minimal", 3),
+    (D4, "minimal", 0), (A4, "minimal", 0), (C4, "minimal", 0)],
+    ids=["g2", "g2-62", "b2-42", "a2-22", "b3", "c3-f3", "d4", "a4", "c4"])
+def test_block_dims_match_root_formula(entries, sym, p):
+    """dim e_i(Pi/I_w)e_j = d_j r_j for every block of every I_w, where r is
+    the closed-form rank vector of e_i(Pi/I_w) from root combinatorics."""
+    A = build_algebra(cartan_data(entries, sym),
+                      field=PrimeField(p) if p else QQ)
+    W = enumerate_weyl(A.data.cartan)
+    d = A.quiver.symmetrizer
+    full = A.dims_matrix()
+    for w in W:
+        ideal = ideal_of_word(A, W, w)
+        for i in range(1, A.n + 1):
+            blk = ideal.block(i)
+            sub = blk.dims if blk is not None else [0] * A.n
+            r = _rank_vector(entries, w.word, i)
+            assert [full[i - 1][j] - sub[j] for j in range(A.n)] == \
+                [d[j + 1] * r[j] for j in range(A.n)], (w.word, i)
