@@ -41,8 +41,8 @@ from .repmod import (
     structure_series,
 )
 from .tautilt import (
+    IdealSemigroup,
     classification_report,
-    ideal_of_word,
     ideal_product,
     left_mutation,
     mutation_graph,

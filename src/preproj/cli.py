@@ -31,11 +31,15 @@ from .repmod import (
     hom_space,
     is_isomorphic,
     locally_free_rank,
-    nakayama,
     nakayama_nu,
     projective_module,
 )
-from .tautilt import classification_report, mutation_graph, vertex_ideal
+from .tautilt import (
+    IdealSemigroup,
+    classification_report,
+    mutation_graph,
+    vertex_ideal,
+)
 
 COMMANDS = ("check", "algebra", "weyl", "stt", "mutation-graph", "verify")
 
@@ -166,10 +170,7 @@ def cmd_check(cfg: RunConfig):
 
 def cmd_algebra(cfg: RunConfig):
     algebra = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
-    try:
-        report = verify_algebra(algebra)
-    finally:
-        algebra.clear_caches()
+    report = verify_algebra(algebra)
     payload = {
         "dim": report.dim,
         "vertex_dims": report.vertex_dims,
@@ -216,22 +217,18 @@ def cmd_weyl(cfg: RunConfig):
     return 0, _emit(cfg, payload, lines)
 
 
-def _dynkin_algebra(cfg: RunConfig):
+def _dynkin_semigroup(cfg: RunConfig) -> IdealSemigroup:
     if not cfg.data.dynkin:
         raise NotDynkin(
             "support tau-tilting classification requires Dynkin type: "
             "Pi(C, D) must be finite-dimensional selfinjective")
     algebra = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
     group = enumerate_weyl(cfg.data.cartan, cap=cfg.weyl_cap)
-    return algebra, group
+    return IdealSemigroup(algebra, group)
 
 
 def cmd_stt(cfg: RunConfig):
-    algebra, group = _dynkin_algebra(cfg)
-    try:
-        graph = mutation_graph(algebra, group, validate="none")
-    finally:
-        algebra.clear_caches()
+    graph = mutation_graph(_dynkin_semigroup(cfg), validate="none")
     pairs = []
     for ws in sorted(graph.nodes, key=lambda s: (len(s), s)):
         node = graph.nodes[ws]
@@ -251,12 +248,9 @@ def cmd_stt(cfg: RunConfig):
 
 
 def cmd_mutation_graph(cfg: RunConfig):
-    algebra, group = _dynkin_algebra(cfg)
     validate = "all" if cfg.data.n <= 2 else "sample"
-    try:
-        graph = mutation_graph(algebra, group, validate=validate, seed=cfg.seed)
-    finally:
-        algebra.clear_caches()
+    graph = mutation_graph(_dynkin_semigroup(cfg), validate=validate,
+                           seed=cfg.seed)
     if cfg.dot:
         return 0, graph.to_dot()
     payload = graph.to_json_dict()
@@ -338,27 +332,28 @@ def cmd_verify(cfg: RunConfig):
     box = {}
 
     def check_build():
-        box["A"] = build_algebra(cfg.data, cfg.field, cfg.max_degree,
-                                 cfg.max_basis)
-        box["rep"] = verify_algebra(box["A"])
+        A = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
+        box["ctx"] = IdealSemigroup(A, group_box.get("W"))
+        verify_algebra(A)
 
     def check_homological():
-        A = box["A"]
-        nak = nakayama(A)
+        ctx = box["ctx"]
+        A = ctx.algebra
+        projectives = [projective_module(A, j) for j in range(1, A.n + 1)]
+        dims = [P.total_dim for P in projectives]
         for i in range(1, A.n + 1):
             Ei = generalized_simple(A, i)
-            si = nak.apply(i)
+            si = ctx.sigma.apply(i)
             assert A.quiver.symmetrizer[i] == A.quiver.symmetrizer[si]
             assert is_isomorphic(nakayama_nu(generalized_simple(A, si)), Ei)
-            dims = [projective_module(A, j).total_dim for j in range(1, A.n + 1)]
             lhs = Ei.total_dim + generalized_simple(A, si).total_dim + sum(
                 abs(A.data.cartan[j, i]) * dims[j - 1]
                 for j in range(1, A.n + 1) if j != i and A.data.cartan[j, i])
             assert lhs == 2 * dims[i - 1], (i, lhs)
-            for j in range(1, A.n + 1):
+            for j, P in enumerate(projectives, 1):
                 want = A.quiver.symmetrizer[i] if i == j else 0
-                assert hom_space(projective_module(A, j), Ei).dim == want
-            Ii = vertex_ideal(A, {i})
+                assert hom_space(P, Ei).dim == want
+            Ii = vertex_ideal(ctx.table, {i})
             assert hom_space(Ii.module(), Ei).dim == 0
             assert locally_free_rank(Ii.module()) is not None
             blk = Ii.block(i)
@@ -366,22 +361,16 @@ def cmd_verify(cfg: RunConfig):
                 assert is_isomorphic(auslander_reiten_translate(blk), Ei)
 
     def check_classification():
-        rep = classification_report(box["A"], group_box["W"], seed=cfg.seed)
-        box["report"] = rep
+        box["report"] = classification_report(box["ctx"], seed=cfg.seed)
 
     def check_graph():
         validate = "all" if d.n <= 2 else "sample"
-        box["graph"] = mutation_graph(box["A"], group_box["W"],
-                                      validate=validate, seed=cfg.seed)
+        mutation_graph(box["ctx"], validate=validate, seed=cfg.seed)
 
-    try:
-        record("algebra construction and verification", check_build)
-        record("homological identities", check_homological)
-        record("classification report", check_classification)
-        record("mutation graph with left-mutation cross-check", check_graph)
-    finally:
-        if "A" in box:
-            box["A"].clear_caches()
+    record("algebra construction and verification", check_build)
+    record("homological identities", check_homological)
+    record("classification report", check_classification)
+    record("mutation graph with left-mutation cross-check", check_graph)
 
     ok = all(c[1] for c in checks)
     lines = []

@@ -26,6 +26,30 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _reflect_rows(m, col, i):
+    """sigma_i* m, for ``col`` column i of C (0-based i): row r != i becomes
+    row r - c_ri row i, and row i becomes -row i."""
+    pivot = m[i]
+    return tuple(
+        tuple(-x for x in pivot) if r == i
+        else tuple(x - c * y for x, y in zip(row, pivot)) if c else row
+        for r, (row, c) in enumerate(zip(m, col)))
+
+
+def _reflect_cols(m, col, i):
+    """m sigma_i*, for ``col`` column i of C (0-based i): column i becomes
+    col_i - sum_l c_li col_l, and the other columns stay."""
+    return tuple(
+        row[:i] + (row[i] - sum(c * x for c, x in zip(col, row)),)
+        + row[i + 1:]
+        for row in m)
+
+
+def _cartan_columns(c: CartanMatrix):
+    return [tuple(c[r, i] for r in range(1, c.n + 1))
+            for i in range(1, c.n + 1)]
+
+
 def simple_reflection_matrix(c: CartanMatrix, i: int):
     """Matrix of sigma_i* : alpha_i* -> alpha_i* - sum_j c_ji alpha_j*."""
     n = c.n
@@ -62,13 +86,13 @@ class WeylElement:
 class WeylGroup:
     """BFS-enumerated group (complete, or a ball when capped)."""
 
-    def __init__(self, cartan: CartanMatrix, elements, generators, complete, cap):
+    def __init__(self, cartan: CartanMatrix, elements, generators, complete):
         self.cartan = cartan
         self.n = cartan.n
         self.elements = elements  # dict matrix -> WeylElement
         self.generators = generators  # list of n matrices
         self.complete = complete
-        self.cap = cap
+        self._columns = _cartan_columns(cartan)
 
     @property
     def order(self) -> int:
@@ -81,19 +105,18 @@ class WeylGroup:
     def simple(self, i: int) -> WeylElement:
         return self.elements[self.generators[i - 1]]
 
-    def element(self, matrix) -> WeylElement:
-        return self.elements[matrix]
-
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
-        return self.elements[_mat_mul(self.generators[i - 1], w.matrix)]
+        m = _reflect_rows(w.matrix, self._columns[i - 1], i - 1)
+        return self.elements[m]
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        return self.elements[_mat_mul(w.matrix, self.generators[i - 1])]
+        m = _reflect_cols(w.matrix, self._columns[i - 1], i - 1)
+        return self.elements[m]
 
     def from_word(self, word) -> WeylElement:
         m = _identity(self.n)
         for i in word:
-            m = _mat_mul(m, self.generators[i - 1])
+            m = _reflect_cols(m, self._columns[i - 1], i - 1)
         return self.elements[m]
 
     def longest(self) -> WeylElement:
@@ -119,6 +142,7 @@ def enumerate_weyl(c: CartanMatrix, cap: int = 1_000_000,
     """
     n = c.n
     gens = [simple_reflection_matrix(c, i) for i in range(1, n + 1)]
+    cols = _cartan_columns(c)
     ide = _identity(n)
     elements = {ide: WeylElement(ide, 0, ())}
     frontier = [elements[ide]]
@@ -133,19 +157,19 @@ def enumerate_weyl(c: CartanMatrix, cap: int = 1_000_000,
         # smallest left descent, which yields the lex-least reduced word
         for i in range(1, n + 1):
             for w in frontier:
-                m = _mat_mul(gens[i - 1], w.matrix)
+                m = _reflect_rows(w.matrix, cols[i - 1], i - 1)
                 if m in elements or m in new:
                     continue
                 new[m] = WeylElement(m, depth + 1, (i,) + w.word)
         if len(elements) + len(new) > cap:
-            partial = WeylGroup(c, elements, gens, False, cap)
+            partial = WeylGroup(c, elements, gens, False)
             raise CapExceeded(
                 f"Weyl group exceeds cap {cap}; C is likely non-Dynkin",
                 partial=partial)
         elements.update(new)
         frontier = [new[m] for m in new]
         depth += 1
-    return WeylGroup(c, elements, gens, not truncated, cap)
+    return WeylGroup(c, elements, gens, not truncated)
 
 
 def all_reduced_words(group: WeylGroup, w: WeylElement, _memo=None):

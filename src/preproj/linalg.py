@@ -117,9 +117,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
 
-    def key(self):
-        return tuple(tuple(r) for r in self.rows)
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
@@ -269,12 +266,6 @@ class Subspace:
         self.rows.insert(pos, v)
         self.pivots.insert(pos, lead)
         return True
-
-    def extend(self, vectors) -> bool:
-        grew = False
-        for v in vectors:
-            grew = self.add(v) or grew
-        return grew
 
     def express(self, vec):
         """Coefficients of vec over the echelon rows, or None."""

@@ -315,7 +315,12 @@ class _Completion:
 # ---------------------------------------------------------------------------
 
 class FiniteDimAlgebra:
-    """Pi(C, D) on its normal-monomial basis, with table multiplication."""
+    """Pi(C, D) on its normal-monomial basis, with table multiplication.
+
+    The algebra holds only its own data: the basis, the arrows as
+    coordinates and the memoized products of basis paths.  Modules, ideals
+    and the Nakayama permutation point back at it, so nothing here refers to
+    them; their memos belong to the caller (``tautilt.IdealSemigroup``)."""
 
     def __init__(self, cartan_data: CartanData, field, completion: _Completion,
                  basis, relations: RelationSet):
@@ -337,17 +342,10 @@ class FiniteDimAlgebra:
         self._mul_table = {}
         self.dynkin = cartan_data.dynkin
         self.relations = relations
-        self._proj_cache = {}
-        self._ideal_cache = {}
-        self._arrow_coords_cache = None
-
-    def clear_caches(self):
-        """Drop the memoized modules and ideals.  They point back at the
-        algebra, so clearing them frees a finished computation at once
-        instead of at the next cycle collection."""
-        self._proj_cache.clear()
-        self._ideal_cache.clear()
-        self._arrow_coords_cache = None
+        # arrow index -> the arrow as sparse coordinates
+        self.arrow_coords = tuple(
+            self.coords({arrow_mon(self.quiver, a.index): field.one})
+            for a in self.quiver.arrows)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -527,8 +525,6 @@ class AlgebraReport:
 def _right_ideal_layers(algebra: FiniteDimAlgebra, v: int):
     """Radical filtration of e_v Pi as per-source multiplicity tuples."""
     field = algebra.field
-    arrows = [arrow_mon(algebra.quiver, a.index) for a in algebra.quiver.arrows]
-    arrow_coords = [algebra.coords({m: field.one}) for m in arrows]
 
     def source_dims(vectors):
         dims = []
@@ -549,7 +545,7 @@ def _right_ideal_layers(algebra: FiniteDimAlgebra, v: int):
         nxt_space = Subspace(algebra.dim, field)
         nxt = []
         for x in current:
-            for ac in arrow_coords:
+            for ac in algebra.arrow_coords:
                 prod = algebra.mul_coords(x, ac)
                 if prod and nxt_space.add(algebra.dense(prod)):
                     nxt.append(prod)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import NotDynkin, RadicalUnavailable, SocleNotSimple, VerificationFailed
 from .linalg import Matrix, Subspace, mat_rank, nullspace, solve_matrix
-from .pathalg import FiniteDimAlgebra, arrow_mon
+from .pathalg import FiniteDimAlgebra
 
 
 class ModuleRep:
@@ -117,16 +117,6 @@ def _memoized(key):
 # constructors
 # ---------------------------------------------------------------------------
 
-def _arrow_coords(algebra: FiniteDimAlgebra):
-    cached = algebra._arrow_coords_cache
-    if cached is None:
-        cached = {a.index: algebra.coords({arrow_mon(algebra.quiver, a.index):
-                                           algebra.field.one})
-                  for a in algebra.quiver.arrows}
-        algebra._arrow_coords_cache = cached
-    return cached
-
-
 def zero_module(algebra: FiniteDimAlgebra) -> ModuleRep:
     dims = [0] * algebra.n
     act = {a.index: Matrix.zeros(0, 0, algebra.field)
@@ -136,13 +126,8 @@ def zero_module(algebra: FiniteDimAlgebra) -> ModuleRep:
 
 def projective_module(algebra: FiniteDimAlgebra, v: int) -> ModuleRep:
     """e_v Pi on its monomial basis (paths with target v)."""
-    cached = algebra._proj_cache.get(v)
-    if cached is not None:
-        return cached
-    mod = module_from_subspace(
+    return module_from_subspace(
         algebra, [{i: algebra.field.one} for i in algebra.by_target[v]])
-    algebra._proj_cache[v] = mod
-    return mod
 
 
 def module_from_subspace(algebra: FiniteDimAlgebra, vectors) -> ModuleRep:
@@ -170,7 +155,7 @@ def module_from_subspace(algebra: FiniteDimAlgebra, vectors) -> ModuleRep:
                 sub.add(proj)
         spaces[v] = sub
     dims = [spaces[v].dim for v in range(1, algebra.n + 1)]
-    arrows = _arrow_coords(algebra)
+    arrows = algebra.arrow_coords
     act = {}
     for a in algebra.quiver.arrows:
         src_rows = spaces[a.target].rows  # input side: M_{t(a)}
@@ -519,9 +504,8 @@ def _p0_module(A: FiniteDimAlgebra, p0, p0_layout) -> ModuleRep:
     act = {}
     for a in A.quiver.arrows:
         out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        arrows = _arrow_coords(A)
         for col, (k, g) in enumerate(p0_layout[a.target]):
-            prod = A.mul_coords({g: field.one}, arrows[a.index])
+            prod = A.mul_coords({g: field.one}, A.arrow_coords[a.index])
             for g2, c in prod.items():
                 out.rows[pos_index[a.source][(k, g2)]][col] = c
         act[a.index] = out
@@ -649,7 +633,7 @@ def _left_module_data(A: FiniteDimAlgebra, pres: Presentation):
 def _left_action(A, layout, v_from, v_to, arrow_idx):
     """Left multiplication by an arrow on a (+)_k Pi e_{u_k} layout."""
     field = A.field
-    arrows = _arrow_coords(A)
+    arrows = A.arrow_coords
     out = Matrix.zeros(len(layout[v_to]), len(layout[v_from]), field)
     pos = {pair: i for i, pair in enumerate(layout[v_to])}
     for col, (k, g) in enumerate(layout[v_from]):

@@ -2,8 +2,14 @@
 (I_w, P_w), left mutation by minimal approximations, the exchange quiver, and the classification
 report tying the three together.
 
+``IdealSemigroup`` is the context of the ideal layer, created and owned by
+the caller: it holds the ``BlockTable``, the I_w memo and the Nakayama
+permutation of one algebra and one Weyl group.  Nothing on the algebra
+refers to it, so dropping the context frees its blocks, their modules and
+everything memoized on them.
+
 An ideal is the n-tuple of the ids of its blocks e_vI, which
-``BlockTable`` interns once per algebra as echelon rows in e_vPi, so
+``BlockTable`` interns once per context as echelon rows in e_vPi, so
 equality is exact and canonical and every ideal operation works inside one
 e_vPi.  I_w is memoized per Weyl element; the recursion follows the
 canonical reduced word by left extension (I_w = I_i I_{s_i w}), which
@@ -26,6 +32,7 @@ sampled by ``mutation_graph`` and the Demazure pairs sampled by
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -46,12 +53,14 @@ from .repmod import (
     nakayama,
     quotient_module,
     zero_module,
-    _arrow_coords,
 )
+
+# edges that mutation_graph(validate="sample") checks
+EDGE_SAMPLE = 20
 
 
 class BlockTable:
-    """The distinct blocks e_vI of the ideals of one algebra, and the
+    """The distinct blocks e_vI of the ideals of one context, and the
     memoized steps between them.
 
     Block ``b`` is e_vI for v = ``vertex[b]``, stored as the echelon rows
@@ -111,16 +120,9 @@ class BlockTable:
         return mod
 
 
-def _block_table(algebra: FiniteDimAlgebra) -> BlockTable:
-    table = algebra._ideal_cache.get("blocks")
-    if table is None:
-        table = algebra._ideal_cache["blocks"] = BlockTable(algebra)
-    return table
-
-
 class Ideal:
     """A two-sided ideal of Pi as the n-tuple of the ids of its blocks e_vI
-    in the algebra's ``BlockTable``: equal ideals have equal tuples."""
+    in a ``BlockTable``: equal ideals have equal tuples."""
 
     def __init__(self, table: BlockTable, blocks: tuple, word=None):
         self.algebra = table.algebra
@@ -132,9 +134,6 @@ class Ideal:
     def dim(self) -> int:
         return sum(len(self.table.rows[b]) for b in self.blocks)
 
-    def key(self):
-        return self.blocks
-
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.table is other.table
                 and self.blocks == other.blocks)
@@ -143,7 +142,7 @@ class Ideal:
         return hash(self.blocks)
 
     def block(self, v: int):
-        """The right module e_v I (None when zero), shared per algebra: equal
+        """The right module e_v I (None when zero), shared per table: equal
         blocks of different ideals are one ``ModuleRep``."""
         return self.table.module(self.blocks[v - 1])
 
@@ -157,19 +156,19 @@ class Ideal:
         return f"Ideal(dim={self.dim}, w={w or 'e'})"
 
 
-def full_ideal(algebra: FiniteDimAlgebra) -> Ideal:
-    table = _block_table(algebra)
+def full_ideal(table: BlockTable) -> Ideal:
+    algebra = table.algebra
     one = algebra.field.one
     blocks = tuple(table.span(v, ({g: one} for g in algebra.by_target[v]))
                    for v in range(1, algebra.n + 1))
     return Ideal(table, blocks, word=())
 
 
-def vertex_ideal(algebra: FiniteDimAlgebra, vertices) -> Ideal:
+def vertex_ideal(table: BlockTable, vertices) -> Ideal:
     """Pi (1 - sum_{i in S} e_i) Pi: block v is the span of the products
     p q of basis paths with p in e_v Pi e_j and j not in S."""
     S = set(vertices)
-    table = _block_table(algebra)
+    algebra = table.algebra
     blocks = tuple(
         table.span(v, (algebra.mul_basis(p, q)
                        for p in algebra.by_target[v]
@@ -200,7 +199,7 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(table, tuple(blocks), word=word)
 
 
-def extend_left(algebra: FiniteDimAlgebra, i: int, J: Ideal) -> Ideal:
+def extend_left(i: int, J: Ideal) -> Ideal:
     """I_i J = Pi (1 - e_i) J: block i becomes e_i Pi (1 - e_i) J, and the
     other blocks are those of J.
 
@@ -212,6 +211,7 @@ def extend_left(algebra: FiniteDimAlgebra, i: int, J: Ideal) -> Ideal:
     p x over the neighbours j of i and the rows x of e_j J.  That span is
     already a right module, as e_j J is.  Memoized on i and the blocks of J
     at the neighbours of i."""
+    algebra = J.algebra
     table = J.table
     neighbours = algebra.data.cartan.neighbors(i)
     key = (i, tuple(J.blocks[j - 1] for j in neighbours))
@@ -231,7 +231,7 @@ def extend_left(algebra: FiniteDimAlgebra, i: int, J: Ideal) -> Ideal:
     return Ideal(table, blocks)
 
 
-def extend_right(algebra: FiniteDimAlgebra, J: Ideal, i: int) -> Ideal:
+def extend_right(J: Ideal, i: int) -> Ideal:
     """J I_i = J (1 - e_i) Pi, block by block: e_v(J I_i) is the right
     closure of the rows of e_v J with source != i, under multiplication by
     arrows inside e_v Pi.  Memoized on (block, i)."""
@@ -244,7 +244,7 @@ def _right_step(table: BlockTable, b: int, i: int) -> int:
     if out is None:
         A = table.algebra
         v = table.vertex[b]
-        arrows = _arrow_coords(A)
+        arrows = A.arrow_coords
         sub = Subspace(len(A.by_target[v]), A.field)
         work = [x for x in table.vectors[b] if A.source[next(iter(x))] != i]
         for x in work:
@@ -263,12 +263,19 @@ def _right_step(table: BlockTable, b: int, i: int) -> int:
 
 
 class IdealSemigroup:
-    """Memoized I_w for all enumerated Weyl elements of one algebra."""
+    """The ideal layer of one algebra and one Weyl group: the ``BlockTable``,
+    I_w memoized per Weyl element, and the Nakayama permutation."""
 
     def __init__(self, algebra: FiniteDimAlgebra, weyl: WeylGroup):
         self.algebra = algebra
         self.weyl = weyl
+        self.table = BlockTable(algebra)
         self._cache = {}
+
+    @functools.cached_property
+    def sigma(self):
+        """The Nakayama permutation: soc(e_i Pi) = S_{sigma(i)}."""
+        return nakayama(self.algebra)
 
     def generator(self, i: int) -> Ideal:
         return self.of_element(self.weyl.simple(i))
@@ -278,28 +285,14 @@ class IdealSemigroup:
         if cached is not None:
             return cached
         if w.length == 0:
-            ideal = full_ideal(self.algebra)
+            ideal = full_ideal(self.table)
         else:
             i = w.word[0]
             rest = self.weyl.left_mul(i, w)
-            ideal = extend_left(self.algebra, i, self.of_element(rest))
+            ideal = extend_left(i, self.of_element(rest))
             ideal.word = w.word
         self._cache[w.matrix] = ideal
         return ideal
-
-
-def ideal_semigroup(algebra: FiniteDimAlgebra, weyl: WeylGroup) -> IdealSemigroup:
-    ctx = algebra._ideal_cache.get("semigroup")
-    if ctx is None or ctx.weyl is not weyl:
-        ctx = IdealSemigroup(algebra, weyl)
-        algebra._ideal_cache["semigroup"] = ctx
-    return ctx
-
-
-def ideal_of_word(algebra: FiniteDimAlgebra, weyl: WeylGroup,
-                  w: WeylElement) -> Ideal:
-    """I_w along the canonical reduced word, memoized by Weyl element."""
-    return ideal_semigroup(algebra, weyl).of_element(w)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +308,12 @@ class ModuleNamer:
     left multiplication by some x in e_vPi e_v.  That maps e_vI_w into
     itself, so e_uI_x lies in e_vI_w, and equal dimensions make the two
     blocks equal.  Hence a block is e{v}P iff it *is* e_vI_e and e{v}I{v} iff
-    it *is* e_vI_v (one table per algebra), and it is E{i} iff its locally
+    it *is* e_vI_v (one table per context), and it is E{i} iff its locally
     free rank is delta_i: dimension vector c_i delta_i and eps_i one Jordan
-    block, which is E_i up to a change of basis."""
+    block, which is E_i up to a change of basis.
+
+    A namer refers to its context but the context never to a namer, so the
+    two form no reference cycle; each caller that names blocks makes one."""
 
     def __init__(self, semigroup: IdealSemigroup):
         self.semigroup = semigroup
@@ -375,13 +371,13 @@ class SttPair:
         return out
 
 
-def stt_pair(algebra: FiniteDimAlgebra, weyl: WeylGroup,
-             w: WeylElement) -> SttPair:
+def stt_pair(semigroup: IdealSemigroup, w: WeylElement) -> SttPair:
     """(I_w, P_w) with P_w = (+)_{e_i I_w = 0} e_{sigma(i)} Pi."""
+    algebra = semigroup.algebra
     if not algebra.dynkin:
         raise NotDynkin("support tau-tilting pairs require Dynkin type")
-    ideal = ideal_of_word(algebra, weyl, w)
-    nak = _nakayama_cached(algebra)
+    ideal = semigroup.of_element(w)
+    nak = semigroup.sigma
     summands = []
     verts = []
     proj = []
@@ -394,14 +390,6 @@ def stt_pair(algebra: FiniteDimAlgebra, weyl: WeylGroup,
             verts.append(i)
     return SttPair(algebra, summands, tuple(sorted(proj)), word=w.word,
                    block_vertices=tuple(verts))
-
-
-def _nakayama_cached(algebra: FiniteDimAlgebra):
-    nak = algebra._ideal_cache.get("nakayama")
-    if nak is None:
-        nak = nakayama(algebra)
-        algebra._ideal_cache["nakayama"] = nak
-    return nak
 
 
 def verify_stt(pair: SttPair):
@@ -591,25 +579,24 @@ def _word_str(word) -> str:
     return "".join(map(str, word))
 
 
-def mutation_graph(algebra: FiniteDimAlgebra, weyl: WeylGroup,
-                   validate: str = "none", sample: int = 20,
+def mutation_graph(semigroup: IdealSemigroup, validate: str = "none",
                    seed: int = 0) -> MutationGraph:
     """Nodes I_w, edges I_w -> I_{s_i w} for l(s_i w) > l(w), labelled i.
 
     validate="all" reproduces every edge by an independent
     approximation-theoretic left mutation; validate="sample" checks
-    ``sample`` edges drawn with ``seed``."""
+    ``EDGE_SAMPLE`` edges drawn with ``seed``."""
+    algebra, weyl = semigroup.algebra, semigroup.weyl
     if not algebra.dynkin:
         raise NotDynkin("the exchange quiver requires Dynkin type")
     if not weyl.complete:
         raise NotDynkin("the exchange quiver requires the full Weyl group")
-    ctx = ideal_semigroup(algebra, weyl)
-    namer = _namer_cached(algebra, ctx)
-    nak = _nakayama_cached(algebra)
+    namer = ModuleNamer(semigroup)
+    nak = semigroup.sigma
     nodes = {}
-    edges = []
+    ascents = []  # (w, s_i w, i) with l(s_i w) > l(w)
     for w in weyl:
-        ideal = ctx.of_element(w)
+        ideal = semigroup.of_element(w)
         names = []
         dims = []
         ranks = []
@@ -627,7 +614,8 @@ def mutation_graph(algebra: FiniteDimAlgebra, weyl: WeylGroup,
         for i in range(1, algebra.n + 1):
             v = weyl.left_mul(i, w)
             if v.length > w.length:
-                edges.append((_word_str(w.word), _word_str(v.word), i))
+                ascents.append((w, v, i))
+    edges = [(_word_str(w.word), _word_str(v.word), i) for w, v, i in ascents]
     graph = MutationGraph(nodes, edges)
     # regularity: each node meets exactly n edges
     incident = {ws: 0 for ws in nodes}
@@ -639,36 +627,24 @@ def mutation_graph(algebra: FiniteDimAlgebra, weyl: WeylGroup,
         raise VerificationFailed(f"exchange quiver is not {algebra.n}-regular",
                                  witness=bad)
     if validate != "none":
-        to_check = list(edges)
-        if validate == "sample" and len(to_check) > sample:
-            rng = random.Random(seed)
-            to_check = rng.sample(to_check, sample)
-        for (src, dst, i) in to_check:
-            _check_edge(algebra, weyl, src, dst, i)
+        to_check = ascents
+        if validate == "sample" and len(to_check) > EDGE_SAMPLE:
+            to_check = random.Random(seed).sample(to_check, EDGE_SAMPLE)
+        for w, v, i in to_check:
+            _check_edge(semigroup, w, v, i)
     return graph
 
 
-def _namer_cached(algebra, ctx):
-    namer = algebra._ideal_cache.get("namer")
-    if namer is None:
-        namer = ModuleNamer(ctx)
-        algebra._ideal_cache["namer"] = namer
-    return namer
-
-
-def _element_of_word_str(weyl: WeylGroup, ws: str) -> WeylElement:
-    return weyl.from_word(tuple(int(c) for c in ws))
-
-
-def _check_edge(algebra, weyl, src, dst, i):
-    wsrc = _element_of_word_str(weyl, src)
-    wdst = _element_of_word_str(weyl, dst)
-    pair = stt_pair(algebra, weyl, wsrc)
-    expected = stt_pair(algebra, weyl, wdst)
+def _check_edge(semigroup: IdealSemigroup, w: WeylElement, v: WeylElement,
+                i: int):
+    """Left mutation of (I_w, P_w) at i is (I_v, P_v), for v = s_i w."""
+    pair = stt_pair(semigroup, w)
+    expected = stt_pair(semigroup, v)
     mutated = left_mutation(pair, i)
     if not pairs_isomorphic(mutated, expected):
         raise VerificationFailed(
-            f"left mutation does not reproduce edge {src} -> {dst} (label {i})")
+            f"left mutation does not reproduce edge {_word_str(w.word)} -> "
+            f"{_word_str(v.word)} (label {i})")
 
 
 # ---------------------------------------------------------------------------
@@ -693,34 +669,34 @@ class ClassificationReport:
         return not self.failures
 
 
-def classification_report(algebra: FiniteDimAlgebra, weyl: WeylGroup,
-                          demazure_pairs=None, seed: int = 0,
-                          raise_on_failure: bool = True) -> ClassificationReport:
+def classification_report(semigroup: IdealSemigroup,
+                          seed: int = 0) -> ClassificationReport:
     """(i) psi well-defined over every reduced word, (ii) injective,
     (iii) every (I_w, P_w) a valid pair, (iv) the block list up to iso,
-    (v) 0-Hecke consistency of the product."""
+    (v) 0-Hecke consistency of the product.  Raises ``ReportFailure``, with
+    the report attached, when any of them fails."""
+    algebra, weyl = semigroup.algebra, semigroup.weyl
     if not algebra.dynkin:
         raise NotDynkin("classification requires Dynkin type")
-    ctx = ideal_semigroup(algebra, weyl)
-    namer = _namer_cached(algebra, ctx)
+    namer = ModuleNamer(semigroup)
     failures = []
     # (i) every reduced word yields the same ideal: every weak-order ascent
     # u -> u s_i satisfies extend_right(I_u, i) == I_{u s_i}; induction over
     # prefixes then covers every reduced word of every element.
     well_defined = True
     for u in weyl:
-        iu = ctx.of_element(u)
+        iu = semigroup.of_element(u)
         for i in range(1, algebra.n + 1):
             v = weyl.right_mul(u, i)
             if v.length < u.length:
                 continue
-            via_product = extend_right(algebra, iu, i)
-            if via_product != ctx.of_element(v):
+            via_product = extend_right(iu, i)
+            if via_product != semigroup.of_element(v):
                 well_defined = False
                 failures.append(
                     f"I_({_word_str(u.word)}) * I_{i} != I_({_word_str(v.word)})")
     # (ii) injectivity
-    keys = {ctx.of_element(w).key() for w in weyl}
+    keys = {semigroup.of_element(w).blocks for w in weyl}
     injective = len(keys) == weyl.order
     if not injective:
         failures.append(f"only {len(keys)} distinct ideals for {weyl.order} elements")
@@ -729,7 +705,7 @@ def classification_report(algebra: FiniteDimAlgebra, weyl: WeylGroup,
     blocks = []
     lf_ok = True
     for w in weyl:
-        pair = stt_pair(algebra, weyl, w)
+        pair = stt_pair(semigroup, w)
         ok, reasons = verify_stt(pair)
         if not ok:
             pairs_ok = False
@@ -747,19 +723,16 @@ def classification_report(algebra: FiniteDimAlgebra, weyl: WeylGroup,
     tau_rigid = sorted(seen.values())
     # (v) Demazure consistency
     elements = weyl.sorted_elements()
-    if demazure_pairs is None:
-        if weyl.order <= 12:
-            pair_list = [(u, v) for u in elements for v in elements]
-        else:
-            rng = random.Random(seed)
-            pair_list = [(rng.choice(elements), rng.choice(elements))
-                         for _ in range(200)]
+    if weyl.order <= 12:
+        pair_list = [(u, v) for u in elements for v in elements]
     else:
-        pair_list = demazure_pairs
+        rng = random.Random(seed)
+        pair_list = [(rng.choice(elements), rng.choice(elements))
+                     for _ in range(200)]
     demazure_ok = True
     for u, v in pair_list:
-        prod = ideal_product(ctx.of_element(u), ctx.of_element(v))
-        target = ctx.of_element(demazure_product(weyl, u, v))
+        prod = ideal_product(semigroup.of_element(u), semigroup.of_element(v))
+        target = semigroup.of_element(demazure_product(weyl, u, v))
         if prod != target:
             demazure_ok = False
             failures.append(
@@ -776,6 +749,6 @@ def classification_report(algebra: FiniteDimAlgebra, weyl: WeylGroup,
         all_blocks_locally_free=lf_ok,
         failures=failures,
     )
-    if failures and raise_on_failure:
+    if failures:
         raise ReportFailure("classification report failed", failures, report)
     return report

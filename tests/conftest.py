@@ -7,6 +7,7 @@ from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
 from preproj.linalg import Matrix, nullspace
 from preproj.pathalg import build_algebra
+from preproj.tautilt import IdealSemigroup
 
 # Property tests draw the same examples on every run and never time out,
 # so their outcome and the test count do not depend on luck or host load.
@@ -36,6 +37,14 @@ def algebras():
 @pytest.fixture(scope="session")
 def weyl_groups(algebras):
     return {name: enumerate_weyl(A.data.cartan)
+            for name, A in algebras.items()}
+
+
+@pytest.fixture(scope="session")
+def semigroups(algebras, weyl_groups):
+    """One ideal-layer context per acceptance algebra, shared by the tests
+    so that each I_w and each block module is built once per session."""
+    return {name: IdealSemigroup(A, weyl_groups[name])
             for name, A in algebras.items()}
 
 

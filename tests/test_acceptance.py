@@ -28,10 +28,10 @@ from preproj.repmod import (
     projective_module,
 )
 from preproj.tautilt import (
+    IdealSemigroup,
     classification_report,
     full_ideal,
     ideal_product,
-    ideal_semigroup,
     left_mutation,
     mutation_graph,
     pairs_isomorphic,
@@ -57,17 +57,17 @@ def test_criterion_1_eg1_dimensions(algebras):
     print("PASS criterion 1: eg1 dims 8 = 4 + 4, layers [1,2,1], dim E_i = 2")
 
 
-def test_criterion_2_eg2_dimensions(algebras):
+def test_criterion_2_eg2_dimensions(algebras, semigroups):
     A = algebras["eg2"]
     rep = verify_algebra(A)
     assert rep.dim == 10
     assert rep.vertex_dims == [6, 4]
     assert rep.layer_sizes(1) == [1, 2, 2, 1]
     assert rep.layer_sizes(2) == [1, 1, 1, 1]
-    assert vertex_ideal(A, {2}).block(2).total_dim == 3
+    assert vertex_ideal(semigroups["eg2"].table, {2}).block(2).total_dim == 3
     assert generalized_simple(A, 1).total_dim == 2
     assert generalized_simple(A, 2).total_dim == 1
-    e1I1 = vertex_ideal(A, {1}).block(1)
+    e1I1 = vertex_ideal(semigroups["eg2"].table, {1}).block(1)
     # derived from 0 -> e_1 I_1 -> e_1 Pi -> E_1 -> 0: 6 - 2 = 4
     assert e1I1.total_dim == rep.vertex_dims[0] - 2 == 4
     print("PASS criterion 2: eg2 dims 10 = 6 + 4, layers, "
@@ -83,9 +83,10 @@ def test_criterion_3_rank2_zero_products():
     for label, entries, symmetrizers, m in cases:
         for sym in symmetrizers:
             A = build_algebra(cartan_data(entries, sym))
-            I = [None, vertex_ideal(A, {1}), vertex_ideal(A, {2})]
+            table = IdealSemigroup(A, enumerate_weyl(A.data.cartan)).table
+            I = [None, vertex_ideal(table, {1}), vertex_ideal(table, {2})]
             for first, second in ((1, 2), (2, 1)):
-                prod = full_ideal(A)
+                prod = full_ideal(table)
                 for k in range(m):
                     prod = ideal_product(prod, I[(first, second)[k % 2]])
                 assert prod.dim == 0, (label, sym, first)
@@ -93,13 +94,13 @@ def test_criterion_3_rank2_zero_products():
           "A2 (d,d) d=1..3, B2 (2d,d) d=1..2, G2 (3,1)")
 
 
-def test_criterion_4_bijection(algebras, weyl_groups):
+def test_criterion_4_bijection(algebras, weyl_groups, semigroups):
     for name in CRITERION4:
         A, W = algebras[name], weyl_groups[name]
         assert W.order == WEYL_ORDERS[name]
-        ctx = ideal_semigroup(A, W)
-        gens = {i: vertex_ideal(A, {i}) for i in range(1, A.n + 1)}
-        cache = {(): full_ideal(A)}
+        ctx = semigroups[name]
+        gens = {i: vertex_ideal(ctx.table, {i}) for i in range(1, A.n + 1)}
+        cache = {(): full_ideal(ctx.table)}
 
         def fold(word):
             got = cache.get(word)
@@ -112,7 +113,7 @@ def test_criterion_4_bijection(algebras, weyl_groups):
         keys = set()
         for w in W:
             expected = ctx.of_element(w)
-            keys.add(expected.key())
+            keys.add(expected.blocks)
             for word in all_reduced_words(W, w, memo):
                 assert fold(word).blocks == expected.blocks, \
                     (name, w.word, word)
@@ -121,16 +122,16 @@ def test_criterion_4_bijection(algebras, weyl_groups):
           "|W| = 6, 8, 12, 24, 48")
 
 
-def test_criterion_5_classification(algebras, weyl_groups):
+def test_criterion_5_classification(semigroups):
     for name in CRITERION4:
-        rep = classification_report(algebras[name], weyl_groups[name], seed=0)
+        rep = classification_report(semigroups[name], seed=0)
         assert rep.ok, (name, rep.failures)
         assert rep.stt_count == WEYL_ORDERS[name]
         assert rep.all_pairs_valid
-    rep1 = classification_report(algebras["eg1"], weyl_groups["eg1"])
+    rep1 = classification_report(semigroups["eg1"])
     assert sorted(t[0] for t in rep1.tau_rigid_modules) == \
         ["E1", "E2", "e1P", "e2P"]
-    rep2 = classification_report(algebras["eg2"], weyl_groups["eg2"])
+    rep2 = classification_report(semigroups["eg2"])
     assert sorted(t[0] for t in rep2.tau_rigid_modules) == \
         ["E1", "E2", "e1I1", "e1P", "e2I2", "e2P"]
     print("PASS criterion 5: all (I_w, P_w) valid; counts = |W|; "
@@ -158,30 +159,30 @@ EG2_GRAPH = {
 }
 
 
-def test_criterion_6_mutation_graphs(algebras, weyl_groups):
+def test_criterion_6_mutation_graphs(weyl_groups, semigroups):
     # the two displayed exchange graphs, as labelled digraphs
     for name, expected in (("eg1", EG1_GRAPH), ("eg2", EG2_GRAPH)):
-        g = mutation_graph(algebras[name], weyl_groups[name], validate="all")
+        g = mutation_graph(semigroups[name], validate="all")
         got_nodes = {ws: set(n.summands) or {"0"} for ws, n in g.nodes.items()}
         assert got_nodes == expected["nodes"], name
         assert set(g.edges) == expected["edges"], name
     # rank 2: every edge independently reproduced by a minimal left approximation
-    mutation_graph(algebras["a2min"], weyl_groups["a2min"], validate="all")
-    mutation_graph(algebras["g2"], weyl_groups["g2"], validate="all")
+    mutation_graph(semigroups["a2min"], validate="all")
+    mutation_graph(semigroups["g2"], validate="all")
     # A3: at least 20 sampled edges reproduced
-    A, W = algebras["a3"], weyl_groups["a3"]
-    g3 = mutation_graph(A, W)
+    W, ctx = weyl_groups["a3"], semigroups["a3"]
+    g3 = mutation_graph(ctx)
     rng = random.Random(0)
     sample = rng.sample(g3.edges, 20)
     for (src, dst, i) in sample:
-        pair = stt_pair(A, W, W.from_word(tuple(map(int, src))))
-        want = stt_pair(A, W, W.from_word(tuple(map(int, dst))))
+        pair = stt_pair(ctx, W.from_word(tuple(map(int, src))))
+        want = stt_pair(ctx, W.from_word(tuple(map(int, dst))))
         assert pairs_isomorphic(left_mutation(pair, i), want), (src, dst, i)
     print("PASS criterion 6: eg1 and eg2 graphs match the figures; "
           "all rank-2 edges and 20 A3 edges reproduced by left mutation")
 
 
-def test_criterion_7_homological_identities(algebras):
+def test_criterion_7_homological_identities(algebras, semigroups):
     for name in CRITERION4:
         A = algebras[name]
         nak = nakayama(A)
@@ -202,7 +203,7 @@ def test_criterion_7_homological_identities(algebras):
                 want = A.quiver.symmetrizer[i] if j == i else 0
                 assert hom_space(projective_module(A, j), Ei).dim == want
             # Hom(I_i, E_i) = 0 and tau(e_i I_i) = E_i
-            Ii = vertex_ideal(A, {i})
+            Ii = vertex_ideal(semigroups[name].table, {i})
             assert hom_space(Ii.module(), Ei).dim == 0
             blk = Ii.block(i)
             assert blk is not None
@@ -212,7 +213,7 @@ def test_criterion_7_homological_identities(algebras):
         for i in range(1, A.n + 1):
             mods.append(generalized_simple(A, i))
             mods.append(projective_module(A, i))
-            blk = vertex_ideal(A, {i}).block(i)
+            blk = vertex_ideal(semigroups[name].table, {i}).block(i)
             if blk is not None:
                 mods.append(blk)
         for M in mods:
@@ -249,18 +250,16 @@ def test_criterion_8_geometric_representation(algebras):
           "affine ball of radius 8 has 17 elements")
 
 
-def test_criterion_9_demazure_consistency(algebras, weyl_groups):
+def test_criterion_9_demazure_consistency(weyl_groups, semigroups):
     for name in ("a2min", "eg2", "g2"):
-        A, W = algebras[name], weyl_groups[name]
-        ctx = ideal_semigroup(A, W)
+        W, ctx = weyl_groups[name], semigroups[name]
         for u in W:
             iu = ctx.of_element(u)
             for v in W:
                 lhs = ideal_product(iu, ctx.of_element(v))
                 rhs = ctx.of_element(demazure_product(W, u, v))
                 assert lhs.blocks == rhs.blocks, (name, u.word, v.word)
-    A, W = algebras["a3"], weyl_groups["a3"]
-    ctx = ideal_semigroup(A, W)
+    W, ctx = weyl_groups["a3"], semigroups["a3"]
     els = W.sorted_elements()
     rng = random.Random(0)
     for _ in range(200):

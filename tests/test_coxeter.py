@@ -8,6 +8,8 @@ from preproj.cartan import validate_cartan
 from preproj.coxeter import (
     _identity,
     _mat_mul,
+    _reflect_cols,
+    _reflect_rows,
     all_reduced_words,
     coxeter_order,
     demazure_product,
@@ -22,6 +24,10 @@ G2 = validate_cartan([[2, -1], [-3, 2]])
 AFF = validate_cartan([[2, -2], [-2, 2]])
 A3 = validate_cartan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 B3 = validate_cartan([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+B4 = validate_cartan([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
+                      [0, 0, -2, 2]])
+D4 = validate_cartan([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                      [0, -1, 0, 2]])
 
 
 def test_simple_reflection_examples():
@@ -169,3 +175,24 @@ def test_demazure_associative():
             left = demazure_product(group, demazure_product(group, u, v), w)
             right = demazure_product(group, u, demazure_product(group, v, w))
             assert left == right
+
+
+@pytest.mark.parametrize("c, order", [(G2, 12), (B4, 384), (D4, 192),
+                                      (AFF, None)],
+                         ids=["g2", "b4", "d4", "affine-ball"])
+def test_row_and_column_updates_match_matrix_products(c, order):
+    """sigma_i* w and w sigma_i* by one row or column update equal the
+    full matrix products, for every element w and generator i."""
+    group = enumerate_weyl(c, max_length=None if order else 6)
+    assert group.order == (order or 13)
+    for w in group:
+        for i in range(1, c.n + 1):
+            s = simple_reflection_matrix(c, i)
+            col = tuple(c[r, i] for r in range(1, c.n + 1))
+            left = _mat_mul(s, w.matrix)
+            right = _mat_mul(w.matrix, s)
+            assert _reflect_rows(w.matrix, col, i - 1) == left
+            assert _reflect_cols(w.matrix, col, i - 1) == right
+            if order:
+                assert group.left_mul(i, w).matrix == left
+                assert group.right_mul(w, i).matrix == right

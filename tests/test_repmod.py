@@ -5,7 +5,7 @@ import pytest
 from conftest import brute_hom_dim
 from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
-from preproj.errors import RadicalUnavailable
+from preproj.errors import RadicalUnavailable, VerificationFailed
 from preproj.fields import QQ, PrimeField
 from preproj.linalg import Matrix, Subspace, solve_matrix
 from preproj.pathalg import build_algebra
@@ -32,7 +32,7 @@ from preproj.repmod import (
     uniserial_module,
     zero_module,
 )
-from preproj.tautilt import ideal_of_word, vertex_ideal
+from preproj.tautilt import IdealSemigroup, vertex_ideal
 
 
 def test_generalized_simple_shapes(algebras):
@@ -59,7 +59,7 @@ def test_hom_dims_with_oracle(algebras):
     assert hb.dim == brute_hom_dim(P1, P1)
 
 
-def test_materialized_homs_intertwine(algebras):
+def test_materialized_homs_intertwine(algebras, semigroups):
     from preproj.linalg import Matrix, Subspace
     for name in ("eg1", "eg2"):
         A = algebras[name]
@@ -67,7 +67,8 @@ def test_materialized_homs_intertwine(algebras):
             (projective_module(A, 1), generalized_simple(A, 1)),
             (projective_module(A, 2), projective_module(A, 2)),
             (generalized_simple(A, 1), projective_module(A, 1)),
-            (vertex_ideal(A, {1}).block(1), generalized_simple(A, 2)),
+            (vertex_ideal(semigroups[name].table, {1}).block(1),
+             generalized_simple(A, 2)),
         ]
         for M, N in pairs:
             hb = hom_space(M, N)
@@ -133,12 +134,12 @@ def test_tau_basics(algebras):
     assert tE1.total_dim == 2
 
 
-def test_tau_of_ideal_blocks(algebras):
+def test_tau_of_ideal_blocks(algebras, semigroups):
     # tau(e_i I_i) is the generalized simple E_i
     for name in ("eg1", "eg2", "g2"):
         A = algebras[name]
         for i in range(1, A.n + 1):
-            blk = vertex_ideal(A, {i}).block(i)
+            blk = vertex_ideal(semigroups[name].table, {i}).block(i)
             if blk is None:
                 continue
             t = auslander_reiten_translate(blk)
@@ -175,14 +176,14 @@ def test_ext1(algebras):
     assert ext1_dim(pi, pi) == 0
 
 
-def test_ext1_symmetry_on_locally_free(algebras):
+def test_ext1_symmetry_on_locally_free(algebras, semigroups):
     for name in ("eg1", "eg2"):
         A = algebras[name]
         mods = []
         for i in range(1, A.n + 1):
             mods.append(generalized_simple(A, i))
             mods.append(projective_module(A, i))
-            blk = vertex_ideal(A, {i}).block(i)
+            blk = vertex_ideal(semigroups[name].table, {i}).block(i)
             if blk is not None:
                 mods.append(blk)
         for M in mods:
@@ -200,12 +201,12 @@ def test_locally_free_rank(algebras):
     assert locally_free_rank(zero_module(eg1)) == (0, 0)
 
 
-def test_rank_additivity(algebras):
+def test_rank_additivity(algebras, semigroups):
     # 0 -> e_i I_i -> e_i Pi -> E_i -> 0 has additive rank vectors
     for name in ("eg1", "eg2", "g2", "a3", "b3"):
         A = algebras[name]
         for i in range(1, A.n + 1):
-            blk = vertex_ideal(A, {i}).block(i)
+            blk = vertex_ideal(semigroups[name].table, {i}).block(i)
             if blk is None:
                 continue
             r_sub = locally_free_rank(blk)
@@ -253,21 +254,22 @@ def test_in_fac(algebras):
     assert brute_hom_dim(P1, E2) == 0
 
 
-def test_isomorphism(algebras):
-    eg1, eg2 = algebras["eg1"], algebras["eg2"]
-    blk = vertex_ideal(eg1, {1}).block(1)
+def test_isomorphism(algebras, semigroups):
+    eg1 = algebras["eg1"]
+    blk = vertex_ideal(semigroups["eg1"].table, {1}).block(1)
     assert is_isomorphic(blk, generalized_simple(eg1, 2))
     assert not is_isomorphic(projective_module(eg1, 1),
                              projective_module(eg1, 2))
-    assert is_indecomposable(vertex_ideal(eg2, {2}).block(2))
-    assert vertex_ideal(eg2, {2}).block(2).total_dim == 3
+    e2I2 = vertex_ideal(semigroups["eg2"].table, {2}).block(2)
+    assert is_indecomposable(e2I2)
+    assert e2I2.total_dim == 3
 
 
-def _distinct_blocks(A, W):
+def _distinct_blocks(ctx):
     blocks = {}
-    for w in W:
-        ideal = ideal_of_word(A, W, w)
-        for v in range(1, A.n + 1):
+    for w in ctx.weyl:
+        ideal = ctx.of_element(w)
+        for v in range(1, ctx.algebra.n + 1):
             blk = ideal.block(v)
             if blk is not None:
                 blocks.setdefault(id(blk), blk)
@@ -308,7 +310,7 @@ def test_isomorphism_is_deterministic_on_blocks(entries, sym, field):
     distinct blocks are pairwise non-isomorphic; no seed is involved."""
     assert "seed" not in inspect.signature(is_isomorphic).parameters
     A = build_algebra(cartan_data(entries, sym), field=field)
-    blocks = _distinct_blocks(A, enumerate_weyl(A.data.cartan))
+    blocks = _distinct_blocks(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
     largest_hom = 0
     for blk in blocks:
         copy = _conjugate(blk)
@@ -350,10 +352,11 @@ def test_radical_unavailable_small_prime():
         is_indecomposable(M)
 
 
-def _projective_over_block(A, W, word, v):
+def _projective_over_block(ctx, w, v):
     """e_v Pi / e_v I_w as a quotient of the projective e_v Pi."""
+    A = ctx.algebra
     P = projective_module(A, v)
-    blk = ideal_of_word(A, W, W.from_word(word)).block(v)
+    blk = ctx.of_element(w).block(v)
     subs = {}
     for u in range(1, A.n + 1):
         sub = Subspace(P.dims[u - 1], A.field)
@@ -371,9 +374,10 @@ def test_indecomposable_over_prime_field_agrees_or_refuses():
     for field in (QQ, PrimeField(3), PrimeField(5)):
         A = build_algebra(cartan_data(entries, "minimal"), field=field)
         W = enumerate_weyl(A.data.cartan)
+        ctx = IdealSemigroup(A, W)
         for w in W:
             for v in range(1, A.n + 1):
-                Q = _projective_over_block(A, W, w.word, v)
+                Q = _projective_over_block(ctx, w, v)
                 if Q.total_dim == 0:
                     continue
                 try:
@@ -389,13 +393,14 @@ def test_indecomposable_over_prime_field_agrees_or_refuses():
     assert answers[((2, 1, 3), 2)] == {0: True, 3: "refused", 5: True}
 
 
-def test_memoized_values_match_a_fresh_module(algebras, weyl_groups):
+def test_memoized_values_match_a_fresh_module(algebras, weyl_groups,
+                                              semigroups):
     """tau, indecomposability, series and locally free rank read from a
     shared block's cache equal the values of an uncached copy."""
     A, W = algebras["b3"], weyl_groups["b3"]
     blocks = {}
     for w in W:
-        ideal = ideal_of_word(A, W, w)
+        ideal = semigroups["b3"].of_element(w)
         for v in range(1, A.n + 1):
             blk = ideal.block(v)
             if blk is not None:
@@ -430,3 +435,30 @@ def test_submodule_roundtrip(algebras):
     assert R.total_dim == P1.total_dim - 1
     s = structure_series(R)
     assert [sum(l) for l in s.radical_layers] == [2, 1]
+
+
+def _a2_action(A, nonloop, eps1_rows=1):
+    """Action matrices on dims [1, 1]: the loops by 0 (eps_1 with
+    ``eps1_rows`` rows) and both non-loop arrows by ``nonloop``."""
+    act = {}
+    for a in A.quiver.arrows:
+        if a.is_loop:
+            rows = eps1_rows if a.index == 0 else 1
+            act[a.index] = Matrix.zeros(rows, 1, A.field)
+        else:
+            act[a.index] = Matrix.from_rows([[nonloop]], 1, A.field)
+    return act
+
+
+def test_module_rep_rejects_a_misshapen_action(algebras):
+    A = algebras["a2min"]
+    assert ModuleRep(A, [1, 1], _a2_action(A, 0)).total_dim == 2
+    with pytest.raises(VerificationFailed, match="action matrix .* has shape"):
+        ModuleRep(A, [1, 1], _a2_action(A, 0, eps1_rows=2))
+
+
+def test_module_rep_rejects_an_action_violating_a_relation(algebras):
+    A = algebras["a2min"]
+    with pytest.raises(VerificationFailed,
+                       match="relation does not annihilate module"):
+        ModuleRep(A, [1, 1], _a2_action(A, 1))

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -23,15 +25,14 @@ from preproj.repmod import (
     projective_module,
 )
 from preproj.tautilt import (
+    IdealSemigroup,
     ModuleNamer,
     SttPair,
     _minimal_approximation,
     classification_report,
     extend_right,
     full_ideal,
-    ideal_of_word,
     ideal_product,
-    ideal_semigroup,
     left_mutation,
     mutation_graph,
     pairs_isomorphic,
@@ -41,24 +42,25 @@ from preproj.tautilt import (
 )
 
 
-def test_vertex_ideal_shapes(algebras):
+def test_vertex_ideal_shapes(algebras, semigroups):
     eg1 = algebras["eg1"]
-    I1 = vertex_ideal(eg1, {1})
+    I1 = vertex_ideal(semigroups["eg1"].table, {1})
     assert I1.dim == 6
     assert I1.block(1).total_dim == 2  # e_1 I_1, isomorphic to E_2
     assert I1.block(2).total_dim == 4  # e_2 I_1 = e_2 Pi
-    assert vertex_ideal(eg1, set()).dim == eg1.dim
-    assert vertex_ideal(eg1, {1, 2}).dim == 0
+    assert vertex_ideal(semigroups["eg1"].table, set()).dim == eg1.dim
+    assert vertex_ideal(semigroups["eg1"].table, {1, 2}).dim == 0
     # general S: the two-vertex cut in A3 leaves only the middle idempotent
     a3 = algebras["a3"]
-    I13 = vertex_ideal(a3, {1, 3})
+    I13 = vertex_ideal(semigroups["a3"].table, {1, 3})
     assert I13.dim < a3.dim
 
 
-def test_ideal_idempotent_and_braid(algebras):
+def test_ideal_idempotent_and_braid(algebras, semigroups):
     for name in ("a2min", "eg1", "eg2", "g2"):
         A = algebras[name]
-        gens = [vertex_ideal(A, {i}) for i in range(1, A.n + 1)]
+        gens = [vertex_ideal(semigroups[name].table, {i})
+                for i in range(1, A.n + 1)]
         for I in gens:
             assert ideal_product(I, I).blocks == I.blocks
         from preproj.coxeter import coxeter_order
@@ -67,8 +69,8 @@ def test_ideal_idempotent_and_braid(algebras):
                 if i == j:
                     continue
                 m = coxeter_order(A.data.cartan, i, j)
-                left = full_ideal(A)
-                right = full_ideal(A)
+                left = full_ideal(semigroups[name].table)
+                right = full_ideal(semigroups[name].table)
                 for k in range(m):
                     left = ideal_product(left, gens[(i, j)[k % 2] - 1])
                     right = ideal_product(right, gens[(j, i)[k % 2] - 1])
@@ -86,8 +88,9 @@ def test_rank2_zero_products():
     for entries, symmetrizers, m in cases:
         for sym in symmetrizers:
             A = build_algebra(cartan_data(entries, sym))
-            I1 = vertex_ideal(A, {1})
-            I2 = vertex_ideal(A, {2})
+            table = IdealSemigroup(A, enumerate_weyl(A.data.cartan)).table
+            I1 = vertex_ideal(table, {1})
+            I2 = vertex_ideal(table, {2})
             for start in (I1, I2):
                 other = I2 if start is I1 else I1
                 prod = start
@@ -97,24 +100,23 @@ def test_rank2_zero_products():
                 assert prod.dim == 0, (entries, sym)
 
 
-def test_ideal_of_word_examples(algebras, weyl_groups):
+def test_ideal_of_word_examples(algebras, weyl_groups, semigroups):
     eg1, W1 = algebras["eg1"], weyl_groups["eg1"]
-    assert ideal_of_word(eg1, W1, W1.identity).dim == eg1.dim
-    assert ideal_of_word(eg1, W1, W1.longest()).dim == 0
+    assert semigroups["eg1"].of_element(W1.identity).dim == eg1.dim
+    assert semigroups["eg1"].of_element(W1.longest()).dim == 0
     eg2, W2 = algebras["eg2"], weyl_groups["eg2"]
-    I_s1 = ideal_of_word(eg2, W2, W2.simple(1))
+    I_s1 = semigroups["eg2"].of_element(W2.simple(1))
     assert I_s1.block(1).total_dim == 4
     assert is_isomorphic(I_s1.block(2), projective_module(eg2, 2))
 
 
-def test_stt_pairs_eg1(algebras, weyl_groups):
-    eg1, W = algebras["eg1"], weyl_groups["eg1"]
-    ctx = ideal_semigroup(eg1, W)
-    from preproj.tautilt import _namer_cached
-    namer = _namer_cached(eg1, ctx)
+def test_stt_pairs_eg1(weyl_groups, semigroups):
+    W = weyl_groups["eg1"]
+    ctx = semigroups["eg1"]
+    namer = ModuleNamer(ctx)
     got = {}
     for w in W:
-        pair = stt_pair(eg1, W, w)
+        pair = stt_pair(ctx, w)
         names = tuple(namer.name_block(v, w.word, s)
                       for v, s in zip(pair.block_vertices, pair.summands))
         got["".join(map(str, w.word))] = (names, pair.projective_vertices)
@@ -128,11 +130,11 @@ def test_stt_pairs_eg1(algebras, weyl_groups):
     }
 
 
-def test_verify_stt(algebras, weyl_groups):
+def test_verify_stt(algebras, weyl_groups, semigroups):
     eg1, W = algebras["eg1"], weyl_groups["eg1"]
-    ok, reasons = verify_stt(stt_pair(eg1, W, W.identity))
+    ok, reasons = verify_stt(stt_pair(semigroups["eg1"], W.identity))
     assert ok, reasons
-    ok, reasons = verify_stt(stt_pair(eg1, W, W.longest()))
+    ok, reasons = verify_stt(stt_pair(semigroups["eg1"], W.longest()))
     assert ok, reasons
     bad = SttPair(eg1, [generalized_simple(eg1, 1),
                         generalized_simple(eg1, 2)], ())
@@ -141,36 +143,36 @@ def test_verify_stt(algebras, weyl_groups):
     assert any("tau" in r for r in reasons)
 
 
-def test_left_mutation_examples(algebras, weyl_groups):
-    eg1, W1 = algebras["eg1"], weyl_groups["eg1"]
+def test_left_mutation_examples(weyl_groups, semigroups):
+    W1, sg1 = weyl_groups["eg1"], semigroups["eg1"]
     # mu at e_1 Pi of (Pi, 0) gives I_1 = E_2 + e_2 Pi
-    start = stt_pair(eg1, W1, W1.identity)
+    start = stt_pair(sg1, W1.identity)
     got = left_mutation(start, 1)
-    want = stt_pair(eg1, W1, W1.simple(1))
+    want = stt_pair(sg1, W1.simple(1))
     assert pairs_isomorphic(got, want)
     # eg2: mu at e_1 Pi of (Pi, 0) gives e_1 I_1 + e_2 Pi
-    eg2, W2 = algebras["eg2"], weyl_groups["eg2"]
-    got2 = left_mutation(stt_pair(eg2, W2, W2.identity), 1)
-    assert pairs_isomorphic(got2, stt_pair(eg2, W2, W2.simple(1)))
+    W2, sg2 = weyl_groups["eg2"], semigroups["eg2"]
+    got2 = left_mutation(stt_pair(sg2, W2.identity), 1)
+    assert pairs_isomorphic(got2, stt_pair(sg2, W2.simple(1)))
     # eg1: mu at E_2 of (E_2, e_1 Pi) completes to (0, Pi)
     w21 = W1.from_word((2, 1))
-    pair21 = stt_pair(eg1, W1, w21)
+    pair21 = stt_pair(sg1, w21)
     done = left_mutation(pair21, pair21.block_vertices[0])
     assert done.summands == []
     assert done.projective_vertices == (1, 2)
 
 
-def test_left_mutation_refuses_fac_direction(algebras, weyl_groups):
-    eg1, W = algebras["eg1"], weyl_groups["eg1"]
-    pair = stt_pair(eg1, W, W.simple(1))
+def test_left_mutation_refuses_fac_direction(weyl_groups, semigroups):
+    W = weyl_groups["eg1"]
+    pair = stt_pair(semigroups["eg1"], W.simple(1))
     # the block e_1 I_1 (iso to E_2) is a quotient of e_2 Pi, so only a
     # right mutation exists at it
     with pytest.raises(NotMutable):
         left_mutation(pair, 1)
 
 
-def test_mutation_graph_eg1(algebras, weyl_groups):
-    g = mutation_graph(algebras["eg1"], weyl_groups["eg1"], validate="all")
+def test_mutation_graph_eg1(semigroups):
+    g = mutation_graph(semigroups["eg1"], validate="all")
     labels = {ws: set(node.summands) or {"0"} for ws, node in g.nodes.items()}
     assert labels == {
         "": {"e1P", "e2P"},
@@ -186,8 +188,8 @@ def test_mutation_graph_eg1(algebras, weyl_groups):
     ]
 
 
-def test_mutation_graph_eg2(algebras, weyl_groups):
-    g = mutation_graph(algebras["eg2"], weyl_groups["eg2"], validate="all")
+def test_mutation_graph_eg2(semigroups):
+    g = mutation_graph(semigroups["eg2"], validate="all")
     labels = {ws: set(n.summands) or {"0"} for ws, n in g.nodes.items()}
     assert labels == {
         "": {"e1P", "e2P"},
@@ -209,14 +211,14 @@ def test_mutation_graph_eg2(algebras, weyl_groups):
 def test_rank1_graph():
     A = build_algebra(cartan_data([[2]], (3,)))
     W = enumerate_weyl(A.data.cartan)
-    g = mutation_graph(A, W, validate="all")
+    g = mutation_graph(IdealSemigroup(A, W), validate="all")
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
 
 
-def test_graph_connected(algebras, weyl_groups):
+def test_graph_connected(semigroups):
     for name in ("eg1", "eg2", "g2", "a3"):
-        g = mutation_graph(algebras[name], weyl_groups[name])
+        g = mutation_graph(semigroups[name])
         adj = {ws: set() for ws in g.nodes}
         for a, b, _ in g.edges:
             adj[a].add(b)
@@ -232,22 +234,22 @@ def test_graph_connected(algebras, weyl_groups):
         assert seen == set(g.nodes)
 
 
-def test_fac_strictly_decreases(algebras, weyl_groups):
+def test_fac_strictly_decreases(weyl_groups, semigroups):
     for name in ("eg1", "eg2"):
-        A, W = algebras[name], weyl_groups[name]
-        g = mutation_graph(A, W)
+        W, ctx = weyl_groups[name], semigroups[name]
+        g = mutation_graph(ctx)
         for (src, dst, i) in g.edges:
-            old = stt_pair(A, W, W.from_word(tuple(map(int, src)))).module()
-            new = stt_pair(A, W, W.from_word(tuple(map(int, dst)))).module()
+            old = stt_pair(ctx, W.from_word(tuple(map(int, src)))).module()
+            new = stt_pair(ctx, W.from_word(tuple(map(int, dst)))).module()
             assert in_fac(old, new)
             assert not in_fac(new, old)
 
 
-def test_hom_Ii_Ei_and_local_freeness(algebras):
+def test_hom_Ii_Ei_and_local_freeness(algebras, semigroups):
     for name in ("a2min", "eg1", "eg2", "g2", "a3", "b3"):
         A = algebras[name]
         for i in range(1, A.n + 1):
-            Ii = vertex_ideal(A, {i})
+            Ii = vertex_ideal(semigroups[name].table, {i})
             Ei = generalized_simple(A, i)
             assert hom_space(Ii.module(), Ei).dim == 0
             assert locally_free_rank(Ii.module()) is not None
@@ -256,25 +258,25 @@ def test_hom_Ii_Ei_and_local_freeness(algebras):
                 assert locally_free_rank(blk) is not None
 
 
-def test_classification_eg1(algebras, weyl_groups):
-    rep = classification_report(algebras["eg1"], weyl_groups["eg1"])
+def test_classification_eg1(semigroups):
+    rep = classification_report(semigroups["eg1"])
     assert rep.ok
     assert rep.stt_count == 6
     assert sorted(t[0] for t in rep.tau_rigid_modules) == \
         ["E1", "E2", "e1P", "e2P"]
 
 
-def test_classification_eg2(algebras, weyl_groups):
-    rep = classification_report(algebras["eg2"], weyl_groups["eg2"])
+def test_classification_eg2(semigroups):
+    rep = classification_report(semigroups["eg2"])
     assert rep.ok
     assert rep.stt_count == 8
     assert sorted(t[0] for t in rep.tau_rigid_modules) == \
         ["E1", "E2", "e1I1", "e1P", "e2I2", "e2P"]
 
 
-def test_demazure_route_matches_product(algebras, weyl_groups):
-    A, W = algebras["a2min"], weyl_groups["a2min"]
-    ctx = ideal_semigroup(A, W)
+def test_demazure_route_matches_product(weyl_groups, semigroups):
+    W = weyl_groups["a2min"]
+    ctx = semigroups["a2min"]
     for u in W:
         for v in W:
             lhs = ideal_product(ctx.of_element(u), ctx.of_element(v))
@@ -282,14 +284,14 @@ def test_demazure_route_matches_product(algebras, weyl_groups):
             assert lhs.blocks == rhs.blocks
 
 
-def test_extend_right_matches_product(algebras, weyl_groups):
-    A, W = algebras["eg2"], weyl_groups["eg2"]
-    ctx = ideal_semigroup(A, W)
+def test_extend_right_matches_product(weyl_groups, semigroups):
+    W = weyl_groups["eg2"]
+    ctx = semigroups["eg2"]
     for w in W:
         iw = ctx.of_element(w)
         for i in (1, 2):
-            via_closure = extend_right(A, iw, i)
-            via_product = ideal_product(iw, vertex_ideal(A, {i}))
+            via_closure = extend_right(iw, i)
+            via_product = ideal_product(iw, vertex_ideal(ctx.table, {i}))
             assert via_closure.blocks == via_product.blocks
 
 
@@ -302,20 +304,19 @@ def test_classification_agrees_over_prime_field(weyl_groups):
             ("g2", [[2, -1], [-3, 2]], (3, 1))):
         A = build_algebra(cartan_data(entries, sym), field=PrimeField(101))
         W = weyl_groups[name]
-        rep = classification_report(A, W)
+        rep = classification_report(IdealSemigroup(A, W))
         assert rep.ok
         assert rep.stt_count == W.order
-        from preproj.tautilt import _namer_cached
         base = build_algebra(cartan_data(entries, sym))
-        base_rep = classification_report(base, W)
+        base_rep = classification_report(IdealSemigroup(base, W))
         assert sorted(t[0] for t in rep.tau_rigid_modules) == \
             sorted(t[0] for t in base_rep.tau_rigid_modules)
         assert sorted(t[1] for t in rep.tau_rigid_modules) == \
             sorted(t[1] for t in base_rep.tau_rigid_modules)
 
 
-def test_emitters(algebras, weyl_groups):
-    g = mutation_graph(algebras["eg1"], weyl_groups["eg1"])
+def test_emitters(semigroups):
+    g = mutation_graph(semigroups["eg1"])
     dot = g.to_dot()
     assert dot.startswith("digraph")
     assert '"w121" [label="0"];' in dot
@@ -326,7 +327,7 @@ def test_emitters(algebras, weyl_groups):
     assert {"from": "", "to": "1", "label": 1} in payload["edges"]
 
 
-def test_b3_qq_scalars_are_exact(algebras, weyl_groups):
+def test_b3_qq_scalars_are_exact(algebras, weyl_groups, semigroups):
     """No float anywhere on the rational path: Groebner basis, structure
     constants, one I_w and its block action matrices."""
     def exact(values):
@@ -340,7 +341,7 @@ def test_b3_qq_scalars_are_exact(algebras, weyl_groups):
             assert exact(A.mul_basis(i, j).values())
     W = weyl_groups["b3"]
     w = next(e for e in W.sorted_elements() if e.length == 4)
-    ideal = ideal_of_word(A, W, w)
+    ideal = semigroups["b3"].of_element(w)
     assert 0 < ideal.dim < A.dim
     assert exact(x for b in ideal.blocks for row in ideal.table.rows[b]
                  for x in row)
@@ -370,7 +371,7 @@ def test_b3_fp_scalars_are_reduced_ints(weyl_groups):
     assert square and reduced(square.values())
     W = weyl_groups["b3"]
     w = next(e for e in W.sorted_elements() if e.length == 4)
-    ideal = ideal_of_word(A, W, w)
+    ideal = IdealSemigroup(A, W).of_element(w)
     assert 0 < ideal.dim < A.dim
     assert reduced(x for b in ideal.blocks for row in ideal.table.rows[b]
                    for x in row)
@@ -395,21 +396,22 @@ B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
 @pytest.mark.parametrize("name, expected", [
     ("g2", 10), ("a3", 11), ("b3", 23), ("b4", 76)])
 def test_blocks_shared_across_weyl_elements(name, expected, algebras,
-                                            weyl_groups):
+                                            weyl_groups, semigroups):
     """e_v I_w depends only on w^-1 omega_v, so there are
     sum_i (|W omega_i| - 1) distinct nonzero blocks, and equal blocks of
     different ideals are one module object."""
     if name == "b4":
         A = build_algebra(cartan_data(B4, "minimal"))
         W = enumerate_weyl(A.data.cartan)
+        ctx = IdealSemigroup(A, W)
     else:
-        A, W = algebras[name], weyl_groups[name]
+        A, W, ctx = algebras[name], weyl_groups[name], semigroups[name]
     entries = [list(r) for r in A.data.cartan.entries]
     assert sum(s - 1 for s in weyl_orbit_sizes(entries)) == expected
     by_rows = {}
     distinct = {}
     for w in W:
-        ideal = ideal_of_word(A, W, w)
+        ideal = ctx.of_element(w)
         for v in range(1, A.n + 1):
             rows = ideal.table.rows[ideal.blocks[v - 1]]
             blk = ideal.block(v)
@@ -438,9 +440,10 @@ def test_minimal_approximation_counts_match_cartan(entries, sym):
     none into a block at a non-neighbour of i."""
     A = build_algebra(cartan_data(entries, sym))
     W = enumerate_weyl(A.data.cartan)
-    graph = mutation_graph(A, W, validate="all")
+    ctx = IdealSemigroup(A, W)
+    graph = mutation_graph(ctx, validate="all")
     for src, _, i in graph.edges:
-        pair = stt_pair(A, W, W.from_word(tuple(int(c) for c in src)))
+        pair = stt_pair(ctx, W.from_word(tuple(int(c) for c in src)))
         idx = pair.block_vertices.index(i)
         others = pair.summands[:idx] + pair.summands[idx + 1:]
         verts = pair.block_vertices[:idx] + pair.block_vertices[idx + 1:]
@@ -462,16 +465,17 @@ def test_block_names_match_first_isomorphic_candidate(entries, sym):
     e_1I_1 ~ E_2 is named E2, which pins the priority of E over I."""
     A = build_algebra(cartan_data(entries, sym))
     W = enumerate_weyl(A.data.cartan)
-    namer = ModuleNamer(ideal_semigroup(A, W))
+    ctx = IdealSemigroup(A, W)
+    namer = ModuleNamer(ctx)
     vertices = range(1, A.n + 1)
     candidates = ([(f"e{i}P", projective_module(A, i)) for i in vertices]
                   + [(f"E{i}", generalized_simple(A, i)) for i in vertices]
-                  + [(f"e{i}I{i}", vertex_ideal(A, {i}).block(i))
+                  + [(f"e{i}I{i}", vertex_ideal(ctx.table, {i}).block(i))
                      for i in vertices
-                     if vertex_ideal(A, {i}).block(i) is not None])
+                     if vertex_ideal(ctx.table, {i}).block(i) is not None])
     seen = set()
     for w in W:
-        ideal = ideal_of_word(A, W, w)
+        ideal = ctx.of_element(w)
         for v in vertices:
             blk = ideal.block(v)
             if blk is None or id(blk) in seen:
@@ -491,8 +495,30 @@ def test_block_names_match_first_isomorphic_candidate(entries, sym):
 def test_mutation_graph_validates_over_small_primes(entries, sym, p):
     A = build_algebra(cartan_data(entries, sym), field=PrimeField(p))
     W = enumerate_weyl(A.data.cartan)
-    graph = mutation_graph(A, W, validate="all")
+    graph = mutation_graph(IdealSemigroup(A, W), validate="all")
     assert len(graph.nodes) == W.order
+
+
+def test_dropping_the_context_frees_its_blocks(algebras, weyl_groups):
+    """The caller owns the ideal layer: building and using a context adds
+    no attribute to the algebra, and a dropped context frees its block
+    modules by reference counting alone."""
+    A, W = algebras["b3"], weyl_groups["b3"]
+    keys = set(vars(A))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = IdealSemigroup(A, W)
+        classification_report(ctx)
+        mutation_graph(ctx)
+        ref = weakref.ref(ctx.of_element(W.simple(1)).block(1))
+        assert ref() is not None
+        assert set(vars(A)) == keys
+        del ctx
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_semigroup_memos_are_bounded():
@@ -501,15 +527,15 @@ def test_semigroup_memos_are_bounded():
     I_u I_i = I_{u s_i} memoizes at most one right step per (block, i)."""
     A = build_algebra(cartan_data(B4, "minimal"))
     W = enumerate_weyl(A.data.cartan)
-    mutation_graph(A, W, validate="none")
-    table = A._ideal_cache["blocks"]
+    ctx = IdealSemigroup(A, W)
+    mutation_graph(ctx, validate="none")
+    table = ctx.table
     assert 0 < len(table.left) <= 151
-    ctx = ideal_semigroup(A, W)
     for u in W:
         for i in range(1, A.n + 1):
             v = W.right_mul(u, i)
             if v.length > u.length:
-                assert extend_right(A, ctx.of_element(u), i) == \
+                assert extend_right(ctx.of_element(u), i) == \
                     ctx.of_element(v)
     assert 0 < len(table.right) <= len(table.rows) * A.n
 
@@ -548,8 +574,9 @@ def test_block_dims_match_root_formula(entries, sym, p):
     W = enumerate_weyl(A.data.cartan)
     d = A.quiver.symmetrizer
     full = A.dims_matrix()
+    ctx = IdealSemigroup(A, W)
     for w in W:
-        ideal = ideal_of_word(A, W, w)
+        ideal = ctx.of_element(w)
         for i in range(1, A.n + 1):
             blk = ideal.block(i)
             sub = blk.dims if blk is not None else [0] * A.n
