@@ -11,7 +11,17 @@ whose paths start at v) and one matrix per arrow.  Right multiplication by
 the arrow a extends paths at their source, so it maps M_{target(a)} to
 M_{source(a)}; the matrix ``act[a]`` realizes that map in column convention.
 Hom computations run through minimal presentations (Hom out of projectives
-is free), which keeps every linear solve small.
+is free), which keeps every linear solve small.  ``hom_space`` builds all
+basis maps of Hom(M, N) in one pass: the path of each P0 coordinate acts
+on N once, on the generator images of every kernel vector at once, and
+these products live only for the call.
+
+The relation check runs where untrusted data enters: the public
+``ModuleRep(...)`` constructor checks that every relation of Pi acts by
+zero.  The constructors that build a module from already-checked algebra
+data (``module_from_subspace``, ``uniserial_module``, ``direct_sum``,
+``submodule``, ``quotient_module``, tau and nu) skip it; the tests call
+``_validate`` on their output as an oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +36,11 @@ from .pathalg import FiniteDimAlgebra
 
 class ModuleRep:
     """A right module: per-vertex dimensions plus arrow action matrices.
+
+    ``validate=True`` (the default, for actions from outside the package)
+    checks the matrix shapes and that every relation of Pi acts by zero;
+    the package's own constructors pass ``validate=False``.  Hom spaces are
+    built in one pass per call (see ``hom_space``).
 
     A module is never mutated after construction: ``dims``, ``act`` and the
     action matrices stay as the constructor left them.  Values that depend
@@ -174,7 +189,7 @@ def module_from_subspace(algebra: FiniteDimAlgebra, vectors) -> ModuleRep:
             for r, c in enumerate(coeffs):
                 out.rows[r][col] = c
         act[a.index] = out
-    mod = ModuleRep(algebra, dims, act)
+    mod = ModuleRep(algebra, dims, act, validate=False)
     mod._embedding = {v: spaces[v] for v in spaces}
     return mod
 
@@ -199,7 +214,7 @@ def uniserial_module(algebra: FiniteDimAlgebra, i: int, d: int) -> ModuleRep:
             for t in range(d - 1):
                 m.rows[t + 1][t] = field.one
         act[a.index] = m
-    return ModuleRep(algebra, dims, act)
+    return ModuleRep(algebra, dims, act, validate=False)
 
 
 def simple_module(algebra: FiniteDimAlgebra, i: int) -> ModuleRep:
@@ -392,14 +407,13 @@ def structure_series(mod: ModuleRep) -> SeriesReport:
 
 @dataclass
 class Presentation:
-    """P1 --X--> P0 --cover--> M -> 0 with both covers minimal.
+    """P1 --X--> P0 --> M -> 0 with both covers minimal.
 
     Cached on M, so it holds no reference back to M: the pair then frees
     by reference counting alone."""
 
     p0: list                 # vertices u_k
     p0_layout: dict          # vertex v -> list of (k, global basis index)
-    cover: dict              # vertex v -> Matrix (dim M_v x dim P0_v)
     section: dict            # vertex v -> Matrix (dim P0_v x dim M_v)
     syzygy: ModuleRep        # K = ker(P0 -> M), a submodule of P0
     p1: list                 # vertices v_l
@@ -430,37 +444,31 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     field = A.field
     lifts = _top_lifts(mod)
     p0 = []
-    gens = []  # (vertex u_k, lift vector)
+    gens = []  # generator k -> lift vector m_k in M e_{u_k}
     for v in range(1, A.n + 1):
         for vec in lifts[v]:
             p0.append(v)
-            gens.append((v, vec))
+            gens.append(vec)
     # layout of P0's vertex-v coordinates: (generator k, basis monomial of
     # e_{u_k} Pi with source v), ordered by k then monomial
     p0_layout = {v: [] for v in range(1, A.n + 1)}
     for k, u in enumerate(p0):
         for g in A.by_target[u]:
             p0_layout[A.source[g]].append((k, g))
-    cover = {}
-    for v in range(1, A.n + 1):
-        cols = []
-        for (k, g) in p0_layout[v]:
-            u, m_k = gens[k]
-            mon = A.basis[g]
-            if not mon[1]:
-                cols.append(list(m_k))
-            else:
-                cols.append(mod.act_word(mon[1]).vec(m_k))
-        cover[v] = Matrix.from_cols(cols, mod.dims[v - 1], field)
     section = {}
     kvecs = {}
     for v in range(1, A.n + 1):
-        ident = Matrix.identity(mod.dims[v - 1], field)
-        s = solve_matrix(cover[v], ident)
+        cols = []
+        for (k, g) in p0_layout[v]:
+            word = A.basis[g][1]
+            cols.append(mod.act_word(word).vec(gens[k]) if word
+                        else list(gens[k]))
+        cover = Matrix.from_cols(cols, mod.dims[v - 1], field)
+        s = solve_matrix(cover, Matrix.identity(mod.dims[v - 1], field))
         if s is None:
             raise VerificationFailed("projective cover is not surjective")
         section[v] = s
-        kvecs[v] = nullspace(cover[v])
+        kvecs[v] = nullspace(cover)
     # K as a submodule of P0 (built per vertex on the kernel vectors)
     p0_mod = _p0_module(A, p0, p0_layout)
     syz = submodule(p0_mod, kvecs)
@@ -492,7 +500,7 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    return Presentation(p0, p0_layout, cover, section, syz, p1, x_matrix)
+    return Presentation(p0, p0_layout, section, syz, p1, x_matrix)
 
 
 def _p0_module(A: FiniteDimAlgebra, p0, p0_layout) -> ModuleRep:
@@ -549,38 +557,42 @@ def _approximation_matrix(pres: Presentation, N: ModuleRep):
 
 
 def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
-    """Basis of Hom(M, N) computed through the minimal presentation of M."""
+    """Basis of Hom(M, N) computed through the minimal presentation of M.
+
+    A kernel vector of the approximation matrix gives the images n_k in
+    N e_{u_k} of the generators of P0, and its map sends the P0 coordinate
+    (k, g) at vertex v to n_k g.  All basis maps are built in one pass: per
+    coordinate (k, g), the action of the path g on N multiplies the matrix
+    whose columns are the n_k of every kernel vector, so each path acts on
+    N once per generator, not once per basis map.  Composing with the
+    section P0_v <- M_v then gives the maps on M."""
     if M.total_dim == 0 or N.total_dim == 0:
         return HomBasis(0, [], M, N)
     pres = minimal_projective_presentation(M)
     phi, src_dims = _approximation_matrix(pres, N)
     kernel = nullspace(phi)
-    maps = [_materialize_hom(pres, N, vec, src_dims) for vec in kernel]
-    return HomBasis(len(kernel), maps, M, N)
-
-
-def _materialize_hom(pres: Presentation, N: ModuleRep, vec, src_dims):
-    """Per-vertex matrices of the hom M -> N with generator images ``vec``."""
+    if not kernel:
+        return HomBasis(0, [], M, N)
     A = N.algebra
     field = A.field
-    splits = []
+    images = []  # generator k -> d_k x e matrix of the n_k of all kernel vectors
     pos = 0
     for d in src_dims:
-        splits.append(vec[pos:pos + d])
+        images.append(Matrix([[vec[pos + r] for vec in kernel]
+                              for r in range(d)], d, len(kernel), field))
         pos += d
-    out = {}
+    maps = [{} for _ in kernel]
     for v in range(1, A.n + 1):
-        cols_fp = []
+        cols = []  # P0 coordinate at v -> dim N_v x e matrix
         for (k, g) in pres.p0_layout[v]:
-            mon = A.basis[g]
-            nk = splits[k]
-            if not mon[1]:
-                cols_fp.append(list(nk))
-            else:
-                cols_fp.append(N.act_word(mon[1]).vec(nk))
-        fpi = Matrix.from_cols(cols_fp, N.dims[v - 1], field)
-        out[v] = fpi.mul(pres.section[v])
-    return out
+            word = A.basis[g][1]
+            cols.append(N.act_word(word).mul(images[k]) if word else images[k])
+        d_v = N.dims[v - 1]
+        for j, h in enumerate(maps):
+            fpi = Matrix([[c.rows[r][j] for c in cols] for r in range(d_v)],
+                         d_v, len(cols), field)
+            h[v] = fpi.mul(pres.section[v])
+    return HomBasis(len(kernel), maps, M, N)
 
 
 def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -681,7 +693,7 @@ def auslander_reiten_translate(M: ModuleRep) -> ModuleRep:
             for r, c in enumerate(img):
                 out.rows[r][col] = c
         act[a.index] = out.transpose()
-    return ModuleRep(A, dims, act)
+    return ModuleRep(A, dims, act, validate=False)
 
 
 def nakayama_nu(M: ModuleRep) -> ModuleRep:
@@ -714,25 +726,26 @@ def nakayama_nu(M: ModuleRep) -> ModuleRep:
             for r, c in enumerate(coeffs):
                 out.rows[r][col] = c
         act[a.index] = out.transpose()
-    return ModuleRep(A, dims, act)
+    return ModuleRep(A, dims, act, validate=False)
 
 
 @dataclass
 class Nakayama:
     sigma: tuple      # sigma[i-1] = sigma(i), from soc(e_i Pi) = S_{sigma(i)}
-    algebra: FiniteDimAlgebra
 
     def apply(self, i: int) -> int:
         return self.sigma[i - 1]
 
 
-def nakayama(algebra: FiniteDimAlgebra) -> Nakayama:
-    """The permutation with soc(e_i Pi) = S_{sigma(i)}."""
+def nakayama(projectives) -> Nakayama:
+    """The permutation with soc(e_i Pi) = S_{sigma(i)}, read from the
+    modules ``projectives[i - 1] = e_i Pi``."""
+    algebra = projectives[0].algebra
     if not algebra.dynkin:
         raise NotDynkin("Nakayama data requires Dynkin type")
     sigma = []
-    for i in range(1, algebra.n + 1):
-        soc = socle_subspaces(projective_module(algebra, i))
+    for i, P in enumerate(projectives, 1):
+        soc = socle_subspaces(P)
         dims = [(v, soc[v].dim) for v in range(1, algebra.n + 1)]
         nonzero = [(v, d) for v, d in dims if d]
         if len(nonzero) != 1 or nonzero[0][1] != 1:
@@ -740,7 +753,7 @@ def nakayama(algebra: FiniteDimAlgebra) -> Nakayama:
         sigma.append(nonzero[0][0])
     if sorted(sigma) != list(range(1, algebra.n + 1)):
         raise SocleNotSimple(f"socle assignment {sigma} is not a permutation")
-    return Nakayama(tuple(sigma), algebra)
+    return Nakayama(tuple(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,8 @@ def _right_step(table: BlockTable, b: int, i: int) -> int:
 
 class IdealSemigroup:
     """The ideal layer of one algebra and one Weyl group: the ``BlockTable``,
-    I_w memoized per Weyl element, and the Nakayama permutation."""
+    I_w memoized per Weyl element, the projectives e_v Pi and the Nakayama
+    permutation."""
 
     def __init__(self, algebra: FiniteDimAlgebra, weyl: WeylGroup):
         self.algebra = algebra
@@ -273,9 +274,16 @@ class IdealSemigroup:
         self._cache = {}
 
     @functools.cached_property
+    def projectives(self):
+        """e_v Pi for v = 1..n, the blocks of the full ideal: one module per
+        vertex, shared by sigma, the namer and the caller."""
+        full = full_ideal(self.table)
+        return [full.block(v) for v in range(1, self.algebra.n + 1)]
+
+    @functools.cached_property
     def sigma(self):
         """The Nakayama permutation: soc(e_i Pi) = S_{sigma(i)}."""
-        return nakayama(self.algebra)
+        return nakayama(self.projectives)
 
     def generator(self, i: int) -> Ideal:
         return self.of_element(self.weyl.simple(i))
@@ -329,7 +337,7 @@ class ModuleNamer:
 
     def _name(self, vertex: int, word, mod: ModuleRep) -> str:
         sg = self.semigroup
-        if mod is sg.of_element(sg.weyl.identity).block(vertex):
+        if mod is sg.projectives[vertex - 1]:
             return f"e{vertex}P"
         rank = locally_free_rank(mod)
         if rank is not None and sum(rank) == 1:
@@ -408,9 +416,23 @@ def verify_stt(pair: SttPair):
         if not is_indecomposable(s):
             reasons.append(f"summand {a} decomposable")
         for b, t in enumerate(taus):
-            if hom_space(s, t).dim:
+            if _hom_dim_to_tau(s, t):
                 reasons.append(f"Hom(M_{a}, tau M_{b}) != 0")
     return (not reasons), reasons
+
+
+def _hom_dim_to_tau(M: ModuleRep, tau: ModuleRep) -> int:
+    """dim Hom(M, tau), memoized on M and keyed by the module ``tau``.
+
+    With shared blocks the same (block, tau block) pairs recur across the
+    pairs (I_w, P_w), so each dimension is computed once.  ``tau`` is built
+    by ``auslander_reiten_translate`` and never refers back to M, so the
+    memo makes no reference cycle."""
+    memo = M._cache.setdefault("hom_dim_to_tau", {})
+    dim = memo.get(tau)
+    if dim is None:
+        dim = memo[tau] = hom_space(M, tau).dim
+    return dim
 
 
 def left_mutation(pair: SttPair, vertex_or_index) -> SttPair:

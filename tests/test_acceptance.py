@@ -23,7 +23,6 @@ from preproj.repmod import (
     generalized_simple,
     hom_space,
     is_isomorphic,
-    nakayama,
     nakayama_nu,
     projective_module,
 )
@@ -185,7 +184,7 @@ def test_criterion_6_mutation_graphs(weyl_groups, semigroups):
 def test_criterion_7_homological_identities(algebras, semigroups):
     for name in CRITERION4:
         A = algebras[name]
-        nak = nakayama(A)
+        nak = semigroups[name].sigma
         pdims = [projective_module(A, j).total_dim for j in range(1, A.n + 1)]
         for i in range(1, A.n + 1):
             Ei = generalized_simple(A, i)

@@ -175,6 +175,23 @@ def test_cmd_verify_prints_failure_witnesses(monkeypatch, capsys):
     assert len(lines) == 6
 
 
+def test_verify_skips_the_checks_that_need_the_weyl_group(capsys):
+    """When the Weyl enumeration fails, the classification and graph lines
+    say they were skipped instead of reporting an error about the missing
+    group; the exit code stays 1."""
+    assert main(["verify", "--config", json.dumps(EG1), "--cap", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL weyl enumeration (CapExceeded: ")
+    assert lines[1:] == [
+        "PASS coxeter orders of sigma_i*",
+        "PASS algebra construction and verification",
+        "PASS homological identities",
+        "FAIL classification report (skipped: Weyl enumeration failed)",
+        "FAIL mutation graph with left-mutation cross-check "
+        "(skipped: Weyl enumeration failed)",
+    ]
+
+
 def test_cmd_verify_affine(capsys):
     assert main(["verify", "--config", json.dumps(AFFINE)]) == 0
     out = capsys.readouterr().out
@@ -249,6 +266,33 @@ def test_stt_builds_each_block_once(monkeypatch, capsys):
     bound = sum(s - 1 for s in weyl_orbit_sizes(b3)) + len(b3)
     assert bound == 26
     assert 0 < len(calls) <= bound
+
+
+def test_verify_builds_each_projective_once(monkeypatch, capsys):
+    """B3 ``verify`` builds each e_vPi once: the Nakayama permutation, the
+    homological identities and the block names all read the projectives
+    of the one context."""
+    import preproj.repmod as repmod
+    import preproj.tautilt as tautilt
+    b3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+    builds = {}
+    build = repmod.module_from_subspace
+
+    def counting(algebra, vectors):
+        vectors = list(vectors)
+        support = {g for x in vectors for g in x}
+        for v in range(1, algebra.n + 1):
+            # independent vectors spanning all of e_vPi
+            if (support == set(algebra.by_target[v])
+                    and len(vectors) == len(support)):
+                builds[v] = builds.get(v, 0) + 1
+        return build(algebra, vectors)
+
+    monkeypatch.setattr(repmod, "module_from_subspace", counting)
+    monkeypatch.setattr(tautilt, "module_from_subspace", counting)
+    assert main(["verify", "--config", json.dumps({"cartan": b3})]) == 0
+    assert "48 support tau-tilting modules" in capsys.readouterr().out
+    assert builds == {1: 1, 2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("extra, key", [

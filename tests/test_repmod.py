@@ -7,10 +7,11 @@ from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
 from preproj.errors import RadicalUnavailable, VerificationFailed
 from preproj.fields import QQ, PrimeField
-from preproj.linalg import Matrix, Subspace, solve_matrix
+from preproj.linalg import Matrix, Subspace, nullspace, solve_matrix
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
     ModuleRep,
+    _approximation_matrix,
     auslander_reiten_translate,
     direct_sum,
     ext1_dim,
@@ -149,12 +150,17 @@ def test_tau_of_ideal_blocks(algebras, semigroups):
             assert brute_hom_dim(t, Ei) == brute_hom_dim(Ei, Ei)
 
 
-def test_nakayama(algebras):
-    assert nakayama(algebras["eg1"]).sigma == (2, 1)
-    assert nakayama(algebras["eg2"]).sigma == (1, 2)
+def _projectives(A):
+    return [projective_module(A, v) for v in range(1, A.n + 1)]
+
+
+def test_nakayama(algebras, semigroups):
+    assert nakayama(_projectives(algebras["eg1"])).sigma == (2, 1)
+    assert nakayama(_projectives(algebras["eg2"])).sigma == (1, 2)
     for name in ("eg1", "eg2", "g2", "a3", "b3"):
         A = algebras[name]
-        nak = nakayama(A)
+        nak = nakayama(_projectives(A))
+        assert semigroups[name].sigma == nak
         for i in range(1, A.n + 1):
             si = nak.apply(i)
             assert A.quiver.symmetrizer[i] == A.quiver.symmetrizer[si]
@@ -220,7 +226,7 @@ def test_dimension_identity(algebras):
     # dim E_i + dim E_{sigma(i)} + sum_j |c_ji| dim e_j Pi = 2 dim e_i Pi
     for name in ("eg1", "eg2", "g2", "a3", "b3"):
         A = algebras[name]
-        nak = nakayama(A)
+        nak = nakayama(_projectives(A))
         pdims = [projective_module(A, j).total_dim for j in range(1, A.n + 1)]
         for i in range(1, A.n + 1):
             lhs = (generalized_simple(A, i).total_dim
@@ -462,3 +468,80 @@ def test_module_rep_rejects_an_action_violating_a_relation(algebras):
     with pytest.raises(VerificationFailed,
                        match="relation does not annihilate module"):
         ModuleRep(A, [1, 1], _a2_action(A, 1))
+
+
+def _per_vector_homs(M, N):
+    """Oracle for the one-pass build in ``hom_space``: the basis maps of
+    Hom(M, N) built one kernel vector at a time, each path acting on N
+    once per map."""
+    A = N.algebra
+    pres = minimal_projective_presentation(M)
+    phi, src_dims = _approximation_matrix(pres, N)
+    maps = []
+    for vec in nullspace(phi):
+        splits = []
+        pos = 0
+        for d in src_dims:
+            splits.append(vec[pos:pos + d])
+            pos += d
+        out = {}
+        for v in range(1, A.n + 1):
+            cols = []
+            for (k, g) in pres.p0_layout[v]:
+                word = A.basis[g][1]
+                nk = splits[k]
+                cols.append(N.act_word(word).vec(nk) if word else list(nk))
+            fpi = Matrix.from_cols(cols, N.dims[v - 1], A.field)
+            out[v] = fpi.mul(pres.section[v])
+        maps.append(out)
+    return maps
+
+
+def _blocks_and_taus(ctx):
+    blocks = _distinct_blocks(ctx)
+    taus = [auslander_reiten_translate(b) for b in blocks]
+    return blocks + [t for t in taus if not t.is_zero]
+
+
+@pytest.mark.parametrize("entries, sym, field", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", QQ),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", PrimeField(101)),
+    ([[2, -1], [-3, 2]], (3, 1), QQ)], ids=["b3-qq", "b3-f101", "g2-qq"])
+def test_one_pass_hom_maps_match_the_per_vector_route(entries, sym, field):
+    """For every ordered pair of distinct blocks and tau blocks, the maps
+    of ``hom_space`` equal the per-vector oracle entry for entry, and each
+    map intertwines every arrow action."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    mods = _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    largest = 0
+    for M in mods:
+        for N in mods:
+            hb = hom_space(M, N)
+            want = _per_vector_homs(M, N)
+            assert hb.dim == len(hb.maps) == len(want)
+            for h, w in zip(hb.maps, want):
+                assert all(h[v].rows == w[v].rows for v in w)
+                for a in A.quiver.arrows:
+                    assert (h[a.source].mul(M.act[a.index]).rows
+                            == N.act[a.index].mul(h[a.target]).rows)
+            largest = max(largest, hb.dim)
+    assert largest > 2
+
+
+@pytest.mark.parametrize("entries, sym", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "minimal"),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal"),
+    ([[2, -1], [-3, 2]], (3, 1))], ids=["a3", "b3", "g2"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["qq", "f3"])
+def test_modules_built_without_the_relation_check_satisfy_the_relations(
+        entries, sym, field):
+    """The constructors that skip the relation check (blocks, tau, nu and
+    the uniserial modules) build modules that pass it."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    mods = _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    for i in range(1, A.n + 1):
+        mods.append(nakayama_nu(generalized_simple(A, i)))
+        mods.extend(uniserial_module(A, i, d)
+                    for d in range(1, A.quiver.symmetrizer[i] + 1))
+    for M in mods:
+        M._validate()

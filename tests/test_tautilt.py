@@ -521,6 +521,43 @@ def test_dropping_the_context_frees_its_blocks(algebras, weyl_groups):
             gc.enable()
 
 
+def test_hom_dims_to_tau_are_memoized_per_summand(algebras, weyl_groups,
+                                                   monkeypatch):
+    """``verify_stt`` computes each dim Hom(block, tau block) once: every
+    memoized dimension equals a fresh ``hom_space``, a second pass over all
+    pairs solves nothing, and the memo keeps no reference cycle."""
+    import preproj.tautilt as tautilt
+    A, W = algebras["b3"], weyl_groups["b3"]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = IdealSemigroup(A, W)
+        pairs = [stt_pair(ctx, w) for w in W]
+        assert all(verify_stt(pair)[0] for pair in pairs)
+        blocks = {id(s): s for pair in pairs for s in pair.summands}
+        memoized = 0
+        for M in blocks.values():
+            for tau, dim in M._cache["hom_dim_to_tau"].items():
+                assert dim == hom_space(M, tau).dim
+                memoized += 1
+        summand_pairs = sum(len(pair.summands) ** 2 for pair in pairs)
+        assert 0 < memoized < summand_pairs
+
+        def no_solve(*args):
+            raise AssertionError("hom_space called on a memoized pair")
+
+        monkeypatch.setattr(tautilt, "hom_space", no_solve)
+        assert all(verify_stt(pair)[0] for pair in pairs)
+        monkeypatch.undo()
+        blk = ctx.of_element(W.simple(1)).block(1)
+        refs = [weakref.ref(blk), weakref.ref(auslander_reiten_translate(blk))]
+        del ctx, pairs, blocks, M, tau, blk
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_semigroup_memos_are_bounded():
     """A B4 ``stt`` computes at most 151 left steps for its 383 extensions,
     one per distinct (i, blocks at the neighbours of i); the ascent check
