@@ -367,14 +367,18 @@ def cmd_verify(cfg: RunConfig):
         mutation_graph(box["ctx"], validate=validate, seed=cfg.seed)
 
     record("algebra construction and verification", check_build)
-    record("homological identities", check_homological)
-    for name, fn in (("classification report", check_classification),
-                     ("mutation graph with left-mutation cross-check",
-                      check_graph)):
-        if "W" in group_box:
-            record(name, fn)
-        else:
+    for name, fn, needs_weyl in (
+            ("homological identities", check_homological, False),
+            ("classification report", check_classification, True),
+            ("mutation graph with left-mutation cross-check", check_graph,
+             True)):
+        if "ctx" not in box:
+            checks.append((name, False,
+                           "skipped: algebra construction failed"))
+        elif needs_weyl and "W" not in group_box:
             checks.append((name, False, "skipped: Weyl enumeration failed"))
+        else:
+            record(name, fn)
 
     ok = all(c[1] for c in checks)
     lines = []

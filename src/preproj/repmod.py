@@ -11,17 +11,25 @@ whose paths start at v) and one matrix per arrow.  Right multiplication by
 the arrow a extends paths at their source, so it maps M_{target(a)} to
 M_{source(a)}; the matrix ``act[a]`` realizes that map in column convention.
 Hom computations run through minimal presentations (Hom out of projectives
-is free), which keeps every linear solve small.  ``hom_space`` builds all
-basis maps of Hom(M, N) in one pass: the path of each P0 coordinate acts
-on N once, on the generator images of every kernel vector at once, and
-these products live only for the call.
+is free), which keeps every linear solve small.
+
+Every module on a right-closed span of paths (a block e_vI, a projective
+e_vPi, the syzygy of a presentation) is built by ``module_from_subspace``
+from sparse elements of a free module (+)_k e_{u_k}Pi: the key
+k * dim Pi + g stands for the basis path g in copy k, and a span inside Pi
+uses copy 0 alone.  At vertex v the coordinates are the paths of
+e_{u_k}Pi e_v, and ``_keys[v]`` records the key of each.
+
+``hom_space`` builds all basis maps of Hom(M, N) in one pass: the path of
+each P0 coordinate acts on N once, on the generator images of every kernel
+vector at once, and these products live only for the call.
 
 The relation check runs where untrusted data enters: the public
 ``ModuleRep(...)`` constructor checks that every relation of Pi acts by
 zero.  The constructors that build a module from already-checked algebra
 data (``module_from_subspace``, ``uniserial_module``, ``direct_sum``,
-``submodule``, ``quotient_module``, tau and nu) skip it; the tests call
-``_validate`` on their output as an oracle.
+``quotient_module``, tau and nu) skip it; the tests call ``_validate`` on
+their output as an oracle.
 """
 
 from __future__ import annotations
@@ -146,42 +154,51 @@ def projective_module(algebra: FiniteDimAlgebra, v: int) -> ModuleRep:
 
 
 def module_from_subspace(algebra: FiniteDimAlgebra, vectors) -> ModuleRep:
-    """Module structure on a right-submodule-closed span inside Pi.
+    """Module structure on a right-closed span of paths.
 
-    ``vectors`` are sparse algebra coordinates; the per-vertex spaces are the
-    source-graded pieces and the arrow actions are right multiplications
-    expressed in the echelonized bases."""
+    ``vectors`` are sparse elements of a free module (+)_k e_{u_k} Pi: the
+    key k * dim Pi + g stands for the basis path g in copy k, and every path
+    of copy k has target u_k (k = 0 alone is a span inside Pi).  At vertex v
+    the coordinates are the paths of e_{u_k} Pi e_v of each copy that occurs,
+    in key order, and ``_keys[v]`` records the key of each coordinate.  The
+    per-vertex spaces are the source-graded pieces and the arrow actions are
+    right multiplications expressed in the echelonized bases."""
     field = algebra.field
-    local = {}
-    spaces = {}
-    for v in range(1, algebra.n + 1):
-        cols = algebra.by_source[v]
-        local[v] = {g: i for i, g in enumerate(cols)}
-        sub = Subspace(len(cols), field)
-        for vec in vectors:
-            proj = [field.zero] * len(cols)
-            touched = False
-            for g, c in vec.items():
-                li = local[v].get(g)
-                if li is not None:
-                    proj[li] = c
-                    touched = True
-            if touched:
-                sub.add(proj)
-        spaces[v] = sub
-    dims = [spaces[v].dim for v in range(1, algebra.n + 1)]
-    arrows = algebra.arrow_coords
+    dim = algebra.dim
+    n = algebra.n
+    targets = {key // dim: algebra.target[key % dim]
+               for vec in vectors for key in vec}
+    keys = {v: [] for v in range(1, n + 1)}
+    for k in sorted(targets):
+        for g in algebra.by_target[targets[k]]:
+            keys[algebra.source[g]].append(k * dim + g)
+    local = {v: {key: i for i, key in enumerate(keys[v])} for v in keys}
+    spaces = {v: Subspace(len(keys[v]), field) for v in keys}
+    for vec in vectors:
+        parts = {}
+        for key, c in vec.items():
+            v = algebra.source[key % dim]
+            part = parts.get(v)
+            if part is None:
+                part = parts[v] = [field.zero] * len(keys[v])
+            part[local[v][key]] = c
+        for v, part in parts.items():
+            spaces[v].add(part)
+    dims = [spaces[v].dim for v in range(1, n + 1)]
     act = {}
     for a in algebra.quiver.arrows:
-        src_rows = spaces[a.target].rows  # input side: M_{t(a)}
         out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for col, row in enumerate(src_rows):
-            x = {algebra.by_source[a.target][i]: c
-                 for i, c in enumerate(row) if c}
-            prod = algebra.mul_coords(x, arrows[a.index])
-            proj = [field.zero] * len(algebra.by_source[a.source])
-            for g, c in prod.items():
-                proj[local[a.source][g]] = c
+        for col, row in enumerate(spaces[a.target].rows):
+            copies = {}  # k -> the copy-k part of the row, as algebra coords
+            for key, c in zip(keys[a.target], row):
+                if c:
+                    k, g = divmod(key, dim)
+                    copies.setdefault(k, {})[g] = c
+            proj = [field.zero] * len(keys[a.source])
+            for k, x in copies.items():
+                for g, c in algebra.mul_coords(
+                        x, algebra.arrow_coords[a.index]).items():
+                    proj[local[a.source][k * dim + g]] = c
             coeffs = spaces[a.source].express(proj)
             if coeffs is None:
                 raise VerificationFailed(
@@ -190,7 +207,8 @@ def module_from_subspace(algebra: FiniteDimAlgebra, vectors) -> ModuleRep:
                 out.rows[r][col] = c
         act[a.index] = out
     mod = ModuleRep(algebra, dims, act, validate=False)
-    mod._embedding = {v: spaces[v] for v in spaces}
+    mod._embedding = spaces
+    mod._keys = keys
     return mod
 
 
@@ -243,32 +261,6 @@ def direct_sum(algebra: FiniteDimAlgebra, mods):
                     out.rows[r0 + r][c0 + c] = blk.rows[r][c]
         act[a.index] = out
     return ModuleRep(algebra, dims, act, validate=False), offsets
-
-
-def submodule(parent: ModuleRep, vectors_by_vertex) -> ModuleRep:
-    """Submodule spanned by per-vertex vectors (must be action-closed)."""
-    field = parent.algebra.field
-    spaces = {}
-    for v in range(1, parent.algebra.n + 1):
-        sub = Subspace(parent.dims[v - 1], field)
-        for vec in vectors_by_vertex.get(v, []):
-            sub.add(vec)
-        spaces[v] = sub
-    dims = [spaces[v].dim for v in range(1, parent.algebra.n + 1)]
-    act = {}
-    for a in parent.algebra.quiver.arrows:
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for col, row in enumerate(spaces[a.target].rows):
-            img = parent.act[a.index].vec(row)
-            coeffs = spaces[a.source].express(img)
-            if coeffs is None:
-                raise VerificationFailed("vectors are not action-closed")
-            for r, c in enumerate(coeffs):
-                out.rows[r][col] = c
-        act[a.index] = out
-    mod = ModuleRep(parent.algebra, dims, act, validate=False)
-    mod._embedding = spaces
-    return mod
 
 
 def quotient_module(parent: ModuleRep, sub_spaces) -> ModuleRep:
@@ -420,35 +412,32 @@ class Presentation:
     x_elems: list            # [k][l] algebra coords in e_{u_k} Pi e_{v_l}
 
 
-def _top_lifts(mod: ModuleRep):
-    """Per vertex, coordinate vectors lifting a basis of M_v / (rad M)_v."""
+def _top_columns(mod: ModuleRep):
+    """Per vertex v, the coordinates of M_v that are not pivots of
+    (rad M)_v: their unit vectors lift a basis of M_v / (rad M)_v."""
     rad = radical_subspaces(mod)
-    field = mod.algebra.field
-    lifts = {}
+    top = {}
     for v in range(1, mod.algebra.n + 1):
-        pivset = set(rad[v].pivots)
-        free = [c for c in range(mod.dims[v - 1]) if c not in pivset]
-        vecs = []
-        for c in free:
-            vec = [field.zero] * mod.dims[v - 1]
-            vec[c] = field.one
-            vecs.append(vec)
-        lifts[v] = vecs
-    return lifts
+        pivots = set(rad[v].pivots)
+        top[v] = [c for c in range(mod.dims[v - 1]) if c not in pivots]
+    return top
 
 
 @_memoized("presentation")
 def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
-    """Projective cover P0 -> M and a cover P1 of its kernel."""
+    """Projective cover P0 -> M and a cover P1 of its kernel.
+
+    Generator k of P0 = (+)_k e_{u_k} Pi maps to the unit vector of the top
+    column c_k of M e_{u_k}.  The syzygy K is built by
+    ``module_from_subspace`` on the kernel vectors of the cover, as sparse
+    elements of P0 (key k * dim Pi + g for the path g in copy k); the
+    generators of P1 are the echelon rows of K that are not radical
+    pivots."""
     A = mod.algebra
     field = A.field
-    lifts = _top_lifts(mod)
-    p0 = []
-    gens = []  # generator k -> lift vector m_k in M e_{u_k}
-    for v in range(1, A.n + 1):
-        for vec in lifts[v]:
-            p0.append(v)
-            gens.append(vec)
+    top = _top_columns(mod)
+    p0 = [v for v in range(1, A.n + 1) for _ in top[v]]
+    gens = [c for v in range(1, A.n + 1) for c in top[v]]
     # layout of P0's vertex-v coordinates: (generator k, basis monomial of
     # e_{u_k} Pi with source v), ordered by k then monomial
     p0_layout = {v: [] for v in range(1, A.n + 1)}
@@ -456,68 +445,40 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
         for g in A.by_target[u]:
             p0_layout[A.source[g]].append((k, g))
     section = {}
-    kvecs = {}
+    kvecs = []
     for v in range(1, A.n + 1):
         cols = []
         for (k, g) in p0_layout[v]:
             word = A.basis[g][1]
-            cols.append(mod.act_word(word).vec(gens[k]) if word
-                        else list(gens[k]))
+            if word:
+                cols.append(mod.act_word(word).col(gens[k]))
+            else:
+                cols.append([field.one if r == gens[k] else field.zero
+                             for r in range(mod.dims[v - 1])])
         cover = Matrix.from_cols(cols, mod.dims[v - 1], field)
         s = solve_matrix(cover, Matrix.identity(mod.dims[v - 1], field))
         if s is None:
             raise VerificationFailed("projective cover is not surjective")
         section[v] = s
-        kvecs[v] = nullspace(cover)
-    # K as a submodule of P0 (built per vertex on the kernel vectors)
-    p0_mod = _p0_module(A, p0, p0_layout)
-    syz = submodule(p0_mod, kvecs)
-    syz_lifts = _top_lifts(syz)
-    p = field.characteristic
+        kvecs.extend({k * A.dim + g: c for (k, g), c in zip(p0_layout[v], vec)
+                      if c}
+                     for vec in nullspace(cover))
+    syz = module_from_subspace(A, kvecs)
     p1 = []
-    x_elems = []
-    for v in range(1, A.n + 1):
-        for vec in syz_lifts[v]:
-            # vec is in K-coordinates at vertex v; map to P0 coordinates
-            p0vec = [field.zero] * len(p0_layout[v])
-            for i, c in enumerate(vec):
-                if c:
-                    row = syz._embedding[v].rows[i]
-                    for pos, rc in enumerate(row):
-                        if rc:
-                            p0vec[pos] = p0vec[pos] + c * rc
-            if p:
-                p0vec = [a % p for a in p0vec]
+    x_elems = []  # [l][k]
+    for v, cols in _top_columns(syz).items():
+        for c in cols:
             p1.append(v)
-            col = []
-            for k in range(len(p0)):
-                coords = {}
-                for pos, (kk, g) in enumerate(p0_layout[v]):
-                    if kk == k and p0vec[pos]:
-                        coords[g] = p0vec[pos]
-                col.append(coords)
+            col = [{} for _ in p0]
+            for key, x in zip(syz._keys[v], syz._embedding[v].rows[c]):
+                if x:
+                    k, g = divmod(key, A.dim)
+                    col[k][g] = x
             x_elems.append(col)
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
     return Presentation(p0, p0_layout, section, syz, p1, x_matrix)
-
-
-def _p0_module(A: FiniteDimAlgebra, p0, p0_layout) -> ModuleRep:
-    """Direct sum of e_{u_k} Pi realized on the p0_layout coordinates."""
-    field = A.field
-    dims = [len(p0_layout[v]) for v in range(1, A.n + 1)]
-    pos_index = {v: {pair: i for i, pair in enumerate(p0_layout[v])}
-                 for v in p0_layout}
-    act = {}
-    for a in A.quiver.arrows:
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for col, (k, g) in enumerate(p0_layout[a.target]):
-            prod = A.mul_coords({g: field.one}, A.arrow_coords[a.index])
-            for g2, c in prod.items():
-                out.rows[pos_index[a.source][(k, g2)]][col] = c
-        act[a.index] = out
-    return ModuleRep(A, dims, act, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -795,17 +756,17 @@ def is_tau_rigid(M: ModuleRep) -> bool:
     return hom_space(M, tau).dim == 0
 
 
-def in_fac(T: ModuleRep, X: ModuleRep) -> bool:
-    """X in Fac T, decided by the trace of T in X."""
+def in_fac(summands, X: ModuleRep) -> bool:
+    """X in Fac T for T the direct sum of ``summands`` (T = 0 when there
+    are none), decided by the trace of T in X: the sum of the images of
+    Hom(T_k, X) over the summands."""
     if X.total_dim == 0:
         return True
-    if T.total_dim == 0:
-        return False
-    homs = hom_space(T, X)
+    maps = [h for T in summands for h in hom_space(T, X).maps]
     field = X.algebra.field
     for v in range(1, X.algebra.n + 1):
         sub = Subspace(X.dims[v - 1], field)
-        for h in homs.maps:
+        for h in maps:
             m = h[v]
             for j in range(m.ncols):
                 sub.add(m.col(j))

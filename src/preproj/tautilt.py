@@ -449,11 +449,7 @@ def left_mutation(pair: SttPair, vertex_or_index) -> SttPair:
         idx = vertex_or_index
     X = pair.summands[idx]
     others = [s for t, s in enumerate(pair.summands) if t != idx]
-    if others:
-        U, _ = direct_sum(A, others)
-    else:
-        U = zero_module(A)
-    if in_fac(U, X):
+    if in_fac(others, X):
         raise NotMutable("summand lies in Fac of the complement; "
                          "only a right mutation exists here")
     copies = _minimal_approximation(A, X, others)

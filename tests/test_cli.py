@@ -192,6 +192,24 @@ def test_verify_skips_the_checks_that_need_the_weyl_group(capsys):
     ]
 
 
+def test_verify_skips_the_checks_that_need_the_algebra(capsys):
+    """When the algebra cannot be built (a degree cap below the Groebner
+    completion), the checks that need it say they were skipped; the exit
+    code stays 1."""
+    raw = {"cartan": [[2, -1], [-1, 2]], "symmetrizer": [2, 2],
+           "caps": {"max_degree": 2}}
+    assert main(["verify", "--config", json.dumps(raw)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["PASS weyl enumeration",
+                         "PASS coxeter orders of sigma_i*"]
+    assert lines[2].startswith(
+        "FAIL algebra construction and verification (CapExceeded: ")
+    assert lines[3:] == [
+        f"FAIL {name} (skipped: algebra construction failed)"
+        for name in ("homological identities", "classification report",
+                     "mutation graph with left-mutation cross-check")]
+
+
 def test_cmd_verify_affine(capsys):
     assert main(["verify", "--config", json.dumps(AFFINE)]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 import pytest
 
 from preproj.cartan import cartan_data
-from preproj.errors import CapExceeded
+from preproj.errors import CapExceeded, VerificationFailed
 from preproj.fields import QQ, PrimeField
 from preproj.pathalg import (
     arrow_mon,
@@ -18,6 +18,8 @@ from preproj.pathalg import (
 EG1 = cartan_data([[2, -1], [-1, 2]], (2, 2))
 EG2 = cartan_data([[2, -1], [-2, 2]], (2, 1))
 G2 = cartan_data([[2, -1], [-3, 2]], (3, 1))
+B4 = cartan_data([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
+                  [0, 0, -2, 2]], "minimal")
 
 
 def _mon(q, *arrow_names):
@@ -137,6 +139,24 @@ def test_verify_reports_layers():
     assert rep1.radical_layers[1][-1] == (0, 1)
     rep3 = verify_algebra(build_algebra(cartan_data([[2]], (3,))))
     assert rep3.layer_sizes(1) == [1, 1, 1]
+
+
+def test_verify_algebra_finds_one_corrupted_product():
+    """A wrong memoized product p * a with |p| >= 2 fails the associativity
+    check, which names a triple (x, y, a) with p in the support of xy.
+    B4 has dim 84; a sample of triples would likely miss the one entry."""
+    A = build_algebra(B4)
+    assert A.dim == 84
+    q = A.quiver
+    p, a, j = next((i, a.index, j) for i, m in enumerate(A.basis)
+                   if len(m[1]) >= 2 for a in q.arrows
+                   for j in A.arrow_coords[a.index] if A.mul_basis(i, j))
+    A._mul_table[p, j] = {k: 2 * c for k, c in A._mul_table[p, j].items()}
+    with pytest.raises(VerificationFailed, match="associativity fails") as err:
+        verify_algebra(A)
+    x, y, arrow = err.value.witness
+    assert arrow == arrow_mon(q, a)
+    assert p in A.mul_basis(A.index[x], A.index[y])
 
 
 def test_groebner_determinism():

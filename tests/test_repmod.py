@@ -23,13 +23,14 @@ from preproj.repmod import (
     is_tau_rigid,
     locally_free_rank,
     minimal_projective_presentation,
+    module_from_subspace,
     nakayama,
     nakayama_nu,
     projective_module,
     quotient_module,
+    radical_subspaces,
     simple_module,
     structure_series,
-    submodule,
     uniserial_module,
     zero_module,
 )
@@ -253,10 +254,10 @@ def test_in_fac(algebras):
     eg1 = algebras["eg1"]
     P1 = projective_module(eg1, 1)
     E2 = generalized_simple(eg1, 2)
-    assert in_fac(P1, P1)
-    assert in_fac(P1, zero_module(eg1))
+    assert in_fac([P1], P1)
+    assert in_fac([P1], zero_module(eg1))
     # E_2 is not a quotient of copies of e_1 Pi (no homs land in it)
-    assert not in_fac(P1, E2)
+    assert not in_fac([P1], E2)
     assert brute_hom_dim(P1, E2) == 0
 
 
@@ -431,13 +432,12 @@ def test_memoized_values_match_a_fresh_module(algebras, weyl_groups,
 
 
 def test_submodule_roundtrip(algebras):
+    """rad e_1 Pi, the span of the nontrivial paths into 1."""
     eg1 = algebras["eg1"]
     P1 = projective_module(eg1, 1)
-    rad = {}
-    from preproj.repmod import radical_subspaces
-    for v, sub in radical_subspaces(P1).items():
-        rad[v] = list(sub.rows)
-    R = submodule(P1, rad)
+    R = module_from_subspace(eg1, [{g: eg1.field.one}
+                                   for g in eg1.by_target[1]
+                                   if eg1.basis[g][1]])
     assert R.total_dim == P1.total_dim - 1
     s = structure_series(R)
     assert [sum(l) for l in s.radical_layers] == [2, 1]
@@ -528,6 +528,100 @@ def test_one_pass_hom_maps_match_the_per_vector_route(entries, sym, field):
     assert largest > 2
 
 
+def _dense_p0_module(A, p0, p0_layout):
+    """P0 = (+)_k e_{u_k} Pi with dense action matrices on the
+    ``p0_layout`` coordinates."""
+    dims = [len(p0_layout[v]) for v in range(1, A.n + 1)]
+    pos = {v: {pair: i for i, pair in enumerate(p0_layout[v])}
+           for v in p0_layout}
+    act = {}
+    for a in A.quiver.arrows:
+        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], A.field)
+        for col, (k, g) in enumerate(p0_layout[a.target]):
+            prod = A.mul_coords({g: A.field.one}, A.arrow_coords[a.index])
+            for g2, c in prod.items():
+                out.rows[pos[a.source][(k, g2)]][col] = c
+        act[a.index] = out
+    return ModuleRep(A, dims, act, validate=False)
+
+
+def _dense_submodule(parent, vectors_by_vertex):
+    """The submodule spanned by per-vertex vectors of ``parent``, each
+    arrow acting by a dense matrix-vector product; returns the module and
+    its echelon bases."""
+    A = parent.algebra
+    spaces = {v: Subspace.span(vectors_by_vertex[v], parent.dims[v - 1],
+                               A.field)
+              for v in range(1, A.n + 1)}
+    dims = [spaces[v].dim for v in range(1, A.n + 1)]
+    act = {}
+    for a in A.quiver.arrows:
+        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], A.field)
+        for col, row in enumerate(spaces[a.target].rows):
+            coeffs = spaces[a.source].express(parent.act[a.index].vec(row))
+            for r, c in enumerate(coeffs):
+                out.rows[r][col] = c
+        act[a.index] = out
+    return ModuleRep(A, dims, act, validate=False), spaces
+
+
+def _top(mod):
+    rad = radical_subspaces(mod)
+    return {v: [c for c in range(mod.dims[v - 1]) if c not in rad[v].pivots]
+            for v in range(1, mod.algebra.n + 1)}
+
+
+def _dense_presentation(M):
+    """Oracle for the syzygy of ``minimal_projective_presentation``: K as a
+    submodule of the dense module P0, and the generators of P1 read from
+    the top of K.  Returns (p0, p1, x_elems, K)."""
+    A = M.algebra
+    top = _top(M)
+    p0 = [v for v in range(1, A.n + 1) for _ in top[v]]
+    gens = [c for v in range(1, A.n + 1) for c in top[v]]
+    layout = {v: [(k, g) for k, u in enumerate(p0) for g in A.by_target[u]
+                  if A.source[g] == v] for v in range(1, A.n + 1)}
+    kvecs = {}
+    for v in range(1, A.n + 1):
+        cols = []
+        for (k, g) in layout[v]:
+            unit = [int(r == gens[k]) for r in range(M.dims[p0[k] - 1])]
+            word = A.basis[g][1]
+            cols.append(M.act_word(word).vec(unit) if word else unit)
+        kvecs[v] = nullspace(Matrix.from_cols(cols, M.dims[v - 1], A.field))
+    K, spaces = _dense_submodule(_dense_p0_module(A, p0, layout), kvecs)
+    p1, x_cols = [], []
+    for v, cs in _top(K).items():
+        for c in cs:
+            p1.append(v)
+            row = spaces[v].rows[c]
+            x_cols.append([{g: x for (kk, g), x in zip(layout[v], row)
+                            if kk == k and x} for k in range(len(p0))])
+    x_elems = [[col[k] for col in x_cols] for k in range(len(p0))]
+    return p0, p1, x_elems, K
+
+
+@pytest.mark.parametrize("entries, sym, field", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", QQ),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", PrimeField(101)),
+    ([[2, -1], [-3, 2]], (3, 1), QQ)], ids=["b3-qq", "b3-f101", "g2-qq"])
+def test_syzygies_match_the_dense_p0_route(entries, sym, field):
+    """For every block and nonzero tau block, the presentation built on
+    sparse elements of P0 equals the dense oracle: the same P0 and P1, the
+    same x_{kl} and the same syzygy, dimensions and action matrices."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    mods = _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    copies = 0
+    for M in mods:
+        pres = minimal_projective_presentation(M)
+        p0, p1, x_elems, K = _dense_presentation(M)
+        assert (pres.p0, pres.p1, pres.x_elems) == (p0, p1, x_elems)
+        assert pres.syzygy.dims == K.dims
+        assert all(pres.syzygy.act[a].rows == K.act[a].rows for a in K.act)
+        copies = max(copies, len(p0))
+    assert copies > 1
+
+
 @pytest.mark.parametrize("entries, sym", [
     ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "minimal"),
     ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal"),
@@ -535,13 +629,14 @@ def test_one_pass_hom_maps_match_the_per_vector_route(entries, sym, field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["qq", "f3"])
 def test_modules_built_without_the_relation_check_satisfy_the_relations(
         entries, sym, field):
-    """The constructors that skip the relation check (blocks, tau, nu and
-    the uniserial modules) build modules that pass it."""
+    """The constructors that skip the relation check (blocks, tau, nu,
+    syzygies and the uniserial modules) build modules that pass it."""
     A = build_algebra(cartan_data(entries, sym), field=field)
     mods = _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
     for i in range(1, A.n + 1):
         mods.append(nakayama_nu(generalized_simple(A, i)))
         mods.extend(uniserial_module(A, i, d)
                     for d in range(1, A.quiver.symmetrizer[i] + 1))
+    mods.extend([minimal_projective_presentation(M).syzygy for M in mods])
     for M in mods:
         M._validate()
