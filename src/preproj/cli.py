@@ -32,6 +32,8 @@ from .repmod import (
     is_isomorphic,
     locally_free_rank,
     nakayama_nu,
+    projective_module,
+    structure_series,
 )
 from .tautilt import (
     IdealSemigroup,
@@ -169,19 +171,22 @@ def cmd_check(cfg: RunConfig):
 
 def cmd_algebra(cfg: RunConfig):
     algebra = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
-    report = verify_algebra(algebra)
+    verify_algebra(algebra)
+    vertex_dims = algebra.vertex_dims()
+    layers = {v: structure_series(projective_module(algebra, v)).radical_layers
+              for v in range(1, algebra.n + 1)}
     payload = {
-        "dim": report.dim,
-        "vertex_dims": report.vertex_dims,
-        "dims_matrix": report.dims_matrix,
-        "radical_layers": {str(v): [list(l) for l in report.radical_layers[v]]
-                           for v in report.radical_layers},
+        "dim": algebra.dim,
+        "vertex_dims": vertex_dims,
+        "dims_matrix": algebra.dims_matrix(),
+        "radical_layers": {str(v): [list(l) for l in layers[v]]
+                           for v in layers},
         "field": repr(algebra.field),
     }
-    lines = [f"dim Pi = {report.dim}",
-             f"per-vertex dims (e_i Pi): {report.vertex_dims}"]
+    lines = [f"dim Pi = {algebra.dim}",
+             f"per-vertex dims (e_i Pi): {vertex_dims}"]
     for v in range(1, algebra.n + 1):
-        lines.append(f"  e{v}Pi radical layers: {report.layer_sizes(v)}")
+        lines.append(f"  e{v}Pi radical layers: {[sum(l) for l in layers[v]]}")
     if cfg.show_basis:
         basis = [mon_str(algebra.quiver, m) for m in algebra.basis]
         payload["basis"] = basis
@@ -334,6 +339,8 @@ def cmd_verify(cfg: RunConfig):
         A = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
         box["ctx"] = IdealSemigroup(A, group_box.get("W"))
         verify_algebra(A)
+        for P in box["ctx"].projectives:
+            structure_series(P)  # the radical filtration of e_v Pi terminates
 
     def check_homological():
         ctx = box["ctx"]
@@ -360,7 +367,7 @@ def cmd_verify(cfg: RunConfig):
                 assert is_isomorphic(auslander_reiten_translate(blk), Ei)
 
     def check_classification():
-        box["report"] = classification_report(box["ctx"], seed=cfg.seed)
+        box["report"] = classification_report(box["ctx"])
 
     def check_graph():
         validate = "all" if d.n <= 2 else "sample"

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .cartan import CartanData, DoubledQuiver
 from .errors import CapExceeded, VerificationFailed
 from .fields import QQ
-from .linalg import Subspace
 
 Mon = tuple  # (source_vertex, tuple_of_arrow_indices)
 
@@ -411,12 +410,6 @@ class FiniteDimAlgebra:
                             del out[k]
         return out
 
-    def dense(self, coords: dict):
-        v = [self.field.zero] * self.dim
-        for i, c in coords.items():
-            v[i] = c
-        return v
-
     def dims_matrix(self):
         """dim e_i Pi e_j = # basis paths with target i, source j."""
         out = [[0] * self.n for _ in range(self.n)]
@@ -505,74 +498,22 @@ def normal_form(algebra: FiniteDimAlgebra, elem: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verification report
+# verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AlgebraReport:
-    dim: int
-    vertex_dims: list
-    dims_matrix: list
-    radical_layers: dict      # vertex -> list of per-vertex multiplicity tuples
-    relations_ok: bool
-    associativity_ok: bool
-    identity_ok: bool
-
-    def layer_sizes(self, v: int):
-        return [sum(layer) for layer in self.radical_layers[v]]
-
-
-def _right_ideal_layers(algebra: FiniteDimAlgebra, v: int):
-    """Radical filtration of e_v Pi as per-source multiplicity tuples."""
-    field = algebra.field
-
-    def source_dims(vectors):
-        dims = []
-        for u in range(1, algebra.n + 1):
-            sub = Subspace(algebra.dim, field)
-            cols = set(algebra.by_source[u])
-            for vec in vectors:
-                proj = {i: c for i, c in vec.items() if i in cols}
-                if proj:
-                    sub.add(algebra.dense(proj))
-            dims.append(sub.dim)
-        return tuple(dims)
-
-    current = [{i: field.one} for i in algebra.by_target[v]]
-    layers = []
-    prev = source_dims(current)
-    while any(prev):
-        nxt_space = Subspace(algebra.dim, field)
-        nxt = []
-        for x in current:
-            for ac in algebra.arrow_coords:
-                prod = algebra.mul_coords(x, ac)
-                if prod and nxt_space.add(algebra.dense(prod)):
-                    nxt.append(prod)
-        cur = source_dims(nxt)
-        layers.append(tuple(p - c for p, c in zip(prev, cur)))
-        current = nxt
-        prev = cur
-        if len(layers) > algebra.dim + 1:
-            raise VerificationFailed("radical filtration does not terminate")
-    return layers
-
-
-def verify_algebra(algebra: FiniteDimAlgebra) -> AlgebraReport:
+def verify_algebra(algebra: FiniteDimAlgebra) -> None:
     """Relations reduce to zero, identity decomposition, associativity
-    (complete, through the triples path x path x arrow), plus dimension
-    and radical-layer data."""
+    (complete, through the triples path x path x arrow).  Raises
+    ``VerificationFailed`` with a witness when a check fails."""
     field = algebra.field
     for rel in algebra.relations.all_nonzero():
         if algebra.nf_free(rel):
             raise VerificationFailed("relation does not reduce to zero",
                                      witness=el_str(algebra.quiver, rel))
     one = algebra.unit_coords()
-    identity_ok = True
     for i in range(algebra.dim):
         x = {i: field.one}
         if algebra.mul_coords(one, x) != x or algebra.mul_coords(x, one) != x:
-            identity_ok = False
             raise VerificationFailed("identity decomposition fails",
                                      witness=algebra.basis[i])
     # (xy)a = x(ya) for basis paths x, y and arrows a is complete: every
@@ -595,14 +536,3 @@ def verify_algebra(algebra: FiniteDimAlgebra) -> AlgebraReport:
                         "associativity fails",
                         witness=(algebra.basis[i], algebra.basis[j],
                                  arrow_mon(algebra.quiver, a.index)))
-    layers = {v: _right_ideal_layers(algebra, v)
-              for v in range(1, algebra.n + 1)}
-    return AlgebraReport(
-        dim=algebra.dim,
-        vertex_dims=algebra.vertex_dims(),
-        dims_matrix=algebra.dims_matrix(),
-        radical_layers=layers,
-        relations_ok=True,
-        associativity_ok=True,
-        identity_ok=identity_ok,
-    )

@@ -14,7 +14,8 @@ equality is exact and canonical and every ideal operation works inside one
 e_vPi.  I_w is memoized per Weyl element; the recursion follows the
 canonical reduced word by left extension (I_w = I_i I_{s_i w}), which
 changes block i only, while ``ideal_product`` multiplies block rows and
-serves as the independent route for the 0-Hecke consistency checks.
+serves as the independent route for the idempotent checks I_i I_i = I_i
+of ``classification_report``.
 
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
 distinct nonzero blocks among its 384 x 4 pairs (w, v).  ``Ideal.block``
@@ -25,9 +26,8 @@ are the same block, so ``ModuleNamer`` names them by identity and rank
 tests, without an isomorphism search.
 
 Left mutation finds the minimal left approximation in one sweep over the
-basis maps X -> U_k; the only seeded choices in this module are the edges
-sampled by ``mutation_graph`` and the Demazure pairs sampled by
-``classification_report``.
+basis maps X -> U_k; the only seeded choice in this module is the edges
+sampled by ``mutation_graph``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .coxeter import WeylElement, WeylGroup, demazure_product
+from .coxeter import WeylElement, WeylGroup
 from .errors import NotDynkin, NotMutable, ReportFailure, VerificationFailed
 from .linalg import Subspace
 from .pathalg import FiniteDimAlgebra
@@ -124,11 +124,10 @@ class Ideal:
     """A two-sided ideal of Pi as the n-tuple of the ids of its blocks e_vI
     in a ``BlockTable``: equal ideals have equal tuples."""
 
-    def __init__(self, table: BlockTable, blocks: tuple, word=None):
+    def __init__(self, table: BlockTable, blocks: tuple):
         self.algebra = table.algebra
         self.table = table
         self.blocks = blocks
-        self.word = word
 
     @property
     def dim(self) -> int:
@@ -152,8 +151,7 @@ class Ideal:
         return direct_sum(self.algebra, [b for b in blocks if b is not None])[0]
 
     def __repr__(self):
-        w = "".join(map(str, self.word)) if self.word is not None else "?"
-        return f"Ideal(dim={self.dim}, w={w or 'e'})"
+        return f"Ideal(dim={self.dim}, blocks={self.blocks})"
 
 
 def full_ideal(table: BlockTable) -> Ideal:
@@ -161,7 +159,7 @@ def full_ideal(table: BlockTable) -> Ideal:
     one = algebra.field.one
     blocks = tuple(table.span(v, ({g: one} for g in algebra.by_target[v]))
                    for v in range(1, algebra.n + 1))
-    return Ideal(table, blocks, word=())
+    return Ideal(table, blocks)
 
 
 def vertex_ideal(table: BlockTable, vertices) -> Ideal:
@@ -175,8 +173,7 @@ def vertex_ideal(table: BlockTable, vertices) -> Ideal:
                        if algebra.source[p] not in S
                        for q in algebra.by_target[algebra.source[p]]))
         for v in range(1, algebra.n + 1))
-    word = (next(iter(S)),) if len(S) == 1 else None
-    return Ideal(table, blocks, word=word)
+    return Ideal(table, blocks)
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
@@ -193,10 +190,7 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
             prods.extend(A.mul_coords(x, y)
                          for y in table.vectors[J.blocks[u - 1]])
         blocks.append(table.span(table.vertex[b], prods))
-    word = None
-    if I.word is not None and J.word is not None:
-        word = I.word + J.word
-    return Ideal(table, tuple(blocks), word=word)
+    return Ideal(table, tuple(blocks))
 
 
 def extend_left(i: int, J: Ideal) -> Ideal:
@@ -298,7 +292,6 @@ class IdealSemigroup:
             i = w.word[0]
             rest = self.weyl.left_mul(i, w)
             ideal = extend_left(i, self.of_element(rest))
-            ideal.word = w.word
         self._cache[w.matrix] = ideal
         return ideal
 
@@ -359,7 +352,6 @@ class SttPair:
     algebra: FiniteDimAlgebra
     summands: list                 # indecomposable ModuleReps
     projective_vertices: tuple     # j with e_j Pi a summand of P
-    word: tuple = None
     block_vertices: tuple = None   # for ideal pairs: vertex of each summand
 
     @property
@@ -396,7 +388,7 @@ def stt_pair(semigroup: IdealSemigroup, w: WeylElement) -> SttPair:
         else:
             summands.append(blk)
             verts.append(i)
-    return SttPair(algebra, summands, tuple(sorted(proj)), word=w.word,
+    return SttPair(algebra, summands, tuple(sorted(proj)),
                    block_vertices=tuple(verts))
 
 
@@ -435,18 +427,19 @@ def _hom_dim_to_tau(M: ModuleRep, tau: ModuleRep) -> int:
     return dim
 
 
-def left_mutation(pair: SttPair, vertex_or_index) -> SttPair:
-    """Left mutation at one indecomposable summand of M.
+def left_mutation(pair: SttPair, vertex: int) -> SttPair:
+    """Left mutation of an ideal pair at its summand e_vertex I.
 
     The exchange: take the minimal left add(U)-approximation f : X -> U',
     set Y = coker f; the new pair is (U, P + e_j Pi) when Y = 0 and
     (U + Y, P) otherwise.  In general Y = Y'^m; the package needs m = 1 and
-    fails with the dimension vector of Y as witness when Y decomposes."""
+    fails with the dimension vector of Y as witness when Y decomposes.
+    Raises ``ValueError`` when no summand of the pair sits at ``vertex``."""
     A = pair.algebra
-    if pair.block_vertices and vertex_or_index in pair.block_vertices:
-        idx = pair.block_vertices.index(vertex_or_index)
-    else:
-        idx = vertex_or_index
+    if vertex not in (pair.block_vertices or ()):
+        raise ValueError(f"vertex {vertex} carries no summand of the pair; "
+                         f"summand vertices: {pair.block_vertices}")
+    idx = pair.block_vertices.index(vertex)
     X = pair.summands[idx]
     others = [s for t, s in enumerate(pair.summands) if t != idx]
     if in_fac(others, X):
@@ -677,7 +670,6 @@ class ClassificationReport:
     stt_count: int
     all_pairs_valid: bool
     tau_rigid_modules: list      # (name, total dim, rank vector or None)
-    demazure_checked: int
     demazure_consistent: bool
     all_blocks_locally_free: bool  # observed, not asserted
     failures: list = dc_field(default_factory=list)
@@ -687,8 +679,7 @@ class ClassificationReport:
         return not self.failures
 
 
-def classification_report(semigroup: IdealSemigroup,
-                          seed: int = 0) -> ClassificationReport:
+def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
     """(i) psi well-defined over every reduced word, (ii) injective,
     (iii) every (I_w, P_w) a valid pair, (iv) the block list up to iso,
     (v) 0-Hecke consistency of the product.  Raises ``ReportFailure``, with
@@ -739,22 +730,17 @@ def classification_report(semigroup: IdealSemigroup,
         if name not in seen:
             seen[name] = (name, mod.total_dim, locally_free_rank(mod))
     tau_rigid = sorted(seen.values())
-    # (v) Demazure consistency
-    elements = weyl.sorted_elements()
-    if weyl.order <= 12:
-        pair_list = [(u, v) for u in elements for v in elements]
-    else:
-        rng = random.Random(seed)
-        pair_list = [(rng.choice(elements), rng.choice(elements))
-                     for _ in range(200)]
+    # (v) 0-Hecke consistency, I_u I_v = I_(u*v) for every pair, from the n
+    # idempotents I_i I_i = I_i.  Check (i) gives I_x I_i = I_(x s_i) at
+    # every ascent x < x s_i.  At a descent x = y s_i,
+    # I_x I_i = I_y I_i I_i = I_y I_i = I_x.  So I_x I_i = I_(x*s_i) for
+    # all x and i, and induction on a reduced word of v gives the law.
     demazure_ok = True
-    for u, v in pair_list:
-        prod = ideal_product(semigroup.of_element(u), semigroup.of_element(v))
-        target = semigroup.of_element(demazure_product(weyl, u, v))
-        if prod != target:
+    for i in range(1, algebra.n + 1):
+        gen = semigroup.generator(i)
+        if ideal_product(gen, gen) != gen:
             demazure_ok = False
-            failures.append(
-                f"I_{_word_str(u.word)} I_{_word_str(v.word)} != I_(u*v)")
+            failures.append(f"I_{i} I_{i} != I_{i}")
     report = ClassificationReport(
         group_order=weyl.order,
         psi_well_defined=well_defined,
@@ -762,7 +748,6 @@ def classification_report(semigroup: IdealSemigroup,
         stt_count=len(keys),
         all_pairs_valid=pairs_ok,
         tau_rigid_modules=tau_rigid,
-        demazure_checked=len(pair_list),
         demazure_consistent=demazure_ok,
         all_blocks_locally_free=lf_ok,
         failures=failures,

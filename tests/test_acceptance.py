@@ -25,6 +25,7 @@ from preproj.repmod import (
     is_isomorphic,
     nakayama_nu,
     projective_module,
+    structure_series,
 )
 from preproj.tautilt import (
     IdealSemigroup,
@@ -44,13 +45,19 @@ from conftest import WEYL_ORDERS
 CRITERION4 = ("a2min", "eg2", "g2", "a3", "b3")
 
 
+def _layer_sizes(A, v):
+    """Radical layer sizes of e_v Pi, read from the module layer."""
+    layers = structure_series(projective_module(A, v)).radical_layers
+    return [sum(layer) for layer in layers]
+
+
 def test_criterion_1_eg1_dimensions(algebras):
     A = algebras["eg1"]
-    rep = verify_algebra(A)
-    assert rep.dim == 8
-    assert rep.vertex_dims == [4, 4]
-    assert rep.layer_sizes(1) == [1, 2, 1]
-    assert rep.layer_sizes(2) == [1, 2, 1]
+    verify_algebra(A)
+    assert A.dim == 8
+    assert A.vertex_dims() == [4, 4]
+    assert _layer_sizes(A, 1) == [1, 2, 1]
+    assert _layer_sizes(A, 2) == [1, 2, 1]
     for i in (1, 2):
         assert generalized_simple(A, i).total_dim == 2
     print("PASS criterion 1: eg1 dims 8 = 4 + 4, layers [1,2,1], dim E_i = 2")
@@ -58,17 +65,17 @@ def test_criterion_1_eg1_dimensions(algebras):
 
 def test_criterion_2_eg2_dimensions(algebras, semigroups):
     A = algebras["eg2"]
-    rep = verify_algebra(A)
-    assert rep.dim == 10
-    assert rep.vertex_dims == [6, 4]
-    assert rep.layer_sizes(1) == [1, 2, 2, 1]
-    assert rep.layer_sizes(2) == [1, 1, 1, 1]
+    verify_algebra(A)
+    assert A.dim == 10
+    assert A.vertex_dims() == [6, 4]
+    assert _layer_sizes(A, 1) == [1, 2, 2, 1]
+    assert _layer_sizes(A, 2) == [1, 1, 1, 1]
     assert vertex_ideal(semigroups["eg2"].table, {2}).block(2).total_dim == 3
     assert generalized_simple(A, 1).total_dim == 2
     assert generalized_simple(A, 2).total_dim == 1
     e1I1 = vertex_ideal(semigroups["eg2"].table, {1}).block(1)
     # derived from 0 -> e_1 I_1 -> e_1 Pi -> E_1 -> 0: 6 - 2 = 4
-    assert e1I1.total_dim == rep.vertex_dims[0] - 2 == 4
+    assert e1I1.total_dim == A.vertex_dims()[0] - 2 == 4
     print("PASS criterion 2: eg2 dims 10 = 6 + 4, layers, "
           "dim e2I2 = 3, dim e1I1 = 4")
 
@@ -123,7 +130,7 @@ def test_criterion_4_bijection(algebras, weyl_groups, semigroups):
 
 def test_criterion_5_classification(semigroups):
     for name in CRITERION4:
-        rep = classification_report(semigroups[name], seed=0)
+        rep = classification_report(semigroups[name])
         assert rep.ok, (name, rep.failures)
         assert rep.stt_count == WEYL_ORDERS[name]
         assert rep.all_pairs_valid
@@ -250,7 +257,7 @@ def test_criterion_8_geometric_representation(algebras):
 
 
 def test_criterion_9_demazure_consistency(weyl_groups, semigroups):
-    for name in ("a2min", "eg2", "g2"):
+    for name in ("a2min", "eg2", "g2", "a3"):
         W, ctx = weyl_groups[name], semigroups[name]
         for u in W:
             iu = ctx.of_element(u)
@@ -258,13 +265,5 @@ def test_criterion_9_demazure_consistency(weyl_groups, semigroups):
                 lhs = ideal_product(iu, ctx.of_element(v))
                 rhs = ctx.of_element(demazure_product(W, u, v))
                 assert lhs.blocks == rhs.blocks, (name, u.word, v.word)
-    W, ctx = weyl_groups["a3"], semigroups["a3"]
-    els = W.sorted_elements()
-    rng = random.Random(0)
-    for _ in range(200):
-        u, v = rng.choice(els), rng.choice(els)
-        lhs = ideal_product(ctx.of_element(u), ctx.of_element(v))
-        rhs = ctx.of_element(demazure_product(W, u, v))
-        assert lhs.blocks == rhs.blocks, (u.word, v.word)
     print("PASS criterion 9: ideal products agree with the 0-Hecke "
-          "product, exhaustively in rank 2 and on 200 A3 pairs")
+          "product on every pair in rank 2 and on all 576 A3 pairs")

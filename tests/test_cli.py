@@ -374,3 +374,53 @@ def test_golden_stdout(command, raw, flags, digest, capsys):
     assert main([command, "--config", json.dumps(raw), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# `algebra` outputs recorded while the radical layers were computed on dense
+# vectors of Pi; reading them from the module layer must leave them byte for
+# byte unchanged.  The text outputs do not name the field, so QQ and F_101
+# share their digests.
+_ALGEBRA_GOLDEN = {
+    "g2": (_G2, {
+        "text": "7041948ab27a61284821af4aaff3f23e13500e20a4e1a00856ec6de4e3d32c49",
+        "json": "a14b7bca427d1e67e8951fa0e1cd3b29ab2f281c532c3d7b3cc184013d7a0cee",
+        "json-fp101": "a23325b9a5f618e0d48bfbf72702d518609714214be6ca6ebdd421abd1a55451",
+        "basis": "9cf95637fedf5abecfa2181a2a0c1dbb3ae0760be84f3104d8d0aa22c2efddc2",
+    }),
+    "b2-42": (_B2_42, {
+        "text": "b7711a2ae68dab7bf493f9867ae045041eb9d2d169f0b4df87d32e3daaba372a",
+        "json": "efe474a4c926314eed87dfbed5f7df118f67e9fc76c93f3ebc3b1dbe8cdb252d",
+        "json-fp101": "ba11b03b084418bf3dcc15788934506a0e71baa2727f47651eaf57bce889cebc",
+        "basis": "2024947073896eac78e0fa97dc60574706d3f02cf380e4afd9397fc4387893ff",
+    }),
+    "b3": (_B3, {
+        "text": "7e56470fe2710ed3e304af1271da7d6857bd091a6b8ce61feea46c7a2935c12e",
+        "json": "7862625b3710633ad745535fc81b6c9a395d4eb939d4788591c25a647d1ee646",
+        "json-fp101": "2109fb235caf0de836f68bb49e58043a348ea45e7f08a5213196e5ab3681c3ae",
+        "basis": "77141e0d0d0b229281c90fdec255548512f3cd1a418c3b367cc08bd61f602292",
+    }),
+    "d4": (_D4, {
+        "text": "ed6ddb89aaefc240fb4dbaf28626577a0606361c69140215c13b818f9767ec6d",
+        "json": "957d67ad85a1aa511fa7d1ee956b8c850ecb0b3f22aed75a9e5f58cb4853a6a5",
+        "json-fp101": "632e2da0f65b9ca5d0940a4b0e84ee1d15be0dc798af7618359eebe29c91e383",
+        "basis": "2fbe5d94ffc5b08e68ea053894f414f0023e39e62b139efba78a4797884a878f",
+    }),
+}
+_ALGEBRA_FLAGS = {
+    "text": ([], "text"),
+    "json": (["--json"], "json"),
+    "basis": (["--basis"], "basis"),
+    "text-fp101": (["--field", "fp:101"], "text"),
+    "json-fp101": (["--json", "--field", "fp:101"], "json-fp101"),
+    "basis-fp101": (["--basis", "--field", "fp:101"], "basis"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_ALGEBRA_FLAGS))
+@pytest.mark.parametrize("name", sorted(_ALGEBRA_GOLDEN))
+def test_algebra_golden_stdout(name, variant, capsys):
+    raw, digests = _ALGEBRA_GOLDEN[name]
+    flags, key = _ALGEBRA_FLAGS[variant]
+    assert main(["algebra", "--config", json.dumps(raw), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[key]

@@ -14,6 +14,7 @@ from preproj.pathalg import (
     preprojective_relations,
     verify_algebra,
 )
+from preproj.repmod import projective_module, structure_series
 
 EG1 = cartan_data([[2, -1], [-1, 2]], (2, 2))
 EG2 = cartan_data([[2, -1], [-2, 2]], (2, 1))
@@ -128,17 +129,30 @@ def test_mul_matches_free_reduction():
     assert prod == direct
 
 
+def _radical_layers(A, v):
+    return structure_series(projective_module(A, v)).radical_layers
+
+
+def _layer_sizes(A, v):
+    return [sum(layer) for layer in _radical_layers(A, v)]
+
+
 def test_verify_reports_layers():
-    rep1 = verify_algebra(build_algebra(EG1))
-    assert rep1.layer_sizes(1) == [1, 2, 1]
-    assert rep1.layer_sizes(2) == [1, 2, 1]
-    rep2 = verify_algebra(build_algebra(EG2))
-    assert rep2.layer_sizes(1) == [1, 2, 2, 1]
-    assert rep2.layer_sizes(2) == [1, 1, 1, 1]
+    """``verify_algebra`` passes (it raises otherwise) and the radical
+    layers of each e_v Pi come from the module layer."""
+    A1 = build_algebra(EG1)
+    assert verify_algebra(A1) is None
+    assert _layer_sizes(A1, 1) == [1, 2, 1]
+    assert _layer_sizes(A1, 2) == [1, 2, 1]
+    A2 = build_algebra(EG2)
+    verify_algebra(A2)
+    assert _layer_sizes(A2, 1) == [1, 2, 2, 1]
+    assert _layer_sizes(A2, 2) == [1, 1, 1, 1]
     # socle rows: e1Pi of eg1 ends in S_2
-    assert rep1.radical_layers[1][-1] == (0, 1)
-    rep3 = verify_algebra(build_algebra(cartan_data([[2]], (3,))))
-    assert rep3.layer_sizes(1) == [1, 1, 1]
+    assert _radical_layers(A1, 1)[-1] == (0, 1)
+    A3 = build_algebra(cartan_data([[2]], (3,)))
+    verify_algebra(A3)
+    assert _layer_sizes(A3, 1) == [1, 1, 1]
 
 
 def test_verify_algebra_finds_one_corrupted_product():

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import weakref
 from collections import Counter
@@ -9,7 +10,7 @@ from conftest import ALGEBRA_SPECS, weyl_orbit_sizes
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import demazure_product, enumerate_weyl
-from preproj.errors import NotMutable
+from preproj.errors import NotMutable, ReportFailure
 from preproj.fields import QQ, PrimeField
 from preproj.linalg import Subspace
 from preproj.pathalg import build_algebra
@@ -24,6 +25,7 @@ from preproj.repmod import (
     minimal_projective_presentation,
     projective_module,
 )
+import preproj.tautilt as tautilt
 from preproj.tautilt import (
     IdealSemigroup,
     ModuleNamer,
@@ -171,6 +173,17 @@ def test_left_mutation_refuses_fac_direction(weyl_groups, semigroups):
         left_mutation(pair, 1)
 
 
+def test_left_mutation_rejects_a_vertex_without_summand(weyl_groups,
+                                                         semigroups):
+    """A vertex that carries no summand is refused, not read as the index
+    of a summand."""
+    W = weyl_groups["a3"]
+    pair = stt_pair(semigroups["a3"], W.from_word((1, 2, 3)))
+    assert pair.block_vertices == (2, 3)
+    with pytest.raises(ValueError, match="vertex 1"):
+        left_mutation(pair, 1)
+
+
 def test_mutation_graph_eg1(semigroups):
     g = mutation_graph(semigroups["eg1"], validate="all")
     labels = {ws: set(node.summands) or {"0"} for ws, node in g.nodes.items()}
@@ -272,6 +285,32 @@ def test_classification_eg2(semigroups):
     assert rep.stt_count == 8
     assert sorted(t[0] for t in rep.tau_rigid_modules) == \
         ["E1", "E2", "e1I1", "e1P", "e2I2", "e2P"]
+
+
+def test_classification_report_takes_no_seed():
+    params = inspect.signature(classification_report).parameters
+    assert list(params) == ["semigroup"]
+
+
+def test_classification_report_checks_each_idempotent(semigroups,
+                                                      monkeypatch):
+    """The 0-Hecke check is the n products I_i I_i = I_i: breaking the
+    product of one generator with itself fails the report."""
+    ctx = semigroups["eg2"]
+    gen = ctx.generator(2)
+    real = tautilt.ideal_product
+
+    def broken(I, J):
+        if I is gen and J is gen:
+            return full_ideal(ctx.table)
+        return real(I, J)
+
+    monkeypatch.setattr(tautilt, "ideal_product", broken)
+    with pytest.raises(ReportFailure) as err:
+        classification_report(ctx)
+    assert err.value.failures == ["I_2 I_2 != I_2"]
+    assert not err.value.report.demazure_consistent
+    assert err.value.report.psi_well_defined
 
 
 def test_demazure_route_matches_product(weyl_groups, semigroups):
