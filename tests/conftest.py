@@ -7,6 +7,7 @@ from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
 from preproj.linalg import Matrix, nullspace
 from preproj.pathalg import build_algebra
+from preproj.repmod import is_isomorphic
 from preproj.tautilt import IdealSemigroup
 
 # Property tests draw the same examples on every run and never time out,
@@ -81,6 +82,28 @@ def brute_hom_dim(M, N):
     if not rows:
         return total
     return len(nullspace(Matrix.from_rows(rows, total, field)))
+
+
+def pairs_isomorphic(p1, p2) -> bool:
+    """Oracle: same projective part, and the summands of two support
+    tau-tilting pairs match bijectively up to isomorphism.
+
+    The summands must be indecomposable, as ``is_isomorphic`` requires."""
+    if p1.projective_vertices != p2.projective_vertices:
+        return False
+    if len(p1.summands) != len(p2.summands):
+        return False
+    unused = list(range(len(p2.summands)))
+    for s in p1.summands:
+        hit = None
+        for t in unused:
+            if is_isomorphic(s, p2.summands[t]):
+                hit = t
+                break
+        if hit is None:
+            return False
+        unused.remove(hit)
+    return True
 
 
 def brute_minimal_symmetrizer(entries, bound=8):

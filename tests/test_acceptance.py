@@ -34,13 +34,12 @@ from preproj.tautilt import (
     ideal_product,
     left_mutation,
     mutation_graph,
-    pairs_isomorphic,
     stt_pair,
     verify_stt,
     vertex_ideal,
 )
 
-from conftest import WEYL_ORDERS
+from conftest import WEYL_ORDERS, pairs_isomorphic
 
 CRITERION4 = ("a2min", "eg2", "g2", "a3", "b3")
 

@@ -1,0 +1,25 @@
+"""Properties of the package source as a whole."""
+
+import ast
+from pathlib import Path
+
+import preproj
+
+
+def test_no_module_imports_random():
+    """Answers never depend on a seed: no module of the package imports
+    ``random``."""
+    modules = sorted(Path(preproj.__file__).parent.rglob("*.py"))
+    assert modules
+    offenders = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -6,11 +6,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import ALGEBRA_SPECS, weyl_orbit_sizes
+from conftest import ALGEBRA_SPECS, pairs_isomorphic, weyl_orbit_sizes
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import demazure_product, enumerate_weyl
-from preproj.errors import NotMutable, ReportFailure
+from preproj.errors import NotMutable, ReportFailure, VerificationFailed
 from preproj.fields import QQ, PrimeField
 from preproj.linalg import Subspace
 from preproj.pathalg import build_algebra
@@ -37,7 +37,6 @@ from preproj.tautilt import (
     ideal_product,
     left_mutation,
     mutation_graph,
-    pairs_isomorphic,
     stt_pair,
     verify_stt,
     vertex_ideal,
@@ -162,6 +161,56 @@ def test_left_mutation_examples(weyl_groups, semigroups):
     done = left_mutation(pair21, pair21.block_vertices[0])
     assert done.summands == []
     assert done.projective_vertices == (1, 2)
+    assert done.block_vertices == ()
+
+
+def test_mutated_pair_can_be_mutated_again(weyl_groups, semigroups):
+    """``left_mutation`` keeps the vertex of every summand, the new one at
+    the mutated vertex, so mu_2 mu_1 (Pi, 0) is (I_{s2 s1}, 0)."""
+    W, ctx = weyl_groups["a3"], semigroups["a3"]
+    twice = left_mutation(left_mutation(stt_pair(ctx, W.identity), 1), 2)
+    assert twice.block_vertices == (1, 2, 3)
+    assert pairs_isomorphic(twice, stt_pair(ctx, W.from_word((2, 1))))
+
+
+def test_check_edge_rejects_wrong_targets(weyl_groups, semigroups):
+    """Wrong A3 targets fail; s1 -> s1 differs from the true target only
+    in the exchanged summand, and s1 -> s1s2s1 only in an unchanged one."""
+    W, ctx = weyl_groups["a3"], semigroups["a3"]
+    s1 = W.simple(1)
+    for w, v, i in ((W.identity, W.simple(2), 1),
+                    (s1, W.from_word((1, 2)), 2),
+                    (s1, W.from_word((3, 1)), 2),
+                    (s1, s1, 2),
+                    (s1, W.from_word((1, 2, 1)), 2)):
+        with pytest.raises(VerificationFailed, match="left mutation"):
+            tautilt._check_edge(ctx, w, v, i)
+    tautilt._check_edge(ctx, s1, W.from_word((2, 1)), 2)
+
+
+def test_check_edge_tests_only_the_exchanged_summand(weyl_groups, semigroups,
+                                                     monkeypatch):
+    """Every A3 edge runs one isomorphism test, with the expected block at
+    i first, and none when the target has no block at i: the other
+    summands are compared by identity."""
+    W, ctx = weyl_groups["a3"], semigroups["a3"]
+    real = tautilt.is_isomorphic
+    firsts = []
+
+    def recording(M, N):
+        firsts.append(M)
+        return real(M, N)
+
+    monkeypatch.setattr(tautilt, "is_isomorphic", recording)
+    for w in W:
+        for i in range(1, 4):
+            v = W.left_mul(i, w)
+            if v.length > w.length:
+                firsts.clear()
+                tautilt._check_edge(ctx, w, v, i)
+                want = ctx.of_element(v).block(i)
+                assert [id(M) for M in firsts] == \
+                    ([id(want)] if want is not None else []), (w.word, i)
 
 
 def test_left_mutation_refuses_fac_direction(weyl_groups, semigroups):
@@ -290,6 +339,10 @@ def test_classification_eg2(semigroups):
 def test_classification_report_takes_no_seed():
     params = inspect.signature(classification_report).parameters
     assert list(params) == ["semigroup"]
+
+
+def test_mutation_graph_takes_no_seed():
+    assert "seed" not in inspect.signature(mutation_graph).parameters
 
 
 def test_classification_report_checks_each_idempotent(semigroups,
@@ -659,3 +712,28 @@ def test_block_dims_match_root_formula(entries, sym, p):
             r = _rank_vector(entries, w.word, i)
             assert [full[i - 1][j] - sub[j] for j in range(A.n)] == \
                 [d[j + 1] * r[j] for j in range(A.n)], (w.word, i)
+
+
+def test_edge_sample_is_every_ceil_e_over_20th_ascent(semigroups,
+                                                      monkeypatch):
+    """validate="sample" checks every ceil(E/20)-th of the E ascents in
+    enumeration order: all 6 edges of A2, and the ascents [::20] of D4's
+    384.  Two calls check the same edges."""
+    checked = []
+
+    def record(ctx, w, v, i):
+        checked.append((tautilt._word_str(w.word), tautilt._word_str(v.word),
+                        i))
+
+    monkeypatch.setattr(tautilt, "_check_edge", record)
+    graph = mutation_graph(semigroups["a2min"], validate="sample")
+    assert checked == graph.edges and len(checked) == 6
+    A = build_algebra(cartan_data(D4, "minimal"))
+    ctx = IdealSemigroup(A, enumerate_weyl(A.data.cartan))
+    runs = []
+    for _ in range(2):
+        checked.clear()
+        graph = mutation_graph(ctx, validate="sample")
+        runs.append(list(checked))
+    assert len(graph.edges) == 384
+    assert runs[0] == runs[1] == graph.edges[::20]
