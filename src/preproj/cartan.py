@@ -121,11 +121,13 @@ def validate_cartan(entries) -> CartanMatrix:
     tree of each component and checking consistency on the remaining edges.
     """
     n = len(entries)
+    if n == 0:
+        raise ValueError("Cartan matrix must be nonempty")
     for row in entries:
         if len(row) != n:
             raise ValueError("Cartan matrix must be square")
         for a in row:
-            if not isinstance(a, int):
+            if type(a) is not int:
                 raise ValueError("Cartan entries must be integers")
     for i in range(n):
         if entries[i][i] != 2:

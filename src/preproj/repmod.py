@@ -1,10 +1,10 @@
 """Finite-dimensional right modules over the preprojective quotient and the
-homological toolkit: Hom/Ext^1, radical and socle series, minimal projective
+homological toolkit: Hom/Ext^1, radical layers, minimal projective
 presentations, the Auslander-Reiten translate, the Nakayama permutation and
 functor, locally-free ranks, tau-rigidity, Fac membership, isomorphism and
 indecomposability tests.  Every test is deterministic: the isomorphism test
-looks for an invertible map among the basis maps of Hom(M, N), which is
-exact when one of the two modules is indecomposable.
+compares ``dims`` and then looks for an invertible map among the basis maps
+of Hom(M, N), which is exact when one of the two modules is indecomposable.
 
 A module stores one space per vertex (M_v = M e_v, coordinates of elements
 whose paths start at v) and one matrix per arrow.  Right multiplication by
@@ -24,12 +24,17 @@ e_{u_k}Pi e_v, and ``_keys[v]`` records the key of each.
 each P0 coordinate acts on N once, on the generator images of every kernel
 vector at once, and these products live only for the call.
 
+tau and nu come from one map.  For the minimal presentation P1 -> P0 -> M,
+psi*: nu P1 -> nu P0 is the dual of Hom(P0, Pi) -> Hom(P1, Pi),
+g -> (g x_kl)_l.  Then nu M = D Hom(M, Pi) = coker psi* and
+tau M = D Tr M = ker psi*, built by ``quotient_module`` and ``submodule``.
+
 The relation check runs where untrusted data enters: the public
 ``ModuleRep(...)`` constructor checks that every relation of Pi acts by
 zero.  The constructors that build a module from already-checked algebra
 data (``module_from_subspace``, ``uniserial_module``, ``direct_sum``,
-``quotient_module``, tau and nu) skip it; the tests call ``_validate`` on
-their output as an oracle.
+``quotient_module``, ``submodule``, tau and nu) skip it; the tests call
+``_validate`` on their output as an oracle.
 """
 
 from __future__ import annotations
@@ -286,6 +291,24 @@ def quotient_module(parent: ModuleRep, sub_spaces) -> ModuleRep:
     return ModuleRep(parent.algebra, dims, act, validate=False)
 
 
+def submodule(parent: ModuleRep, spaces) -> ModuleRep:
+    """The submodule on the per-vertex subspaces ``spaces[v]``, in their
+    echelon bases; the counterpart of ``quotient_module``."""
+    field = parent.algebra.field
+    dims = [spaces[v].dim for v in range(1, parent.algebra.n + 1)]
+    act = {}
+    for a in parent.algebra.quiver.arrows:
+        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
+        for col, row in enumerate(spaces[a.target].rows):
+            coeffs = spaces[a.source].express(parent.act[a.index].vec(row))
+            if coeffs is None:
+                raise VerificationFailed("subspaces are not arrow-stable")
+            for r, c in enumerate(coeffs):
+                out.rows[r][col] = c
+        act[a.index] = out
+    return ModuleRep(parent.algebra, dims, act, validate=False)
+
+
 # ---------------------------------------------------------------------------
 # radical / socle / series
 # ---------------------------------------------------------------------------
@@ -324,73 +347,29 @@ def socle_subspaces(mod: ModuleRep):
 @dataclass
 class SeriesReport:
     radical_layers: list   # list of per-vertex multiplicity tuples, top first
-    socle_layers: list     # socle first
-    top: tuple
-    loewy_length: int
 
 
 @_memoized("series")
 def structure_series(mod: ModuleRep) -> SeriesReport:
-    """Radical filtration, socle series, and the top with multiplicities."""
+    """The radical filtration: the per-vertex multiplicities of each layer
+    rad^k M / rad^{k+1} M, top first."""
     field = mod.algebra.field
     n = mod.algebra.n
-    # radical series
-    current = {v: Subspace.span(Matrix.identity(mod.dims[v - 1], field).rows,
-                                mod.dims[v - 1], field)
-               for v in range(1, n + 1)}
-    rad_layers = []
-    prev_dims = tuple(current[v].dim for v in range(1, n + 1))
-    while any(prev_dims):
+    layers = []
+    prev = tuple(mod.dims)
+    current = radical_subspaces(mod)
+    while any(prev):
+        dims = tuple(current[v].dim for v in range(1, n + 1))
+        layers.append(tuple(p - d for p, d in zip(prev, dims)))
+        if len(layers) > mod.total_dim + 1:
+            raise VerificationFailed("radical series does not terminate")
+        prev = dims
         nxt = {v: Subspace(mod.dims[v - 1], field) for v in range(1, n + 1)}
         for a in mod.algebra.quiver.arrows:
             for row in current[a.target].rows:
                 nxt[a.source].add(mod.act[a.index].vec(row))
-        cur_dims = tuple(nxt[v].dim for v in range(1, n + 1))
-        rad_layers.append(tuple(p - c for p, c in zip(prev_dims, cur_dims)))
         current = nxt
-        prev_dims = cur_dims
-        if len(rad_layers) > mod.total_dim + 1:
-            raise VerificationFailed("radical series does not terminate")
-    # socle series
-    soc_layers = []
-    soc = {v: Subspace(mod.dims[v - 1], field) for v in range(1, n + 1)}
-    prev = tuple(0 for _ in range(n))
-    while True:
-        new_soc = {}
-        for v in range(1, n + 1):
-            # x is in the next socle iff act[a] x lies in the current socle
-            # at the source vertex, for every arrow a into v
-            rows = []
-            for a in mod.algebra.quiver.arrows:
-                if a.target != v:
-                    continue
-                proj, _, _ = soc[a.source].quotient()
-                m = mod.act[a.index]
-                reduced = [proj(m.col(j)) for j in range(m.ncols)]
-                qdim = len(reduced[0]) if reduced else 0
-                for qi in range(qdim):
-                    rows.append([reduced[j][qi] for j in range(m.ncols)])
-            if rows:
-                stacked = Matrix.from_rows(rows, mod.dims[v - 1], field)
-                new_soc[v] = Subspace.span(nullspace(stacked),
-                                           mod.dims[v - 1], field)
-            else:
-                new_soc[v] = Subspace.span(
-                    Matrix.identity(mod.dims[v - 1], field).rows,
-                    mod.dims[v - 1], field)
-        cur = tuple(new_soc[v].dim for v in range(1, n + 1))
-        soc_layers.append(tuple(c - p for c, p in zip(cur, prev)))
-        soc = new_soc
-        if cur == tuple(mod.dims):
-            break
-        if prev == cur:
-            raise VerificationFailed("socle series does not exhaust module")
-        prev = cur
-    if mod.total_dim == 0:
-        rad_layers = []
-        soc_layers = []
-    top = rad_layers[0] if rad_layers else tuple(0 for _ in range(n))
-    return SeriesReport(rad_layers, soc_layers, top, len(rad_layers))
+    return SeriesReport(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -572,122 +551,86 @@ def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
 # Auslander-Reiten translate and Nakayama functor
 # ---------------------------------------------------------------------------
 
-def _left_module_data(A: FiniteDimAlgebra, pres: Presentation):
-    """Hom(P0,Pi) -> Hom(P1,Pi) as left modules (+)_k Pi e_{u_k} etc.
+def _dual_layout(A: FiniteDimAlgebra, vertices):
+    """The paths (k, g) of (+)_k Pi e_{u_k}, u_k = ``vertices[k]``, grouped
+    by the target of g: the coordinates of the dual module at each vertex."""
+    layout = {v: [] for v in range(1, A.n + 1)}
+    for k, u in enumerate(vertices):
+        for g in A.by_source[u]:
+            layout[A.target[g]].append((k, g))
+    return layout
 
-    Left modules are graded by TARGET vertex; left multiplication by the
-    arrow a maps the vertex-s(a) piece to the vertex-t(a) piece."""
+
+def _dual_free(A: FiniteDimAlgebra, layout) -> ModuleRep:
+    """The right module D((+)_k Pi e_{u_k}) on the dual basis of ``layout``.
+
+    Left multiplication by the arrow a maps the vertex-s(a) paths of the
+    left module to its vertex-t(a) paths; a acts on the dual by the
+    transpose, from vertex t(a) to vertex s(a)."""
     field = A.field
-    l0_layout = {v: [] for v in range(1, A.n + 1)}
-    for k, u in enumerate(pres.p0):
-        for g in A.by_source[u]:
-            l0_layout[A.target[g]].append((k, g))
-    l1_layout = {v: [] for v in range(1, A.n + 1)}
-    for l, u in enumerate(pres.p1):
-        for g in A.by_source[u]:
-            l1_layout[A.target[g]].append((l, g))
-    # the map: (g_k)_k -> (sum_k g_k x_{kl})_l, per target vertex
+    dims = [len(layout[v]) for v in range(1, A.n + 1)]
+    act = {}
+    for a in A.quiver.arrows:
+        pos = {pair: i for i, pair in enumerate(layout[a.target])}
+        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
+        for r, (k, g) in enumerate(layout[a.source]):
+            prod = A.mul_coords(A.arrow_coords[a.index], {g: field.one})
+            for g2, c in prod.items():
+                out.rows[r][pos[(k, g2)]] = c
+        act[a.index] = out
+    return ModuleRep(A, dims, act, validate=False)
+
+
+def _dual_map(M: ModuleRep):
+    """psi*: nu P1 -> nu P0 for the minimal presentation P1 -> P0 -> M, the
+    dual of Hom(P0, Pi) -> Hom(P1, Pi), g -> (g x_kl)_l, where
+    Hom(P0, Pi) = (+)_k Pi e_{u_k}.  Returns the layouts of nu P0 and
+    nu P1 and, per vertex v, the matrix of psi*_v: nu P1_v -> nu P0_v."""
+    A = M.algebra
+    field = A.field
+    pres = minimal_projective_presentation(M)
+    layout0 = _dual_layout(A, pres.p0)
+    layout1 = _dual_layout(A, pres.p1)
     psi = {}
     for v in range(1, A.n + 1):
-        out = Matrix.zeros(len(l1_layout[v]), len(l0_layout[v]), field)
-        pos1 = {pair: i for i, pair in enumerate(l1_layout[v])}
-        for col, (k, g) in enumerate(l0_layout[v]):
-            for l in range(len(pres.p1)):
-                x = pres.x_elems[k][l]
-                if not x:
-                    continue
-                prod = A.mul_coords({g: field.one}, x)
-                for g2, c in prod.items():
-                    out.rows[pos1[(l, g2)]][col] = c
+        pos = {pair: i for i, pair in enumerate(layout1[v])}
+        out = Matrix.zeros(len(layout0[v]), len(layout1[v]), field)
+        for r, (k, g) in enumerate(layout0[v]):
+            for l, x in enumerate(pres.x_elems[k]):
+                if x:
+                    for g2, c in A.mul_coords({g: field.one}, x).items():
+                        out.rows[r][pos[(l, g2)]] = c
         psi[v] = out
-    return l0_layout, l1_layout, psi
-
-
-def _left_action(A, layout, v_from, v_to, arrow_idx):
-    """Left multiplication by an arrow on a (+)_k Pi e_{u_k} layout."""
-    field = A.field
-    arrows = A.arrow_coords
-    out = Matrix.zeros(len(layout[v_to]), len(layout[v_from]), field)
-    pos = {pair: i for i, pair in enumerate(layout[v_to])}
-    for col, (k, g) in enumerate(layout[v_from]):
-        prod = A.mul_coords(arrows[arrow_idx], {g: field.one})
-        for g2, c in prod.items():
-            out.rows[pos[(k, g2)]][col] = c
-    return out
+    return layout0, layout1, psi
 
 
 @_memoized("tau")
 def auslander_reiten_translate(M: ModuleRep) -> ModuleRep:
-    """tau M = D coker(Hom(P0, Pi) -> Hom(P1, Pi)); zero iff M projective."""
+    """tau M = D Tr M = ker psi*, a submodule of nu P1; zero iff M is
+    projective."""
     A = M.algebra
     if not A.dynkin:
         raise NotDynkin("tau requires the finite-dimensional selfinjective case")
-    field = A.field
-    if M.total_dim == 0:
+    if M.total_dim == 0 or not minimal_projective_presentation(M).p1:
         return zero_module(A)
-    pres = minimal_projective_presentation(M)
-    if not pres.p1:
-        return zero_module(A)
-    _, l1_layout, psi = _left_module_data(A, pres)
-    images = {}
-    for v in range(1, A.n + 1):
-        sub = Subspace(len(l1_layout[v]), field)
-        for j in range(psi[v].ncols):
-            sub.add(psi[v].col(j))
-        images[v] = sub
-    projs = {}
-    lifts = {}
-    dims = []
-    for v in range(1, A.n + 1):
-        proj, dim, lift = images[v].quotient()
-        projs[v] = proj
-        lifts[v] = lift
-        dims.append(dim)
-    act = {}
-    for a in A.quiver.arrows:
-        # left action on the cokernel: vertex s(a) -> vertex t(a); the dual
-        # (a right module) uses the transpose, vertex t(a) -> vertex s(a)
-        lm = _left_action(A, l1_layout, a.source, a.target, a.index)
-        out = Matrix.zeros(dims[a.target - 1], dims[a.source - 1], field)
-        for col, lift in enumerate(lifts[a.source]):
-            img = projs[a.target](lm.vec(lift))
-            for r, c in enumerate(img):
-                out.rows[r][col] = c
-        act[a.index] = out.transpose()
-    return ModuleRep(A, dims, act, validate=False)
+    _, layout1, psi = _dual_map(M)
+    kernels = {v: Subspace.span(nullspace(m), m.ncols, A.field)
+               for v, m in psi.items()}
+    return submodule(_dual_free(A, layout1), kernels)
 
 
 def nakayama_nu(M: ModuleRep) -> ModuleRep:
-    """nu M = D Hom(M, Pi), computed from the presentation of M."""
+    """nu M = D Hom(M, Pi) = coker psi*, a quotient of nu P0."""
     A = M.algebra
     if not A.dynkin:
         raise NotDynkin("nu requires the finite-dimensional selfinjective case")
-    field = A.field
     if M.total_dim == 0:
         return zero_module(A)
-    pres = minimal_projective_presentation(M)
-    l0_layout, _, psi = _left_module_data(A, pres)
-    kernels = {}
-    for v in range(1, A.n + 1):
-        if pres.p1:
-            vecs = nullspace(psi[v])
-        else:
-            vecs = Matrix.identity(len(l0_layout[v]), field).rows
-        kernels[v] = Subspace.span(vecs, len(l0_layout[v]), field)
-    dims = [kernels[v].dim for v in range(1, A.n + 1)]
-    act = {}
-    for a in A.quiver.arrows:
-        lm = _left_action(A, l0_layout, a.source, a.target, a.index)
-        out = Matrix.zeros(dims[a.target - 1], dims[a.source - 1], field)
-        for col, row in enumerate(kernels[a.source].rows):
-            img = lm.vec(row)
-            coeffs = kernels[a.target].express(img)
-            if coeffs is None:
-                raise VerificationFailed("Hom(M, Pi) not closed under action")
-            for r, c in enumerate(coeffs):
-                out.rows[r][col] = c
-        act[a.index] = out.transpose()
-    return ModuleRep(A, dims, act, validate=False)
+    layout0, _, psi = _dual_map(M)
+    images = {v: Subspace.span((m.col(j) for j in range(m.ncols)), m.nrows,
+                               A.field)
+              for v, m in psi.items()}
+    return quotient_module(_dual_free(A, layout0), images)
 
 
 @dataclass
@@ -775,24 +718,15 @@ def in_fac(summands, X: ModuleRep) -> bool:
     return True
 
 
-def _screen_invariants(M: ModuleRep, N: ModuleRep) -> bool:
-    if M.dims != N.dims:
-        return False
-    sm = structure_series(M)
-    sn = structure_series(N)
-    return (sm.radical_layers == sn.radical_layers
-            and sm.socle_layers == sn.socle_layers)
-
-
 def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
-    """Invariant screening, then a basis map of Hom(M, N) of full rank at
-    every vertex.
+    """Equal ``dims``, then a basis map of Hom(M, N) of full rank at every
+    vertex.
 
     Precondition: M or N is indecomposable.  Then End(M) is local when
     M ~ N, so the non-isomorphisms in Hom(M, N) = phi End(M) form a proper
     subspace, which no basis lies inside: some basis map is invertible.
     The argument holds over any field."""
-    if not _screen_invariants(M, N):
+    if M.dims != N.dims:
         return False
     n = M.algebra.n
     return M.total_dim == 0 or any(

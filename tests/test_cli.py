@@ -331,6 +331,8 @@ def test_verify_builds_each_projective_once(monkeypatch, capsys):
     ({"orientation": [[True, 2]]}, "orientation"),
     ({"orientation": [[1.0, 2]]}, "orientation"),
     ({"orientation": "x"}, "orientation"),
+    ({"cartan": []}, "cartan"),
+    ({"cartan": [[2, False], [False, 2]]}, "cartan"),
 ])
 def test_main_bad_config_key_exits_2(extra, key, capsys):
     raw = {"cartan": [[2, -1], [-1, 2]], **extra}

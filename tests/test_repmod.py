@@ -31,6 +31,7 @@ from preproj.repmod import (
     radical_subspaces,
     simple_module,
     structure_series,
+    submodule,
     uniserial_module,
     zero_module,
 )
@@ -106,13 +107,8 @@ def test_structure_series(algebras):
     s = structure_series(projective_module(eg2, 1))
     assert [sum(l) for l in s.radical_layers] == [1, 2, 2, 1]
     assert s.radical_layers == [(1, 0), (1, 1), (1, 1), (1, 0)]
-    soc1 = structure_series(projective_module(eg1, 1))
-    # socle of e1 Pi in eg1 is S_2
-    assert soc1.socle_layers[0] == (0, 1)
     simple = structure_series(simple_module(eg1, 1))
     assert simple.radical_layers == [(1, 0)]
-    assert simple.socle_layers == [(1, 0)]
-    assert simple.top == (1, 0)
 
 
 def test_presentations(algebras):
@@ -325,9 +321,22 @@ def test_isomorphism_is_deterministic_on_blocks(entries, sym, field):
         largest_hom = max(largest_hom, hom_space(blk, copy).dim)
     # the check reaches Hom spaces of dimension > 4
     assert largest_hom > 4
+    same_dims = 0
     for a, M in enumerate(blocks):
         for N in blocks[a + 1:]:
             assert not is_isomorphic(M, N)
+            same_dims += M.dims == N.dims
+    # some non-isomorphic pair is told apart by the Hom test alone
+    assert same_dims > 0
+
+
+def test_isomorphism_computes_no_series(semigroups):
+    """Deciding M ~ N reads no radical layers of either module."""
+    blk = vertex_ideal(semigroups["b3"].table, {2}).block(2)
+    M = ModuleRep(blk.algebra, blk.dims, blk.act)  # an empty cache
+    N = _conjugate(M)
+    assert is_isomorphic(M, N)
+    assert "series" not in M._cache and "series" not in N._cache
 
 
 def test_indecomposability(algebras):
@@ -443,6 +452,21 @@ def test_submodule_roundtrip(algebras):
     assert [sum(l) for l in s.radical_layers] == [2, 1]
 
 
+def test_submodule_needs_arrow_stable_spaces(algebras):
+    """rad e_1 Pi is a submodule; M e_1 alone is not, since the arrows
+    map it to M e_2."""
+    eg1 = algebras["eg1"]
+    P1 = projective_module(eg1, 1)
+    R = submodule(P1, radical_subspaces(P1))
+    assert R.dims == [P1.dims[0] - 1, P1.dims[1]]
+    R._validate()
+    spaces = {1: Subspace.span(Matrix.identity(P1.dims[0], eg1.field).rows,
+                               P1.dims[0], eg1.field),
+              2: Subspace(P1.dims[1], eg1.field)}
+    with pytest.raises(VerificationFailed, match="not arrow-stable"):
+        submodule(P1, spaces)
+
+
 def _a2_action(A, nonloop, eps1_rows=1):
     """Action matrices on dims [1, 1]: the loops by 0 (eps_1 with
     ``eps1_rows`` rows) and both non-loop arrows by ``nonloop``."""
@@ -553,16 +577,7 @@ def _dense_submodule(parent, vectors_by_vertex):
     spaces = {v: Subspace.span(vectors_by_vertex[v], parent.dims[v - 1],
                                A.field)
               for v in range(1, A.n + 1)}
-    dims = [spaces[v].dim for v in range(1, A.n + 1)]
-    act = {}
-    for a in A.quiver.arrows:
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], A.field)
-        for col, row in enumerate(spaces[a.target].rows):
-            coeffs = spaces[a.source].express(parent.act[a.index].vec(row))
-            for r, c in enumerate(coeffs):
-                out.rows[r][col] = c
-        act[a.index] = out
-    return ModuleRep(A, dims, act, validate=False), spaces
+    return submodule(parent, spaces), spaces
 
 
 def _top(mod):
@@ -620,6 +635,123 @@ def test_syzygies_match_the_dense_p0_route(entries, sym, field):
         assert all(pres.syzygy.act[a].rows == K.act[a].rows for a in K.act)
         copies = max(copies, len(p0))
     assert copies > 1
+
+
+def _left_module_data(A, pres):
+    """Hom(P0,Pi) -> Hom(P1,Pi) as left modules (+)_k Pi e_{u_k} etc.
+
+    Left modules are graded by TARGET vertex; left multiplication by the
+    arrow a maps the vertex-s(a) piece to the vertex-t(a) piece."""
+    field = A.field
+    l0_layout = {v: [] for v in range(1, A.n + 1)}
+    for k, u in enumerate(pres.p0):
+        for g in A.by_source[u]:
+            l0_layout[A.target[g]].append((k, g))
+    l1_layout = {v: [] for v in range(1, A.n + 1)}
+    for l, u in enumerate(pres.p1):
+        for g in A.by_source[u]:
+            l1_layout[A.target[g]].append((l, g))
+    # the map: (g_k)_k -> (sum_k g_k x_{kl})_l, per target vertex
+    psi = {}
+    for v in range(1, A.n + 1):
+        out = Matrix.zeros(len(l1_layout[v]), len(l0_layout[v]), field)
+        pos1 = {pair: i for i, pair in enumerate(l1_layout[v])}
+        for col, (k, g) in enumerate(l0_layout[v]):
+            for l in range(len(pres.p1)):
+                x = pres.x_elems[k][l]
+                if not x:
+                    continue
+                prod = A.mul_coords({g: field.one}, x)
+                for g2, c in prod.items():
+                    out.rows[pos1[(l, g2)]][col] = c
+        psi[v] = out
+    return l0_layout, l1_layout, psi
+
+
+def _left_action(A, layout, v_from, v_to, arrow_idx):
+    """Left multiplication by an arrow on a (+)_k Pi e_{u_k} layout."""
+    field = A.field
+    out = Matrix.zeros(len(layout[v_to]), len(layout[v_from]), field)
+    pos = {pair: i for i, pair in enumerate(layout[v_to])}
+    for col, (k, g) in enumerate(layout[v_from]):
+        prod = A.mul_coords(A.arrow_coords[arrow_idx], {g: field.one})
+        for g2, c in prod.items():
+            out.rows[pos[(k, g2)]][col] = c
+    return out
+
+
+def _left_tau(M):
+    """Oracle for tau: D of the cokernel of the left-module map, each
+    arrow acting by the transpose of its action on the cokernel."""
+    A = M.algebra
+    field = A.field
+    pres = minimal_projective_presentation(M)
+    if not pres.p1:
+        return zero_module(A)
+    _, l1_layout, psi = _left_module_data(A, pres)
+    projs, lifts, dims = {}, {}, []
+    for v in range(1, A.n + 1):
+        image = Subspace.span((psi[v].col(j) for j in range(psi[v].ncols)),
+                              len(l1_layout[v]), field)
+        projs[v], dim, lifts[v] = image.quotient()
+        dims.append(dim)
+    act = {}
+    for a in A.quiver.arrows:
+        lm = _left_action(A, l1_layout, a.source, a.target, a.index)
+        out = Matrix.zeros(dims[a.target - 1], dims[a.source - 1], field)
+        for col, lift in enumerate(lifts[a.source]):
+            for r, c in enumerate(projs[a.target](lm.vec(lift))):
+                out.rows[r][col] = c
+        act[a.index] = out.transpose()
+    return ModuleRep(A, dims, act, validate=False)
+
+
+def _left_nu(M):
+    """Oracle for nu: D of the kernel of the left-module map, each arrow
+    acting by the transpose of its action on the kernel."""
+    A = M.algebra
+    field = A.field
+    pres = minimal_projective_presentation(M)
+    l0_layout, _, psi = _left_module_data(A, pres)
+    kernels = {}
+    for v in range(1, A.n + 1):
+        if pres.p1:
+            vecs = nullspace(psi[v])
+        else:
+            vecs = Matrix.identity(len(l0_layout[v]), field).rows
+        kernels[v] = Subspace.span(vecs, len(l0_layout[v]), field)
+    dims = [kernels[v].dim for v in range(1, A.n + 1)]
+    act = {}
+    for a in A.quiver.arrows:
+        lm = _left_action(A, l0_layout, a.source, a.target, a.index)
+        out = Matrix.zeros(dims[a.target - 1], dims[a.source - 1], field)
+        for col, row in enumerate(kernels[a.source].rows):
+            for r, c in enumerate(kernels[a.target].express(lm.vec(row))):
+                out.rows[r][col] = c
+        act[a.index] = out.transpose()
+    return ModuleRep(A, dims, act, validate=False)
+
+
+@pytest.mark.parametrize("entries, sym, field", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", QQ),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", PrimeField(101)),
+    ([[2, -1], [-3, 2]], (3, 1), QQ)], ids=["b3-qq", "b3-f101", "g2-qq"])
+def test_tau_and_nu_match_the_left_module_route(entries, sym, field):
+    """tau as ker psi* and nu as coker psi* agree with the route through
+    the left modules Hom(P, Pi): tau of every distinct block, and nu of
+    every E_i and e_i Pi, have the same dims and are isomorphic."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    blocks = _distinct_blocks(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    pairs = [(auslander_reiten_translate(b), _left_tau(b)) for b in blocks]
+    for i in range(1, A.n + 1):
+        for M in (generalized_simple(A, i), projective_module(A, i)):
+            pairs.append((nakayama_nu(M), _left_nu(M)))
+    nonzero = 0
+    for got, want in pairs:
+        assert got.dims == want.dims
+        assert is_isomorphic(got, want)
+        nonzero += not got.is_zero
+    assert nonzero > len(blocks)
 
 
 @pytest.mark.parametrize("entries, sym", [
