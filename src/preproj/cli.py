@@ -101,18 +101,20 @@ def config_from_dict(raw: dict) -> RunConfig:
     caps = raw.get("caps", {})
     if not isinstance(caps, dict):
         raise ValidationError(f"caps: must be an object, got {caps!r}")
-    cfg = RunConfig(
-        data=data,
-        field=fld,
-        weyl_cap=(_int_key("caps.weyl", caps["weyl"]) if "weyl" in caps
-                  else _int_key("weyl_cap", raw.get("weyl_cap", 1_000_000))),
-        max_degree=_int_key("caps.max_degree", caps.get("max_degree", 64)),
-        max_basis=_int_key("caps.max_basis", caps.get("max_basis", 20000)),
-        seed=_int_key("seed", raw.get("seed", 0)),
-    )
-    if cfg.weyl_cap <= 0 or cfg.max_degree <= 0 or cfg.max_basis <= 0:
-        raise ValidationError("caps: must be positive")
-    return cfg
+    for key in caps:
+        if key not in ("weyl", "max_degree", "max_basis"):
+            raise ValidationError(f"caps.{key}: unknown key")
+    limits = {"caps.weyl" if "weyl" in caps else "weyl_cap":
+              caps.get("weyl", raw.get("weyl_cap", 1_000_000)),
+              "caps.max_degree": caps.get("max_degree", 64),
+              "caps.max_basis": caps.get("max_basis", 20000)}
+    for key, value in limits.items():
+        if _int_key(key, value) <= 0:
+            raise ValidationError(f"{key}: must be positive")
+    weyl_cap, max_degree, max_basis = limits.values()
+    return RunConfig(data=data, field=fld, weyl_cap=weyl_cap,
+                     max_degree=max_degree, max_basis=max_basis,
+                     seed=_int_key("seed", raw.get("seed", 0)))
 
 
 def load_config(source: str) -> RunConfig:

@@ -72,17 +72,17 @@ class Matrix:
         return out
 
     def vec(self, v):
-        """Matrix-vector product (column convention)."""
+        """Matrix-vector product (column convention), summed over the
+        nonzero entries of v only."""
         assert len(v) == self.ncols, (len(v), self.ncols)
+        nz = [(j, x) for j, x in enumerate(v) if x]
         z = self.field.zero
-        out = [z] * self.nrows
-        for i in range(self.nrows):
-            ri = self.rows[i]
+        out = []
+        for ri in self.rows:
             acc = z
-            for j, x in enumerate(v):
-                if x:
-                    acc = acc + ri[j] * x
-            out[i] = acc
+            for j, x in nz:
+                acc = acc + ri[j] * x
+            out.append(acc)
         p = self.field.characteristic
         if p:
             return [x % p for x in out]

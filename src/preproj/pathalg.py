@@ -12,6 +12,7 @@ full overlap completion is required.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .cartan import CartanData, DoubledQuiver
@@ -345,6 +346,14 @@ class FiniteDimAlgebra:
         self.arrow_coords = tuple(
             self.coords({arrow_mon(self.quiver, a.index): field.one})
             for a in self.quiver.arrows)
+
+    @functools.cached_property
+    def prefixes(self):
+        """Basis index -> (index of its prefix, its last arrow), None for a
+        trivial path.  Normal words are closed under prefixes."""
+        arrows = self.quiver.arrows
+        return [(self.index[(arrows[w[-1]].target, w[:-1])], w[-1]) if w
+                else None for _, w in self.basis]
 
     # -- element plumbing ---------------------------------------------------
 

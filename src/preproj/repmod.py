@@ -20,9 +20,10 @@ k * dim Pi + g stands for the basis path g in copy k, and a span inside Pi
 uses copy 0 alone.  At vertex v the coordinates are the paths of
 e_{u_k}Pi e_v, and ``_keys[v]`` records the key of each.
 
-``hom_space`` builds all basis maps of Hom(M, N) in one pass: the path of
-each P0 coordinate acts on N once, on the generator images of every kernel
-vector at once, and these products live only for the call.
+Presentations and ``hom_space`` act by every path of e_u Pi through one
+walk of the basis tree (``_path_walk``), one product per path, on a unit
+column or on the generator images of every basis map at once; the walk
+results live only for the call.
 
 tau and nu come from one map.  For the minimal presentation P1 -> P0 -> M,
 psi*: nu P1 -> nu P0 is the dual of Hom(P0, Pi) -> Hom(P1, Pi),
@@ -125,6 +126,18 @@ class ModuleRep:
 
     def __repr__(self):
         return f"Module(dims={tuple(self.dims)})"
+
+
+def _path_walk(mod: ModuleRep, u: int, x, step):
+    """{g: x g} for every basis path g = h a of e_u Pi, h its prefix (an
+    earlier basis path): x g = ``step(mod.act[a], x h)``, where ``step`` is
+    ``Matrix.vec`` for a vector x of M_u and ``Matrix.mul`` for a matrix."""
+    A = mod.algebra
+    out = {}
+    for g in A.by_target[u]:
+        pre = A.prefixes[g]
+        out[g] = x if pre is None else step(mod.act[pre[1]], out[pre[0]])
+    return out
 
 
 def _memoized(key):
@@ -407,11 +420,11 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     """Projective cover P0 -> M and a cover P1 of its kernel.
 
     Generator k of P0 = (+)_k e_{u_k} Pi maps to the unit vector of the top
-    column c_k of M e_{u_k}.  The syzygy K is built by
-    ``module_from_subspace`` on the kernel vectors of the cover, as sparse
-    elements of P0 (key k * dim Pi + g for the path g in copy k); the
-    generators of P1 are the echelon rows of K that are not radical
-    pivots."""
+    column c_k of M e_{u_k}, and the P0 coordinate (k, g) to that vector
+    acted on by g.  The syzygy K is built by ``module_from_subspace`` on the
+    kernel vectors of the cover, as sparse elements of P0 (key
+    k * dim Pi + g for the path g in copy k); the generators of P1 are the
+    echelon rows of K that are not radical pivots."""
     A = mod.algebra
     field = A.field
     top = _top_columns(mod)
@@ -423,17 +436,13 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     for k, u in enumerate(p0):
         for g in A.by_target[u]:
             p0_layout[A.source[g]].append((k, g))
+    images = [_path_walk(mod, u, [field.one if r == c else field.zero
+                                  for r in range(mod.dims[u - 1])], Matrix.vec)
+              for u, c in zip(p0, gens)]
     section = {}
     kvecs = []
     for v in range(1, A.n + 1):
-        cols = []
-        for (k, g) in p0_layout[v]:
-            word = A.basis[g][1]
-            if word:
-                cols.append(mod.act_word(word).col(gens[k]))
-            else:
-                cols.append([field.one if r == gens[k] else field.zero
-                             for r in range(mod.dims[v - 1])])
+        cols = [images[k][g] for (k, g) in p0_layout[v]]
         cover = Matrix.from_cols(cols, mod.dims[v - 1], field)
         s = solve_matrix(cover, Matrix.identity(mod.dims[v - 1], field))
         if s is None:
@@ -501,11 +510,11 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
 
     A kernel vector of the approximation matrix gives the images n_k in
     N e_{u_k} of the generators of P0, and its map sends the P0 coordinate
-    (k, g) at vertex v to n_k g.  All basis maps are built in one pass: per
-    coordinate (k, g), the action of the path g on N multiplies the matrix
-    whose columns are the n_k of every kernel vector, so each path acts on
-    N once per generator, not once per basis map.  Composing with the
-    section P0_v <- M_v then gives the maps on M."""
+    (k, g) at vertex v to n_k g.  All basis maps are built in one pass: one
+    walk of the basis tree of e_{u_k} Pi, started at the matrix whose
+    columns are the n_k of every kernel vector, gives the images of every
+    coordinate (k, g) at one product each.  Composing with the section
+    P0_v <- M_v then gives the maps on M."""
     if M.total_dim == 0 or N.total_dim == 0:
         return HomBasis(0, [], M, N)
     pres = minimal_projective_presentation(M)
@@ -515,18 +524,17 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
         return HomBasis(0, [], M, N)
     A = N.algebra
     field = A.field
-    images = []  # generator k -> d_k x e matrix of the n_k of all kernel vectors
+    walks = []  # generator k -> path g -> the n_k g of all kernel vectors
     pos = 0
-    for d in src_dims:
-        images.append(Matrix([[vec[pos + r] for vec in kernel]
-                              for r in range(d)], d, len(kernel), field))
+    for u, d in zip(pres.p0, src_dims):
+        nk = Matrix([[vec[pos + r] for vec in kernel] for r in range(d)],
+                    d, len(kernel), field)
+        walks.append(_path_walk(N, u, nk, Matrix.mul))
         pos += d
     maps = [{} for _ in kernel]
     for v in range(1, A.n + 1):
-        cols = []  # P0 coordinate at v -> dim N_v x e matrix
-        for (k, g) in pres.p0_layout[v]:
-            word = A.basis[g][1]
-            cols.append(N.act_word(word).mul(images[k]) if word else images[k])
+        # P0 coordinate at v -> dim N_v x e matrix
+        cols = [walks[k][g] for (k, g) in pres.p0_layout[v]]
         d_v = N.dims[v - 1]
         for j, h in enumerate(maps):
             fpi = Matrix([[c.rows[r][j] for c in cols] for r in range(d_v)],

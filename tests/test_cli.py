@@ -1,11 +1,16 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from conftest import weyl_orbit_sizes
 
+import preproj
 from preproj.cli import config_from_dict, load_config, main, run_command
 from preproj.errors import NotDynkin, ParseError, ValidationError
 from preproj.fields import PrimeField
@@ -333,6 +338,11 @@ def test_verify_builds_each_projective_once(monkeypatch, capsys):
     ({"orientation": "x"}, "orientation"),
     ({"cartan": []}, "cartan"),
     ({"cartan": [[2, False], [False, 2]]}, "cartan"),
+    ({"caps": {"max_degre": 8}}, "caps.max_degre"),
+    ({"caps": {"weyl": 0}}, "caps.weyl"),
+    ({"caps": {"max_degree": -1}}, "caps.max_degree"),
+    ({"caps": {"max_basis": 0}}, "caps.max_basis"),
+    ({"weyl_cap": 0}, "weyl_cap"),
 ])
 def test_main_bad_config_key_exits_2(extra, key, capsys):
     raw = {"cartan": [[2, -1], [-1, 2]], **extra}
@@ -426,3 +436,24 @@ def test_algebra_golden_stdout(name, variant, capsys):
     assert main(["algebra", "--config", json.dumps(raw), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digests[key]
+
+
+def test_python_m_preproj_runs_the_cli(capsys):
+    """``python -m preproj`` runs ``main`` with the command-line arguments:
+    the same stdout and exit code as in process, and exit 2 on a bad
+    config key."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(preproj.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "preproj", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=False)
+
+    done = run("check", "--config", json.dumps(EG1))
+    assert main(["check", "--config", json.dumps(EG1)]) == 0
+    assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+    bad = run("check", "--config",
+              json.dumps({**EG1, "caps": {"max_degre": 8}}))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: caps.max_degre: unknown key")

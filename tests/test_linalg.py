@@ -1,6 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from preproj.fields import QQ, PrimeField
@@ -97,3 +99,42 @@ def test_rref_over_small_prime_fields(case):
     for v in kernel:
         assert all(type(x) is int and 0 <= x < p for x in v)
         assert not any(m.vec(v))
+
+
+def _row_sum_vec(m, v):
+    """Oracle for ``Matrix.vec``: every row summed over every entry of v."""
+    p = m.field.characteristic
+    out = [sum((r[j] * v[j] for j in range(m.ncols)), m.field.zero)
+           for r in m.rows]
+    return [x % p for x in out] if p else out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["qq", "f7"])
+def test_sparse_vec_matches_the_row_sum(field):
+    """``vec`` sums over the nonzero entries of v only, and equals the
+    full row sum: over QQ with ``Fraction`` entries, over F_p reduced into
+    range(p); for an all-zero v and for empty shapes too."""
+    p = field.characteristic
+    rng = random.Random(0)
+
+    def scalar(density):
+        if rng.random() >= density:
+            return field.zero
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for nrows, ncols in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 5), (7, 7)]:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            m = Matrix([[scalar(0.6) for _ in range(ncols)]
+                        for _ in range(nrows)], nrows, ncols, field)
+            v = [scalar(density) for _ in range(ncols)]
+            got = m.vec(v)
+            assert got == _row_sum_vec(m, v)
+            assert len(got) == nrows
+            if p:
+                assert all(type(x) is int and 0 <= x < p for x in got)
+            else:
+                _assert_exact(got)
+            if not any(v):
+                assert not any(got)

@@ -21,6 +21,8 @@ EG2 = cartan_data([[2, -1], [-2, 2]], (2, 1))
 G2 = cartan_data([[2, -1], [-3, 2]], (3, 1))
 B4 = cartan_data([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
                   [0, 0, -2, 2]], "minimal")
+F4 = cartan_data([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1],
+                  [0, 0, -1, 2]], "minimal")
 
 
 def _mon(q, *arrow_names):
@@ -230,3 +232,24 @@ def test_multi_arrow_quotient_runs():
     rels = preprojective_relations(cartan_data([[2, -2], [-2, 2]]).quiver, QQ)
     with pytest.raises(CapExceeded):
         groebner_quotient(rels, QQ, max_degree=6, max_basis=100)
+
+
+@pytest.mark.parametrize("data", [
+    B4, F4, cartan_data([[2, -1], [-3, 2]], (6, 2)),
+    cartan_data([[2, -1], [-2, 2]], (4, 2))],
+    ids=["b4", "f4", "g2-62", "b2-42"])
+def test_basis_paths_are_closed_under_prefixes(data):
+    """The prefix of every nonempty basis path (the path without its last
+    arrow) is an earlier basis path with the same target, and the prefix
+    table, built on first use and not with the algebra, agrees with
+    ``index``."""
+    A = build_algebra(data)
+    assert "prefixes" not in vars(A)
+    arrows = A.quiver.arrows
+    for g, (_, word) in enumerate(A.basis):
+        if not word:
+            assert A.prefixes[g] is None
+            continue
+        h = A.index[(arrows[word[-1]].target, word[:-1])]
+        assert h < g and A.target[h] == A.target[g]
+        assert A.prefixes[g] == (h, word[-1])

@@ -12,6 +12,7 @@ from preproj.pathalg import build_algebra
 from preproj.repmod import (
     ModuleRep,
     _approximation_matrix,
+    _path_walk,
     auslander_reiten_translate,
     direct_sum,
     ext1_dim,
@@ -772,3 +773,73 @@ def test_modules_built_without_the_relation_check_satisfy_the_relations(
     mods.extend([minimal_projective_presentation(M).syzygy for M in mods])
     for M in mods:
         M._validate()
+
+
+_B3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+
+
+@pytest.mark.parametrize("entries, sym, field", [
+    (_B3, "minimal", QQ),
+    (_B3, "minimal", PrimeField(101)),
+    ([[2, -1], [-3, 2]], (6, 2), QQ),
+    ([[2, -1], [-2, 2]], (4, 2), QQ)],
+    ids=["b3-qq", "b3-f101", "g2-62", "b2-42"])
+def test_path_walk_matches_act_word(entries, sym, field):
+    """On every block, projective and nonzero tau block, the walk of the
+    basis tree of each e_u Pi gives, for every basis path g, what
+    ``act_word(g)`` gives on the same start: the identity of M_u as a
+    matrix, and a fixed vector of M_u."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    mods = _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    mods.extend(projective_module(A, v) for v in range(1, A.n + 1))
+    paths = 0
+    for M in mods:
+        for u in range(1, A.n + 1):
+            d = M.dims[u - 1]
+            start = Matrix.identity(d, field)
+            x = [(3 * r + 1) % 5 for r in range(d)]
+            by_matrix = _path_walk(M, u, start, Matrix.mul)
+            by_vector = _path_walk(M, u, x, Matrix.vec)
+            assert list(by_matrix) == list(by_vector) == A.by_target[u]
+            for g in A.by_target[u]:
+                word = A.basis[g][1]
+                if not word:
+                    assert by_matrix[g] is start and by_vector[g] is x
+                    continue
+                act = M.act_word(word)
+                assert by_matrix[g].rows == act.mul(start).rows
+                assert by_vector[g] == act.vec(x)
+                paths += 1
+    assert paths > len(mods) * A.n
+
+
+def test_presentations_and_homs_act_by_the_walk(monkeypatch):
+    """Presentations and Hom maps read every P0 coordinate from one walk
+    of the basis tree.  With ``act_word`` raising everywhere but inside
+    ``act_elem`` (which evaluates the x_kl of the approximation matrix),
+    both still run on every block of B3."""
+    A = build_algebra(cartan_data(_B3, "minimal"))
+    blocks = _distinct_blocks(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    act_word, act_elem = ModuleRep.act_word, ModuleRep.act_elem
+    inside = []
+
+    def guarded_word(self, word):
+        if not inside:
+            raise AssertionError("a path acts by act_word outside act_elem")
+        return act_word(self, word)
+
+    def flagged_elem(self, *args):
+        inside.append(True)
+        try:
+            return act_elem(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ModuleRep, "act_word", guarded_word)
+    monkeypatch.setattr(ModuleRep, "act_elem", flagged_elem)
+    homs = 0
+    for M in blocks:
+        assert minimal_projective_presentation(M).p0
+        for N in blocks:
+            homs += hom_space(M, N).dim
+    assert homs > len(blocks)
