@@ -12,7 +12,13 @@ import sys
 from dataclasses import dataclass
 
 from .cartan import CartanData, cartan_data, dynkin_components
-from .coxeter import coxeter_order, enumerate_weyl, simple_reflection_matrix
+from .coxeter import (
+    _identity,
+    _mat_mul,
+    coxeter_order,
+    enumerate_weyl,
+    simple_reflection_matrix,
+)
 from .errors import (
     CapExceeded,
     CartanError,
@@ -307,7 +313,6 @@ def cmd_verify(cfg: RunConfig):
                 m = coxeter_order(c, i, j)
                 si = simple_reflection_matrix(c, i)
                 sj = simple_reflection_matrix(c, j)
-                from .coxeter import _identity, _mat_mul
                 prod = _mat_mul(si, sj)
                 power = prod
                 k = 1

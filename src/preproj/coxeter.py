@@ -1,17 +1,18 @@
-"""The Weyl group W(C) through its contragredient integer representation.
+"""The Weyl group W(C) as the orbit of rho = (1, ..., 1).
 
-Elements are keyed by the matrix of their action on V* in the basis
-alpha_1*, ..., alpha_n*; by injectivity of the geometric representation
-this is a faithful canonical key.  Words are tuples of generator indices
-(1-based), read left to right: (i, j) means s_i s_j.
+Elements are keyed by w(rho) in fundamental-weight coordinates, faithful as
+rho is regular; lam_i < 0 exactly when i is a left descent.  The BFS records
+every s_i w, so ``left_mul`` is a lookup and ``right_mul`` reads an inverse
+table built on first use.  Words are tuples of generator indices (1-based),
+read left to right: (i, j) means s_i s_j.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, find_symmetrizer, is_dynkin
 from .errors import CapExceeded
 
 
@@ -26,23 +27,10 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _reflect_rows(m, col, i):
-    """sigma_i* m, for ``col`` column i of C (0-based i): row r != i becomes
-    row r - c_ri row i, and row i becomes -row i."""
-    pivot = m[i]
-    return tuple(
-        tuple(-x for x in pivot) if r == i
-        else tuple(x - c * y for x, y in zip(row, pivot)) if c else row
-        for r, (row, c) in enumerate(zip(m, col)))
-
-
-def _reflect_cols(m, col, i):
-    """m sigma_i*, for ``col`` column i of C (0-based i): column i becomes
-    col_i - sum_l c_li col_l, and the other columns stay."""
-    return tuple(
-        row[:i] + (row[i] - sum(c * x for c, x in zip(col, row)),)
-        + row[i + 1:]
-        for row in m)
+def _step(lam, col, i):
+    """s_i lam = lam - lam_i alpha_i, for ``col`` = alpha_i = column i of C."""
+    li = lam[i]
+    return tuple([x - li * c for x, c in zip(lam, col)])
 
 
 def _cartan_columns(c: CartanMatrix):
@@ -72,11 +60,32 @@ def coxeter_order(c: CartanMatrix, i: int, j: int):
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(prod, math.inf)
 
 
-@dataclass(frozen=True)
+def weyl_order(c: CartanMatrix) -> int:
+    """|W(C)| for C of finite type (elsewhere the orbits are infinite):
+    W(C') fixes omega_n, C' dropping vertex n, so |W(C)| = |W(C) omega_n|
+    |W(C')|."""
+    cols = _cartan_columns(c)
+    order = 1
+    for n in range(c.n, 0, -1):
+        orbit = {(0,) * (n - 1) + (1,)}
+        work = list(orbit)
+        while work:
+            lam = work.pop()
+            for i in range(n):
+                mu = _step(lam, cols[i][:n], i)
+                if mu not in orbit:
+                    orbit.add(mu)
+                    work.append(mu)
+        order *= len(orbit)
+    return order
+
+
+@dataclass(frozen=True, slots=True)
 class WeylElement:
-    matrix: tuple
+    weight: tuple  # w(rho) in fundamental-weight coordinates
     length: int
     word: tuple  # lexicographically least reduced word
+    index: int = field(compare=False)  # position in the enumeration
 
     def __repr__(self):
         w = "".join(str(i) for i in self.word) or "e"
@@ -84,46 +93,60 @@ class WeylElement:
 
 
 class WeylGroup:
-    """BFS-enumerated group (complete, or a ball when capped)."""
+    """BFS-enumerated group (complete, or a ball when capped, without the
+    steps out of its outer layer)."""
 
-    def __init__(self, cartan: CartanMatrix, elements, generators, complete):
+    def __init__(self, cartan: CartanMatrix, elements, left, complete):
         self.cartan = cartan
         self.n = cartan.n
-        self.elements = elements  # dict matrix -> WeylElement
-        self.generators = generators  # list of n matrices
+        self.elements = elements  # dict w(rho) -> WeylElement, by index
+        self.identity = elements[(1,) * self.n]
         self.complete = complete
-        self._columns = _cartan_columns(cartan)
+        self._left = left  # s_i w at n * w.index + i - 1
+        self._inverse = None  # index -> w^-1
+        self._sorted = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[_identity(self.n)]
-
     def simple(self, i: int) -> WeylElement:
-        return self.elements[self.generators[i - 1]]
+        return self.left_mul(i, self.identity)
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
-        m = _reflect_rows(w.matrix, self._columns[i - 1], i - 1)
-        return self.elements[m]
+        return self._left[self.n * w.index + i - 1]
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        m = _reflect_cols(w.matrix, self._columns[i - 1], i - 1)
-        return self.elements[m]
+        """w s_i = (s_i w^-1)^-1."""
+        inverse = self._inverse
+        if inverse is None:
+            inverse = self._inverse = [self.from_word(w.word[::-1])
+                                       for w in self.elements.values()]
+        return inverse[self.left_mul(i, inverse[w.index]).index]
 
     def from_word(self, word) -> WeylElement:
+        """s_{i_1} ... s_{i_k} for any sequence (i_1, ..., i_k)."""
+        w = self.identity
+        for i in reversed(word):
+            w = self.left_mul(i, w)
+        return w
+
+    def matrix(self, w: WeylElement):
+        """The contragredient matrix of w, the product of its sigma_i*."""
         m = _identity(self.n)
-        for i in word:
-            m = _reflect_cols(m, self._columns[i - 1], i - 1)
-        return self.elements[m]
+        for i in w.word:
+            m = _mat_mul(m, simple_reflection_matrix(self.cartan, i))
+        return m
 
     def longest(self) -> WeylElement:
-        return max(self.elements.values(), key=lambda w: (w.length, w.word))
+        return self.sorted_elements()[-1]
 
     def sorted_elements(self):
-        return sorted(self.elements.values(), key=lambda w: (w.length, w.word))
+        """By length, then word; sorted on first use."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.elements.values(),
+                                        key=lambda w: (w.length, w.word)))
+        return self._sorted
 
     def __iter__(self):
         return iter(self.sorted_elements())
@@ -141,35 +164,37 @@ def enumerate_weyl(c: CartanMatrix, cap: int = 1_000_000,
     which case the truncated ball is returned with ``complete=False``.
     """
     n = c.n
-    gens = [simple_reflection_matrix(c, i) for i in range(1, n + 1)]
     cols = _cartan_columns(c)
-    ide = _identity(n)
-    elements = {ide: WeylElement(ide, 0, ())}
-    frontier = [elements[ide]]
-    depth = 0
-    truncated = False
+    e = WeylElement((1,) * n, 0, (), 0)
+    elements = {e.weight: e}
+    left = []
+    frontier = [e]
     while frontier:
-        if max_length is not None and depth >= max_length:
-            truncated = True
-            break
+        if max_length is not None and frontier[0].length >= max_length:
+            return WeylGroup(c, elements, left, False)
         new = {}
+        steps = [None] * (n * len(frontier))
         # generator loop outermost: the first discovery of an element uses the
         # smallest left descent, which yields the lex-least reduced word
-        for i in range(1, n + 1):
-            for w in frontier:
-                m = _reflect_rows(w.matrix, cols[i - 1], i - 1)
-                if m in elements or m in new:
-                    continue
-                new[m] = WeylElement(m, depth + 1, (i,) + w.word)
+        for i in range(n):
+            for k, w in enumerate(frontier):
+                mu = _step(w.weight, cols[i], i)
+                v = elements.get(mu) or new.get(mu)
+                if v is None:
+                    v = new[mu] = WeylElement(
+                        mu, w.length + 1, (i + 1,) + w.word,
+                        len(elements) + len(new))
+                steps[n * k + i] = v
         if len(elements) + len(new) > cap:
-            partial = WeylGroup(c, elements, gens, False)
-            raise CapExceeded(
-                f"Weyl group exceeds cap {cap}; C is likely non-Dynkin",
-                partial=partial)
+            message = (f"Weyl group of order {weyl_order(c)} exceeds cap {cap}"
+                       if is_dynkin(c, find_symmetrizer(c)) else
+                       f"Weyl group exceeds cap {cap}; C is likely non-Dynkin")
+            raise CapExceeded(message,
+                              partial=WeylGroup(c, elements, left, False))
+        left.extend(steps)
         elements.update(new)
-        frontier = [new[m] for m in new]
-        depth += 1
-    return WeylGroup(c, elements, gens, not truncated)
+        frontier = list(new.values())
+    return WeylGroup(c, elements, left, True)
 
 
 def all_reduced_words(group: WeylGroup, w: WeylElement, _memo=None):
@@ -178,15 +203,15 @@ def all_reduced_words(group: WeylGroup, w: WeylElement, _memo=None):
         _memo = {}
     if w.length == 0:
         return {()}
-    if w.matrix in _memo:
-        return _memo[w.matrix]
+    if w.index in _memo:
+        return _memo[w.index]
     words = set()
     for i in range(1, group.n + 1):
         v = group.left_mul(i, w)
         if v.length < w.length:
             for tail in all_reduced_words(group, v, _memo):
                 words.add((i,) + tail)
-    _memo[w.matrix] = words
+    _memo[w.index] = words
     return words
 
 

@@ -11,11 +11,11 @@ everything memoized on them.
 An ideal is the n-tuple of the ids of its blocks e_vI, which
 ``BlockTable`` interns once per context as echelon rows in e_vPi, so
 equality is exact and canonical and every ideal operation works inside one
-e_vPi.  I_w is memoized per Weyl element; the recursion follows the
-canonical reduced word by left extension (I_w = I_i I_{s_i w}), which
-changes block i only, while ``ideal_product`` multiplies block rows and
-serves as the independent route for the idempotent checks I_i I_i = I_i
-of ``classification_report``.
+e_vPi.  I_w is memoized per Weyl element and built by the descent rule
+of ``IdealSemigroup.of_element``, which runs one left extension per
+distinct block, while ``ideal_product`` multiplies block rows and serves
+as the independent route for the idempotent checks I_i I_i = I_i of
+``classification_report``.
 
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
 distinct nonzero blocks among its 384 x 4 pairs (w, v).  ``Ideal.block``
@@ -77,7 +77,6 @@ class BlockTable:
         self.rows = []      # block id -> echelon rows in e_vPi coordinates
         self.vectors = []   # block id -> the rows as sparse algebra coordinates
         self.modules = []   # block id -> ModuleRep, built on first use
-        self.left = {}      # (i, block ids at the neighbours of i) -> block id
         self.right = {}     # (block id, i) -> block id
         self._ids = {}      # (v, rows) -> block id
         self._local = {v: {g: k for k, g in enumerate(algebra.by_target[v])}
@@ -204,26 +203,24 @@ def extend_left(i: int, J: Ideal) -> Ideal:
     number of non-loop arrows, so the basis paths p of e_i Pi e_j with one
     non-loop arrow span the eps_i^k a eps_j^m, and block i is the span of
     p x over the neighbours j of i and the rows x of e_j J.  That span is
-    already a right module, as e_j J is.  Memoized on i and the blocks of J
-    at the neighbours of i."""
+    already a right module, as e_j J is."""
     algebra = J.algebra
     table = J.table
-    neighbours = algebra.data.cartan.neighbors(i)
-    key = (i, tuple(J.blocks[j - 1] for j in neighbours))
-    b = table.left.get(key)
-    if b is None:
-        arrows = algebra.quiver.arrows
-        one = algebra.field.one
-        prods = []
-        for p in algebra.by_target[i]:
-            j = algebra.source[p]
-            if j != i and sum(not arrows[a].is_loop
-                              for a in algebra.basis[p][1]) == 1:
-                prods.extend(algebra.mul_coords({p: one}, x)
-                             for x in table.vectors[J.blocks[j - 1]])
-        b = table.left[key] = table.span(i, prods)
-    blocks = J.blocks[:i - 1] + (b,) + J.blocks[i:]
-    return Ideal(table, blocks)
+    arrows = algebra.quiver.arrows
+    one = algebra.field.one
+    prods = []
+    for p in algebra.by_target[i]:
+        j = algebra.source[p]
+        if j != i and sum(not arrows[a].is_loop
+                          for a in algebra.basis[p][1]) == 1:
+            prods.extend(algebra.mul_coords({p: one}, x)
+                         for x in table.vectors[J.blocks[j - 1]])
+    return _with_block(J, i, table.span(i, prods))
+
+
+def _with_block(J: Ideal, i: int, b: int) -> Ideal:
+    """J with block i replaced by block ``b``."""
+    return Ideal(J.table, J.blocks[:i - 1] + (b,) + J.blocks[i:])
 
 
 def extend_right(J: Ideal, i: int) -> Ideal:
@@ -284,16 +281,28 @@ class IdealSemigroup:
         return self.of_element(self.weyl.simple(i))
 
     def of_element(self, w: WeylElement) -> Ideal:
-        cached = self._cache.get(w.matrix)
-        if cached is not None:
-            return cached
+        """I_w = I_i I_{s_i w} for i = w.word[0] differs from I_{s_i w} in
+        block i only.  At a second left descent j, I_w = I_j I_{s_j w}
+        keeps block i of I_{s_j w}, so ``extend_left`` runs only where i is
+        the one left descent.  Check (i) of ``classification_report``
+        proves I_w = I_{i_1} ... I_{i_k} along every reduced word whatever
+        route filled the memo: its induction needs only I_e = Pi and the
+        ascents I_u I_i = I_{u s_i}."""
+        ideal = self._cache.get(w.index)
+        if ideal is not None:
+            return ideal
         if w.length == 0:
             ideal = full_ideal(self.table)
         else:
             i = w.word[0]
-            rest = self.weyl.left_mul(i, w)
-            ideal = extend_left(i, self.of_element(rest))
-        self._cache[w.matrix] = ideal
+            rest = self.of_element(self.weyl.left_mul(i, w))
+            others = [j for j, x in enumerate(w.weight, 1) if x < 0 and j != i]
+            if not others:
+                ideal = extend_left(i, rest)
+            else:
+                other = self.of_element(self.weyl.left_mul(others[0], w))
+                ideal = _with_block(rest, i, other.blocks[i - 1])
+        self._cache[w.index] = ideal
         return ideal
 
 

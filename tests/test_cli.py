@@ -183,10 +183,12 @@ def test_cmd_verify_prints_failure_witnesses(monkeypatch, capsys):
 def test_verify_skips_the_checks_that_need_the_weyl_group(capsys):
     """When the Weyl enumeration fails, the classification and graph lines
     say they were skipped instead of reporting an error about the missing
-    group; the exit code stays 1."""
+    group; the exit code stays 1.  A2 is Dynkin, so the failure names the
+    order of W and the cap, not a non-Dynkin suspicion."""
     assert main(["verify", "--config", json.dumps(EG1), "--cap", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("FAIL weyl enumeration (CapExceeded: ")
+    assert lines[0] == ("FAIL weyl enumeration (CapExceeded: "
+                        "Weyl group of order 6 exceeds cap 3)")
     assert lines[1:] == [
         "PASS coxeter orders of sigma_i*",
         "PASS algebra construction and verification",

@@ -8,13 +8,12 @@ from preproj.cartan import validate_cartan
 from preproj.coxeter import (
     _identity,
     _mat_mul,
-    _reflect_cols,
-    _reflect_rows,
     all_reduced_words,
     coxeter_order,
     demazure_product,
     enumerate_weyl,
     simple_reflection_matrix,
+    weyl_order,
 )
 from preproj.errors import CapExceeded
 
@@ -28,6 +27,20 @@ B4 = validate_cartan([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
                       [0, 0, -2, 2]])
 D4 = validate_cartan([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
                       [0, -1, 0, 2]])
+F4 = validate_cartan([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1],
+                      [0, 0, -1, 2]])
+
+
+def _type_e(n):
+    """E_n in Bourbaki's labelling: the path 1-3-4-...-n, and 2-4."""
+    edges = [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, n)]
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
+    return validate_cartan(rows)
+
+
+E6, E7, E8 = _type_e(6), _type_e(7), _type_e(8)
 
 
 def test_simple_reflection_examples():
@@ -117,9 +130,54 @@ def test_all_reduced_words_examples():
 def test_injectivity_of_representation():
     for c in (A2, B2, G2, A3, B3):
         group = enumerate_weyl(c)
-        matrices = {w.matrix for w in group}
+        matrices = {group.matrix(w) for w in group}
+        weights = {w.weight for w in group}
         words = {w.word for w in group}
-        assert len(matrices) == len(words) == group.order
+        assert len(matrices) == len(weights) == len(words) == group.order
+
+
+def test_iteration_order_is_stable():
+    group = enumerate_weyl(B3)
+    first = list(group)
+    assert list(group) == first
+    assert first == sorted(first, key=lambda w: (w.length, w.word))
+    assert [w.index for w in group.elements.values()] == list(range(48))
+
+
+@pytest.mark.parametrize("c", [B3, G2], ids=["b3", "g2"])
+def test_from_word_finds_the_element_of_every_reduced_word(c):
+    group = enumerate_weyl(c)
+    for w in group:
+        for word in all_reduced_words(group, w):
+            assert group.from_word(word) is w
+
+
+def test_weights_read_left_descents():
+    """lam_i < 0 for lam = w(rho) exactly when l(s_i w) < l(w)."""
+    for c in (B3, G2, D4):
+        group = enumerate_weyl(c)
+        for w in group:
+            for i in range(1, c.n + 1):
+                shorter = group.left_mul(i, w).length < w.length
+                assert (w.weight[i - 1] < 0) == shorter
+
+
+@pytest.mark.parametrize("c, order", [
+    (A2, 6), (B4, 384), (F4, 1152), (E6, 51_840), (E7, 2_903_040),
+    (E8, 696_729_600)], ids=["a2", "b4", "f4", "e6", "e7", "e8"])
+def test_weyl_order_by_orbit_recursion(c, order):
+    assert weyl_order(c) == order
+    if order <= 1152:
+        assert enumerate_weyl(c).order == order
+
+
+def test_cap_message_names_the_order_of_a_finite_group():
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_weyl(E7, cap=1000)
+    assert str(exc.value) == "Weyl group of order 2903040 exceeds cap 1000"
+    assert exc.value.partial.order <= 1000
+    with pytest.raises(CapExceeded, match="; C is likely non-Dynkin$"):
+        enumerate_weyl(AFF, cap=100)
 
 
 def test_words_reduce_to_canonical_rank2():
@@ -178,21 +236,21 @@ def test_demazure_associative():
 
 
 @pytest.mark.parametrize("c, order", [(G2, 12), (B4, 384), (D4, 192),
-                                      (AFF, None)],
-                         ids=["g2", "b4", "d4", "affine-ball"])
+                                      (F4, 1152), (AFF, None)],
+                         ids=["g2", "b4", "d4", "f4", "affine-ball"])
 def test_row_and_column_updates_match_matrix_products(c, order):
-    """sigma_i* w and w sigma_i* by one row or column update equal the
-    full matrix products, for every element w and generator i."""
+    """s_i w by ``left_mul`` and w s_i by ``right_mul``, both table
+    lookups, have the matrices sigma_i* w and w sigma_i*, for every element
+    w and generator i (on the ball, every w inside its outer layer)."""
     group = enumerate_weyl(c, max_length=None if order else 6)
     assert group.order == (order or 13)
+    matrices = [group.matrix(w) for w in group.elements.values()]
     for w in group:
+        if not group.complete and w.length == 6:
+            continue
         for i in range(1, c.n + 1):
             s = simple_reflection_matrix(c, i)
-            col = tuple(c[r, i] for r in range(1, c.n + 1))
-            left = _mat_mul(s, w.matrix)
-            right = _mat_mul(w.matrix, s)
-            assert _reflect_rows(w.matrix, col, i - 1) == left
-            assert _reflect_cols(w.matrix, col, i - 1) == right
-            if order:
-                assert group.left_mul(i, w).matrix == left
-                assert group.right_mul(w, i).matrix == right
+            left = _mat_mul(s, matrices[w.index])
+            right = _mat_mul(matrices[w.index], s)
+            assert matrices[group.left_mul(i, w).index] == left
+            assert matrices[group.right_mul(w, i).index] == right

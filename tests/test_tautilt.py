@@ -650,16 +650,25 @@ def test_hom_dims_to_tau_are_memoized_per_summand(algebras, weyl_groups,
             gc.enable()
 
 
-def test_semigroup_memos_are_bounded():
-    """A B4 ``stt`` computes at most 151 left steps for its 383 extensions,
-    one per distinct (i, blocks at the neighbours of i); the ascent check
+def test_semigroup_memos_are_bounded(monkeypatch):
+    """A B4 ``stt`` makes exactly 76 left extensions, one per distinct
+    nonzero block (383 before the descent rule); the ascent check
     I_u I_i = I_{u s_i} memoizes at most one right step per (block, i)."""
     A = build_algebra(cartan_data(B4, "minimal"))
     W = enumerate_weyl(A.data.cartan)
     ctx = IdealSemigroup(A, W)
+    real = tautilt.extend_left
+    calls = []
+
+    def counting(i, J):
+        calls.append(i)
+        return real(i, J)
+
+    monkeypatch.setattr(tautilt, "extend_left", counting)
     mutation_graph(ctx, validate="none")
+    monkeypatch.undo()
+    assert len(calls) == 76
     table = ctx.table
-    assert 0 < len(table.left) <= 151
     for u in W:
         for i in range(1, A.n + 1):
             v = W.right_mul(u, i)
@@ -667,6 +676,49 @@ def test_semigroup_memos_are_bounded():
                 assert extend_right(ctx.of_element(u), i) == \
                     ctx.of_element(v)
     assert 0 < len(table.right) <= len(table.rows) * A.n
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("entries, sym, field, expected", [
+    (A3, "minimal", QQ, 11), (B3, "minimal", QQ, 23), (G2, (3, 1), QQ, 10),
+    (G2, (6, 2), QQ, 10), (B2, (4, 2), QQ, 6), (B4, "minimal", QQ, 76),
+    (D4, "minimal", QQ, 44), (A4, "minimal", QQ, 26),
+    (B3, "minimal", PrimeField(101), 23)],
+    ids=["a3", "b3", "g2", "g2-62", "b2-42", "b4", "d4", "a4", "b3-fp101"])
+def test_descent_rule_matches_plain_left_extension(entries, sym, field,
+                                                   expected, monkeypatch):
+    """``of_element`` gives, for every w, the ideal of the plain route
+    I_w = extend_left(i, I_{s_i w}) for i = w.word[0], with no reuse of
+    blocks, on the same ``BlockTable``.  It calls ``extend_left`` once per
+    element with a single left descent, which is one call per distinct
+    nonzero block: sum_v (|W omega_v| - 1)."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    W = enumerate_weyl(A.data.cartan)
+    ctx = IdealSemigroup(A, W)
+    real = tautilt.extend_left
+    calls = []
+
+    def counting(i, J):
+        calls.append(i)
+        return real(i, J)
+
+    monkeypatch.setattr(tautilt, "extend_left", counting)
+    got = {w.index: ctx.of_element(w).blocks for w in W}
+    monkeypatch.undo()
+    single = [w for w in W if sum(x < 0 for x in w.weight) == 1]
+    assert len(calls) == len(single) == expected
+    assert sum(s - 1 for s in weyl_orbit_sizes(entries)) == expected
+    plain = {}
+    for w in W:  # by length, so s_i w comes first
+        if w.length == 0:
+            plain[w.index] = full_ideal(ctx.table)
+        else:
+            i = w.word[0]
+            plain[w.index] = real(i, plain[W.left_mul(i, w).index])
+        assert plain[w.index].blocks == got[w.index], w
 
 
 def _rank_vector(entries, word, i):
