@@ -120,6 +120,9 @@ def validate_cartan(entries) -> CartanMatrix:
     (C4) is decided by propagating the ratio c_ij / c_ji along a spanning
     tree of each component and checking consistency on the remaining edges.
     """
+    if not (isinstance(entries, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in entries)):
+        raise ValueError("Cartan matrix must be a list of integer rows")
     n = len(entries)
     if n == 0:
         raise ValueError("Cartan matrix must be nonempty")
@@ -216,6 +219,9 @@ def orientation_from_pairs(c: CartanMatrix, pairs) -> Orientation:
                 and all(type(v) is int and 1 <= v <= c.n for v in p)):
             raise OrientationError(
                 f"expected a pair [i, j] of vertices 1..{c.n}, got {p!r}")
+        if p[0] == p[1]:
+            raise OrientationError(
+                f"orientation pair {list(p)} joins a vertex to itself")
     return Orientation(frozenset(tuple(p) for p in pairs))
 
 
@@ -314,17 +320,13 @@ def _det_int(rows) -> int:
 
 
 def is_dynkin(c: CartanMatrix, d: Symmetrizer) -> bool:
-    """True iff q_C is positive definite (leading principal minors of DC > 0)."""
-    gram = gram_matrix(c, d)
-    for k in range(1, c.n + 1):
-        sub = [row[:k] for row in gram[:k]]
-        if _det_int(sub) <= 0:
-            return False
-    return True
+    """True iff q_C is positive definite, i.e. on every component."""
+    return all(ok for _, ok in dynkin_components(c, d))
 
 
 def dynkin_components(c: CartanMatrix, d: Symmetrizer):
-    """Per-component Dynkin verdicts: list of (component, bool)."""
+    """Per-component Dynkin verdicts: list of (component, bool), by the
+    leading principal minors of DC in the component's vertex order."""
     gram = gram_matrix(c, d)
     out = []
     for comp in c.components():

@@ -251,6 +251,8 @@ def cmd_stt(cfg: RunConfig):
             "projective": node.projective,
         })
     payload = {"count": len(pairs), "pairs": pairs}
+    if cfg.json_out:
+        return 0, _emit(cfg, payload, ())
     lines = [f"{len(pairs)} support tau-tilting pairs"]
     for p in pairs:
         m = "+".join(p["summands"]) or "0"

@@ -2,8 +2,11 @@
 
 Matrices carry their shape explicitly so zero-dimensional vertex spaces
 (which occur constantly in module computations) never get ambiguous.
-Subspaces are kept in reduced row echelon form, which makes membership,
-equality and canonical keys exact.
+``Subspace`` keeps a span in reduced row echelon form, which makes
+membership exact and its rows canonical; it is the one Gauss-Jordan
+elimination of the package, and ``rref``, ``nullspace`` and
+``solve_matrix`` go through it.  A graded span (an ideal block, a module
+on paths) is one ``Subspace`` per vertex, see ``repmod.GradedSpan``.
 
 Scalars are ``int`` (``Fraction`` after a non-unit QQ pivot).  Over F_p
 every kernel reads ``p = field.characteristic`` once and reduces what it
@@ -11,6 +14,8 @@ returns or stores ``% p``; the QQ loops (``p == 0``) do no reduction.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 
 class Matrix:
@@ -122,44 +127,10 @@ class Matrix:
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
-
-    Zero rows are dropped; pivots are monic and their columns cleared,
-    so the output is the canonical basis of the row span."""
-    p = field.characteristic
-    work = [list(r) for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        if lead != field.one:
-            inv = field.inv(lead)
-            if p:
-                work[r] = [inv * a % p for a in work[r]]
-            else:
-                work[r] = [inv * a for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                wr = work[r]
-                if p:
-                    work[i] = [(a - f * b) % p for a, b in zip(work[i], wr)]
-                else:
-                    work[i] = [a - f * b for a, b in zip(work[i], wr)]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = [work[i] for i in range(r)]
-    return out, pivots
+    """Reduced row echelon form by ``Subspace``: (rows, pivot_columns), the
+    canonical basis of the row span (monic pivots, cleared columns)."""
+    space = Subspace.span(rows, ncols, field)
+    return space.rows, space.pivots
 
 
 def mat_rank(m: Matrix) -> int:
@@ -240,30 +211,26 @@ class Subspace:
     def add(self, vec) -> bool:
         """Insert vec; returns True if the dimension grew."""
         v = self.reduce(vec)
-        lead = None
-        for c, a in enumerate(v):
-            if a:
-                lead = c
+        for lead, la in enumerate(v):
+            if la:
                 break
-        if lead is None:
+        else:
             return False
-        la = v[lead]
         p = self.field.characteristic
         if la != self.field.one:
             inv = self.field.inv(la)
             v = [inv * a % p for a in v] if p else [inv * a for a in v]
         # clear the new pivot column in the existing rows
-        for i, row in enumerate(self.rows):
+        rows = self.rows
+        for i, row in enumerate(rows):
             c = row[lead]
             if c:
                 if p:
-                    self.rows[i] = [(a - c * b) % p for a, b in zip(row, v)]
+                    rows[i] = [(a - c * b) % p for a, b in zip(row, v)]
                 else:
-                    self.rows[i] = [a - c * b for a, b in zip(row, v)]
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < lead:
-            pos += 1
-        self.rows.insert(pos, v)
+                    rows[i] = [a - c * b for a, b in zip(row, v)]
+        pos = bisect_left(self.pivots, lead)
+        rows.insert(pos, v)
         self.pivots.insert(pos, lead)
         return True
 
@@ -280,16 +247,6 @@ class Subspace:
         if any(a % p for a in v) if p else any(v):
             return None
         return coeffs
-
-    def key(self):
-        return tuple(tuple(r) for r in self.rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash(self.key())
 
     def quotient(self):
         """Projection onto a complement: (proj(vec)->coords, dim, lifts)."""

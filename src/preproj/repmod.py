@@ -15,10 +15,10 @@ is free), which keeps every linear solve small.
 
 Every module on a right-closed span of paths (a block e_vI, a projective
 e_vPi, the syzygy of a presentation) is built by ``module_from_subspace``
-from sparse elements of a free module (+)_k e_{u_k}Pi: the key
-k * dim Pi + g stands for the basis path g in copy k, and a span inside Pi
-uses copy 0 alone.  At vertex v the coordinates are the paths of
-e_{u_k}Pi e_v, and ``_keys[v]`` records the key of each.
+on a ``GradedSpan``: sparse elements of a free module (+)_k e_{u_k}Pi,
+echelonized once, one ``Subspace`` per vertex.  The module's space at v is
+that span's echelon form at v, the same object, so an ideal block and its
+module share one echelon form.
 
 Presentations and ``hom_space`` act by every path of e_u Pi through one
 walk of the basis tree (``_path_walk``), one product per path, on a unit
@@ -167,42 +167,68 @@ def zero_module(algebra: FiniteDimAlgebra) -> ModuleRep:
 
 def projective_module(algebra: FiniteDimAlgebra, v: int) -> ModuleRep:
     """e_v Pi on its monomial basis (paths with target v)."""
-    return module_from_subspace(
-        algebra, [{i: algebra.field.one} for i in algebra.by_target[v]])
+    one = algebra.field.one
+    return module_from_subspace(algebra, GradedSpan(
+        algebra, {0: v}, ({g: one} for g in algebra.by_target[v])))
 
 
-def module_from_subspace(algebra: FiniteDimAlgebra, vectors) -> ModuleRep:
-    """Module structure on a right-closed span of paths.
+class GradedSpan:
+    """A graded span in a free module (+)_k e_{u_k}Pi, ``copies`` = {k: u_k},
+    as one echelon ``Subspace`` per source vertex.
 
-    ``vectors`` are sparse elements of a free module (+)_k e_{u_k} Pi: the
-    key k * dim Pi + g stands for the basis path g in copy k, and every path
-    of copy k has target u_k (k = 0 alone is a span inside Pi).  At vertex v
-    the coordinates are the paths of e_{u_k} Pi e_v of each copy that occurs,
-    in key order, and ``_keys[v]`` records the key of each coordinate.  The
-    per-vertex spaces are the source-graded pieces and the arrow actions are
-    right multiplications expressed in the echelonized bases."""
+    The key k * dim Pi + g stands for the basis path g in copy k; a span
+    inside e_vPi is the one copy {0: v}, keyed by the path.  At vertex v the
+    coordinates are the paths of e_{u_k}Pi e_v in key order, ``keys[v]``.
+    The echelon form of a graded span is the union of those of its pieces,
+    so ``rows()`` is canonical."""
+
+    def __init__(self, algebra: FiniteDimAlgebra, copies, vectors=()):
+        self.algebra = algebra
+        dim = algebra.dim
+        self.keys = {v: [] for v in range(1, algebra.n + 1)}
+        for k in sorted(copies):
+            for g in algebra.by_target[copies[k]]:
+                self.keys[algebra.source[g]].append(k * dim + g)
+        self.index = {v: {key: i for i, key in enumerate(keys)}
+                       for v, keys in self.keys.items()}
+        self.spaces = {v: Subspace(len(keys), algebra.field)
+                       for v, keys in self.keys.items()}
+        for x in vectors:
+            self.add(x)
+
+    def add(self, x) -> bool:
+        """Add the sparse element ``x``, whose paths share one source v;
+        True if the span grew."""
+        if not x:
+            return False
+        A = self.algebra
+        v = A.source[next(iter(x)) % A.dim]
+        index = self.index[v]
+        vec = [A.field.zero] * len(index)
+        for key, c in x.items():
+            vec[index[key]] = c
+        return self.spaces[v].add(vec)
+
+    def rows(self):
+        """The echelon rows vertex by vertex, as nested tuples: equal spans
+        give equal values."""
+        return tuple(tuple(map(tuple, s.rows)) for s in self.spaces.values())
+
+    def vectors(self):
+        """The echelon rows as sparse elements, vertex by vertex."""
+        return [{key: c for key, c in zip(self.keys[v], row) if c}
+                for v, s in self.spaces.items() for row in s.rows]
+
+
+def module_from_subspace(algebra: FiniteDimAlgebra,
+                         span: GradedSpan) -> ModuleRep:
+    """Module structure on a right-closed ``GradedSpan``: the space at v is
+    ``span.spaces[v]``, kept as ``_embedding`` (``_keys = span.keys``), and
+    the arrows act by right multiplication in those echelon bases."""
     field = algebra.field
     dim = algebra.dim
-    n = algebra.n
-    targets = {key // dim: algebra.target[key % dim]
-               for vec in vectors for key in vec}
-    keys = {v: [] for v in range(1, n + 1)}
-    for k in sorted(targets):
-        for g in algebra.by_target[targets[k]]:
-            keys[algebra.source[g]].append(k * dim + g)
-    local = {v: {key: i for i, key in enumerate(keys[v])} for v in keys}
-    spaces = {v: Subspace(len(keys[v]), field) for v in keys}
-    for vec in vectors:
-        parts = {}
-        for key, c in vec.items():
-            v = algebra.source[key % dim]
-            part = parts.get(v)
-            if part is None:
-                part = parts[v] = [field.zero] * len(keys[v])
-            part[local[v][key]] = c
-        for v, part in parts.items():
-            spaces[v].add(part)
-    dims = [spaces[v].dim for v in range(1, n + 1)]
+    keys, index, spaces = span.keys, span.index, span.spaces
+    dims = [spaces[v].dim for v in range(1, algebra.n + 1)]
     act = {}
     for a in algebra.quiver.arrows:
         out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
@@ -216,7 +242,7 @@ def module_from_subspace(algebra: FiniteDimAlgebra, vectors) -> ModuleRep:
             for k, x in copies.items():
                 for g, c in algebra.mul_coords(
                         x, algebra.arrow_coords[a.index]).items():
-                    proj[local[a.source][k * dim + g]] = c
+                    proj[index[a.source][k * dim + g]] = c
             coeffs = spaces[a.source].express(proj)
             if coeffs is None:
                 raise VerificationFailed(
@@ -422,9 +448,9 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     Generator k of P0 = (+)_k e_{u_k} Pi maps to the unit vector of the top
     column c_k of M e_{u_k}, and the P0 coordinate (k, g) to that vector
     acted on by g.  The syzygy K is built by ``module_from_subspace`` on the
-    kernel vectors of the cover, as sparse elements of P0 (key
-    k * dim Pi + g for the path g in copy k); the generators of P1 are the
-    echelon rows of K that are not radical pivots."""
+    ``GradedSpan`` of the kernel vectors of the cover, over the copies of P0
+    they meet; the generators of P1 are the echelon rows of K that are not
+    radical pivots."""
     A = mod.algebra
     field = A.field
     top = _top_columns(mod)
@@ -451,7 +477,9 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
         kvecs.extend({k * A.dim + g: c for (k, g), c in zip(p0_layout[v], vec)
                       if c}
                      for vec in nullspace(cover))
-    syz = module_from_subspace(A, kvecs)
+    copies = {key // A.dim for x in kvecs for key in x}
+    syz = module_from_subspace(
+        A, GradedSpan(A, {k: p0[k] for k in copies}, kvecs))
     p1 = []
     x_elems = []  # [l][k]
     for v, cols in _top_columns(syz).items():

@@ -9,12 +9,13 @@ refers to it, so dropping the context frees its blocks, their modules and
 everything memoized on them.
 
 An ideal is the n-tuple of the ids of its blocks e_vI, which
-``BlockTable`` interns once per context as echelon rows in e_vPi, so
-equality is exact and canonical and every ideal operation works inside one
-e_vPi.  I_w is memoized per Weyl element and built by the descent rule
-of ``IdealSemigroup.of_element``, which runs one left extension per
-distinct block, while ``ideal_product`` multiplies block rows and serves
-as the independent route for the idempotent checks I_i I_i = I_i of
+``BlockTable`` interns once per context as graded spans in e_vPi (one
+echelon form per vertex, shared with the block's module), so equality is
+exact and canonical and every ideal operation works inside one e_vPi.
+I_w is memoized per Weyl element and built by the descent rule of
+``IdealSemigroup.of_element``, which runs one left extension per distinct
+block, while ``ideal_product`` multiplies block rows and serves as the
+independent route for the idempotent checks I_i I_i = I_i of
 ``classification_report``.
 
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
@@ -42,6 +43,7 @@ from .errors import NotDynkin, NotMutable, ReportFailure, VerificationFailed
 from .linalg import Subspace
 from .pathalg import FiniteDimAlgebra
 from .repmod import (
+    GradedSpan,
     ModuleRep,
     auslander_reiten_translate,
     direct_sum,
@@ -64,59 +66,44 @@ class BlockTable:
     """The distinct blocks e_vI of the ideals of one context, and the
     memoized steps between them.
 
-    Block ``b`` is e_vI for v = ``vertex[b]``, stored as the echelon rows
-    ``rows[b]`` of e_vI in the coordinates of e_vPi: the basis paths
-    ``by_target[v]`` in ascending order.  A two-sided ideal is the direct
-    sum of its blocks, and its global echelon form is the disjoint union of
-    theirs, so equal blocks get one id and an ideal is the n-tuple of its
-    block ids.  Each row lies in one e_vPie_u, which the steps below use."""
+    Block ``b`` is e_vI for v = ``vertex[b]``, the ``GradedSpan``
+    ``spans[b]`` inside e_vPi, whose per-vertex echelon forms its module
+    ``modules[b]`` uses as its own.  A two-sided ideal is the direct sum of
+    its blocks and a block the sum of its graded pieces, so the rows are
+    canonical: equal blocks get one id and an ideal is the n-tuple of its
+    block ids.  ``vectors[b]`` are the rows as sparse algebra coordinates,
+    each in one e_vPie_u, which the steps below use."""
 
     def __init__(self, algebra: FiniteDimAlgebra):
         self.algebra = algebra
         self.vertex = []    # block id -> v
-        self.rows = []      # block id -> echelon rows in e_vPi coordinates
-        self.vectors = []   # block id -> the rows as sparse algebra coordinates
+        self.spans = []     # block id -> GradedSpan of e_vI
+        self.vectors = []   # block id -> its echelon rows, sparse
         self.modules = []   # block id -> ModuleRep, built on first use
         self.right = {}     # (block id, i) -> block id
-        self._ids = {}      # (v, rows) -> block id
-        self._local = {v: {g: k for k, g in enumerate(algebra.by_target[v])}
-                       for v in range(1, algebra.n + 1)}
-
-    def local(self, v: int, x: dict):
-        """The sparse element ``x`` of e_vPi in the coordinates of e_vPi."""
-        vec = [self.algebra.field.zero] * len(self._local[v])
-        index = self._local[v]
-        for g, c in x.items():
-            vec[index[g]] = c
-        return vec
+        self._ids = {}      # (v, span rows) -> block id
 
     def span(self, v: int, vectors) -> int:
         """The id of the block spanned by sparse elements of e_vPi."""
-        sub = Subspace(len(self._local[v]), self.algebra.field)
-        for x in vectors:
-            if x:
-                sub.add(self.local(v, x))
-        return self.intern(v, sub)
+        return self.intern(v, GradedSpan(self.algebra, {0: v}, vectors))
 
-    def intern(self, v: int, sub: Subspace) -> int:
-        rows = tuple(map(tuple, sub.rows))
-        b = self._ids.get((v, rows))
+    def intern(self, v: int, span: GradedSpan) -> int:
+        key = (v, span.rows())
+        b = self._ids.get(key)
         if b is None:
-            b = self._ids[v, rows] = len(self.rows)
-            cols = self.algebra.by_target[v]
+            b = self._ids[key] = len(self.spans)
             self.vertex.append(v)
-            self.rows.append(rows)
-            self.vectors.append([{cols[k]: c for k, c in enumerate(row) if c}
-                                 for row in rows])
+            self.spans.append(span)
+            self.vectors.append(span.vectors())
             self.modules.append(None)
         return b
 
     def module(self, b: int):
         """The right module of block ``b``, or None when the block is zero."""
         mod = self.modules[b]
-        if mod is None and self.rows[b]:
+        if mod is None and self.vectors[b]:
             mod = self.modules[b] = module_from_subspace(self.algebra,
-                                                         self.vectors[b])
+                                                         self.spans[b])
         return mod
 
 
@@ -131,7 +118,7 @@ class Ideal:
 
     @property
     def dim(self) -> int:
-        return sum(len(self.table.rows[b]) for b in self.blocks)
+        return sum(len(self.table.vectors[b]) for b in self.blocks)
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.table is other.table
@@ -237,10 +224,8 @@ def _right_step(table: BlockTable, b: int, i: int) -> int:
         A = table.algebra
         v = table.vertex[b]
         arrows = A.arrow_coords
-        sub = Subspace(len(A.by_target[v]), A.field)
         work = [x for x in table.vectors[b] if A.source[next(iter(x))] != i]
-        for x in work:
-            sub.add(table.local(v, x))
+        span = GradedSpan(A, {0: v}, work)
         while work:
             x = work.pop()
             u = A.source[next(iter(x))]
@@ -248,9 +233,9 @@ def _right_step(table: BlockTable, b: int, i: int) -> int:
                 if a.target != u:
                     continue
                 prod = A.mul_coords(x, arrows[a.index])
-                if prod and sub.add(table.local(v, prod)):
+                if span.add(prod):
                     work.append(prod)
-        out = table.right[b, i] = table.intern(v, sub)
+        out = table.right[b, i] = table.intern(v, span)
     return out
 
 
@@ -600,25 +585,16 @@ def mutation_graph(semigroup: IdealSemigroup,
     if not weyl.complete:
         raise NotDynkin("the exchange quiver requires the full Weyl group")
     namer = ModuleNamer(semigroup)
-    nak = semigroup.sigma
     nodes = {}
     ascents = []  # (w, s_i w, i) with l(s_i w) > l(w)
     for w in weyl:
-        ideal = semigroup.of_element(w)
-        names = []
-        dims = []
-        ranks = []
-        for v in range(1, algebra.n + 1):
-            blk = ideal.block(v)
-            if blk is None:
-                continue
-            names.append(namer.name_block(v, w.word, blk))
-            dims.append(blk.total_dim)
-            ranks.append(locally_free_rank(blk))
-        proj = [f"e{nak.apply(i)}P" for i in range(1, algebra.n + 1)
-                if ideal.block(i) is None]
-        nodes[_word_str(w.word)] = GraphNode(w.word, names, dims, ranks,
-                                             sorted(proj))
+        pair = stt_pair(semigroup, w)
+        nodes[_word_str(w.word)] = GraphNode(
+            w.word, [namer.name_block(v, w.word, s) for v, s
+                     in zip(pair.block_vertices, pair.summands)],
+            [s.total_dim for s in pair.summands],
+            [locally_free_rank(s) for s in pair.summands],
+            sorted(f"e{j}P" for j in pair.projective_vertices))
         for i in range(1, algebra.n + 1):
             v = weyl.left_mul(i, w)
             if v.length > w.length:

@@ -19,6 +19,7 @@ from preproj.errors import (
     DiagonalNotTwo,
     NoSymmetrizer,
     NotASymmetrizer,
+    OrientationError,
     PositivityViolation,
 )
 
@@ -35,6 +36,17 @@ def test_validate_error_classes():
         validate_cartan([[1, -1], [-1, 2]])
     with pytest.raises(PositivityViolation):
         validate_cartan([[2, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("entries", [None, [2], "A2", 5, [[2, -1], 3]])
+def test_validate_needs_a_list_of_rows(entries):
+    with pytest.raises(ValueError, match="must be a list of integer rows"):
+        validate_cartan(entries)
+
+
+def test_orientation_pair_on_one_vertex_is_named():
+    with pytest.raises(OrientationError, match=r"\[1, 1\]"):
+        cartan_data([[2, -1], [-1, 2]], orientation=[[1, 2], [1, 1]])
 
 
 def test_no_symmetrizer_on_inconsistent_cycle():

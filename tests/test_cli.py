@@ -303,15 +303,15 @@ def test_verify_builds_each_projective_once(monkeypatch, capsys):
     builds = {}
     build = repmod.module_from_subspace
 
-    def counting(algebra, vectors):
-        vectors = list(vectors)
+    def counting(algebra, span):
+        vectors = span.vectors()
         support = {g for x in vectors for g in x}
         for v in range(1, algebra.n + 1):
             # independent vectors spanning all of e_vPi
             if (support == set(algebra.by_target[v])
                     and len(vectors) == len(support)):
                 builds[v] = builds.get(v, 0) + 1
-        return build(algebra, vectors)
+        return build(algebra, span)
 
     monkeypatch.setattr(repmod, "module_from_subspace", counting)
     monkeypatch.setattr(tautilt, "module_from_subspace", counting)
@@ -345,6 +345,10 @@ def test_verify_builds_each_projective_once(monkeypatch, capsys):
     ({"caps": {"max_degree": -1}}, "caps.max_degree"),
     ({"caps": {"max_basis": 0}}, "caps.max_basis"),
     ({"weyl_cap": 0}, "weyl_cap"),
+    ({"cartan": None}, "cartan"),
+    ({"cartan": [2]}, "cartan"),
+    ({"cartan": "A2"}, "cartan"),
+    ({"orientation": [[1, 2], [1, 1]]}, "orientation"),
 ])
 def test_main_bad_config_key_exits_2(extra, key, capsys):
     raw = {"cartan": [[2, -1], [-1, 2]], **extra}

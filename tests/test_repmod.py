@@ -10,6 +10,7 @@ from preproj.fields import QQ, PrimeField
 from preproj.linalg import Matrix, Subspace, nullspace, solve_matrix
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
+    GradedSpan,
     ModuleRep,
     _approximation_matrix,
     _path_walk,
@@ -445,9 +446,8 @@ def test_submodule_roundtrip(algebras):
     """rad e_1 Pi, the span of the nontrivial paths into 1."""
     eg1 = algebras["eg1"]
     P1 = projective_module(eg1, 1)
-    R = module_from_subspace(eg1, [{g: eg1.field.one}
-                                   for g in eg1.by_target[1]
-                                   if eg1.basis[g][1]])
+    R = module_from_subspace(eg1, GradedSpan(eg1, {0: 1}, [
+        {g: eg1.field.one} for g in eg1.by_target[1] if eg1.basis[g][1]]))
     assert R.total_dim == P1.total_dim - 1
     s = structure_series(R)
     assert [sum(l) for l in s.radical_layers] == [2, 1]

@@ -435,8 +435,9 @@ def test_b3_qq_scalars_are_exact(algebras, weyl_groups, semigroups):
     w = next(e for e in W.sorted_elements() if e.length == 4)
     ideal = semigroups["b3"].of_element(w)
     assert 0 < ideal.dim < A.dim
-    assert exact(x for b in ideal.blocks for row in ideal.table.rows[b]
-                 for x in row)
+    assert exact(x for b in ideal.blocks
+                 for piece in ideal.table.spans[b].rows()
+                 for row in piece for x in row)
     for v in range(1, A.n + 1):
         blk = ideal.block(v)
         if blk is not None:
@@ -465,8 +466,9 @@ def test_b3_fp_scalars_are_reduced_ints(weyl_groups):
     w = next(e for e in W.sorted_elements() if e.length == 4)
     ideal = IdealSemigroup(A, W).of_element(w)
     assert 0 < ideal.dim < A.dim
-    assert reduced(x for b in ideal.blocks for row in ideal.table.rows[b]
-                   for x in row)
+    assert reduced(x for b in ideal.blocks
+                   for piece in ideal.table.spans[b].rows()
+                   for row in piece for x in row)
     blocks = [ideal.block(v) for v in range(1, A.n + 1)]
     blocks = [b for b in blocks if b is not None]
     assert blocks
@@ -505,16 +507,45 @@ def test_blocks_shared_across_weyl_elements(name, expected, algebras,
     for w in W:
         ideal = ctx.of_element(w)
         for v in range(1, A.n + 1):
-            rows = ideal.table.rows[ideal.blocks[v - 1]]
+            b = ideal.blocks[v - 1]
+            rows = ideal.table.spans[b].rows()
             blk = ideal.block(v)
-            if not rows:
+            if not ideal.table.vectors[b]:
                 assert blk is None
                 continue
-            assert Subspace.span(rows, len(A.by_target[v]), A.field).key() \
-                == rows
+            # the graded echelon rows are the echelon rows in e_vPi
+            dense = [tuple(x.get(g, A.field.zero) for g in A.by_target[v])
+                     for x in ideal.table.vectors[b]]
+            echelon = Subspace.span(dense, len(A.by_target[v]), A.field)
+            assert sorted(map(tuple, echelon.rows)) == sorted(dense)
             assert by_rows.setdefault((v, rows), blk) is blk
             distinct[id(blk)] = blk
     assert len(distinct) == len(by_rows) == expected
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "eg2"])
+def test_block_module_shares_the_table_span(name, algebras, weyl_groups,
+                                            semigroups):
+    """Each block is echelonized once: its module's per-vertex spaces *are*
+    the table span's, and the span of reordered or redundant generators
+    gets the same block id."""
+    A, W, ctx = algebras[name], weyl_groups[name], semigroups[name]
+    table = ctx.table
+    two = A.field.from_int(2)
+    for w in W:
+        ideal = ctx.of_element(w)
+        for v in range(1, A.n + 1):
+            b = ideal.blocks[v - 1]
+            blk = ideal.block(v)
+            if blk is not None:
+                assert blk._embedding is table.spans[b].spaces
+            gens = table.vectors[b]
+            redundant = ([{g: two * c for g, c in x.items()}
+                          for x in reversed(gens)] + gens
+                         + [A.mul_coords(x, y) for x in gens for y in gens])
+            assert table.span(v, redundant) == b
+            assert table.span(v, gens[1:] + gens[:1]) == b
+    assert len(table.spans) == len(table._ids)
 
 
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -675,7 +706,7 @@ def test_semigroup_memos_are_bounded(monkeypatch):
             if v.length > u.length:
                 assert extend_right(ctx.of_element(u), i) == \
                     ctx.of_element(v)
-    assert 0 < len(table.right) <= len(table.rows) * A.n
+    assert 0 < len(table.right) <= len(table.spans) * A.n
 
 
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
