@@ -30,6 +30,7 @@ from .repmod import (
     ext1_dim,
     generalized_simple,
     hom_space,
+    hom_to_tau_vanishes,
     in_fac,
     is_indecomposable,
     is_isomorphic,

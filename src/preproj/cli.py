@@ -22,7 +22,9 @@ from .coxeter import (
 from .errors import (
     CapExceeded,
     CartanError,
+    NotASymmetrizer,
     NotDynkin,
+    OrientationError,
     ParseError,
     PreprojectiveError,
     ReportFailure,
@@ -87,7 +89,6 @@ def config_from_dict(raw: dict) -> RunConfig:
             raw.get("orientation"),
         )
     except CartanError as exc:
-        from .errors import NotASymmetrizer, OrientationError
         if isinstance(exc, NotASymmetrizer):
             key = "symmetrizer"
         elif isinstance(exc, OrientationError):
@@ -355,23 +356,28 @@ def cmd_verify(cfg: RunConfig):
         projectives = ctx.projectives
         dims = [P.total_dim for P in projectives]
         for i in range(1, A.n + 1):
+            # E_i first: its memoized presentation serves both iso tests
             Ei = generalized_simple(A, i)
             si = ctx.sigma.apply(i)
+            Esi = generalized_simple(A, si)
             assert A.quiver.symmetrizer[i] == A.quiver.symmetrizer[si]
-            assert is_isomorphic(nakayama_nu(generalized_simple(A, si)), Ei)
-            lhs = Ei.total_dim + generalized_simple(A, si).total_dim + sum(
+            assert is_isomorphic(Ei, nakayama_nu(Esi))
+            lhs = Ei.total_dim + Esi.total_dim + sum(
                 abs(A.data.cartan[j, i]) * dims[j - 1]
                 for j in range(1, A.n + 1) if j != i and A.data.cartan[j, i])
             assert lhs == 2 * dims[i - 1], (i, lhs)
             for j, P in enumerate(projectives, 1):
                 want = A.quiver.symmetrizer[i] if i == j else 0
                 assert hom_space(P, Ei).dim == want
+            # Hom(I_i, E_i) = 0, I_i locally free, tau(e_i I_i) = E_i
             Ii = vertex_ideal(ctx.table, {i})
-            assert hom_space(Ii.module(), Ei).dim == 0
-            assert locally_free_rank(Ii.module()) is not None
-            blk = Ii.block(i)
-            if blk is not None:
-                assert is_isomorphic(auslander_reiten_translate(blk), Ei)
+            for v in range(1, A.n + 1):
+                blk = Ii.block(v)
+                if blk is not None:
+                    assert hom_space(blk, Ei).dim == 0
+                    assert locally_free_rank(blk) is not None
+                    if v == i:
+                        assert is_isomorphic(Ei, auslander_reiten_translate(blk))
 
     def check_classification():
         box["report"] = classification_report(box["ctx"])

@@ -21,14 +21,19 @@ that span's echelon form at v, the same object, so an ideal block and its
 module share one echelon form.
 
 Presentations and ``hom_space`` act by every path of e_u Pi through one
-walk of the basis tree (``_path_walk``), one product per path, on a unit
-column or on the generator images of every basis map at once; the walk
-results live only for the call.
+walk of the basis tree (``_path_walk``), one product per path and none
+under a zero product, on a unit column or on the generator images of every
+basis map at once; the walk results live only for the call.
 
 tau and nu come from one map.  For the minimal presentation P1 -> P0 -> M,
 psi*: nu P1 -> nu P0 is the dual of Hom(P0, Pi) -> Hom(P1, Pi),
 g -> (g x_kl)_l.  Then nu M = D Hom(M, Pi) = coker psi* and
 tau M = D Tr M = ker psi*, built by ``quotient_module`` and ``submodule``.
+tau-rigidity builds no tau: Hom(Y, tau X) = 0 iff Hom(P0, Y) -> Hom(P1, Y)
+is onto for the presentation of X (Adachi-Iyama-Reiten (AIR), "tau-tilting
+theory", Compos. Math. 150 (2014), Prop. 2.4).  A map out of M is fixed by
+its values on the generators of P0, the unit vectors of the top columns
+(``Presentation.generators``).
 
 The relation check runs where untrusted data enters: the public
 ``ModuleRep(...)`` constructor checks that every relation of Pi acts by
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 from .errors import NotDynkin, RadicalUnavailable, SocleNotSimple, VerificationFailed
 from .linalg import Matrix, Subspace, mat_rank, nullspace, solve_matrix
-from .pathalg import FiniteDimAlgebra
+from .pathalg import FiniteDimAlgebra, mon_source, mon_target
 
 
 class ModuleRep:
@@ -87,7 +92,6 @@ class ModuleRep:
     def _eval_relation(self, rel):
         q = self.algebra.quiver
         first = next(iter(rel))
-        from .pathalg import mon_source, mon_target
         u, w = mon_source(first), mon_target(q, first)
         total = Matrix.zeros(self.dims[u - 1], self.dims[w - 1],
                              self.algebra.field)
@@ -131,12 +135,24 @@ class ModuleRep:
 def _path_walk(mod: ModuleRep, u: int, x, step):
     """{g: x g} for every basis path g = h a of e_u Pi, h its prefix (an
     earlier basis path): x g = ``step(mod.act[a], x h)``, where ``step`` is
-    ``Matrix.vec`` for a vector x of M_u and ``Matrix.mul`` for a matrix."""
+    ``Matrix.vec`` for a vector x of M_u and ``Matrix.mul`` for a matrix.
+
+    A zero x h gives x h a = 0, so the walk computes the zero at each
+    vertex once and gives it to every path under a zero product."""
     A = mod.algebra
     out = {}
+    zeros = {}  # vertex -> the zero value there, shared by its zero paths
     for g in A.by_target[u]:
         pre = A.prefixes[g]
-        out[g] = x if pre is None else step(mod.act[pre[1]], out[pre[0]])
+        v = A.source[g]
+        if pre is None:
+            out[g] = x
+        elif v in zeros and out[pre[0]] is zeros.get(A.source[pre[0]]):
+            out[g] = zeros[v]
+        else:
+            y = out[g] = step(mod.act[pre[1]], out[pre[0]])
+            if not any(map(any, y.rows if isinstance(y, Matrix) else (y,))):
+                out[g] = zeros.setdefault(v, y)
     return out
 
 
@@ -297,12 +313,9 @@ def direct_sum(algebra: FiniteDimAlgebra, mods):
     for a in algebra.quiver.arrows:
         out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
         for m, off in zip(mods, offsets):
-            blk = m.act[a.index]
-            r0 = off[a.source - 1]
-            c0 = off[a.target - 1]
-            for r in range(blk.nrows):
-                for c in range(blk.ncols):
-                    out.rows[r0 + r][c0 + c] = blk.rows[r][c]
+            r0, c0 = off[a.source - 1], off[a.target - 1]
+            for r, row in enumerate(m.act[a.index].rows):
+                out.rows[r0 + r][c0:c0 + len(row)] = row
         act[a.index] = out
     return ModuleRep(algebra, dims, act, validate=False), offsets
 
@@ -423,6 +436,8 @@ class Presentation:
     by reference counting alone."""
 
     p0: list                 # vertices u_k
+    generators: list         # (u_k, c_k): generator k maps to the unit
+                             # vector of the top column c_k of M e_{u_k}
     p0_layout: dict          # vertex v -> list of (k, global basis index)
     section: dict            # vertex v -> Matrix (dim P0_v x dim M_v)
     syzygy: ModuleRep        # K = ker(P0 -> M), a submodule of P0
@@ -454,8 +469,8 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     A = mod.algebra
     field = A.field
     top = _top_columns(mod)
-    p0 = [v for v in range(1, A.n + 1) for _ in top[v]]
-    gens = [c for v in range(1, A.n + 1) for c in top[v]]
+    generators = [(v, c) for v in range(1, A.n + 1) for c in top[v]]
+    p0 = [v for v, _ in generators]
     # layout of P0's vertex-v coordinates: (generator k, basis monomial of
     # e_{u_k} Pi with source v), ordered by k then monomial
     p0_layout = {v: [] for v in range(1, A.n + 1)}
@@ -464,7 +479,7 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
             p0_layout[A.source[g]].append((k, g))
     images = [_path_walk(mod, u, [field.one if r == c else field.zero
                                   for r in range(mod.dims[u - 1])], Matrix.vec)
-              for u, c in zip(p0, gens)]
+              for u, c in generators]
     section = {}
     kvecs = []
     for v in range(1, A.n + 1):
@@ -494,7 +509,8 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    return Presentation(p0, p0_layout, section, syz, p1, x_matrix)
+    return Presentation(p0, generators, p0_layout, section, syz, p1,
+                        x_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -511,26 +527,14 @@ class HomBasis:
 
 def _approximation_matrix(pres: Presentation, N: ModuleRep):
     """The map (+)_k N e_{u_k} -> (+)_l N e_{v_l}, (n_k) -> (sum_k n_k x_{kl})."""
-    A = N.algebra
-    field = A.field
     src_dims = [N.dims[u - 1] for u in pres.p0]
-    tgt_dims = [N.dims[v - 1] for v in pres.p1]
-    total_src = sum(src_dims)
-    total_tgt = sum(tgt_dims)
-    phi = Matrix.zeros(total_tgt, total_src, field)
-    r0 = 0
+    rows = []
     for l, v in enumerate(pres.p1):
-        c0 = 0
-        for k, u in enumerate(pres.p0):
-            x = pres.x_elems[k][l]
-            if x:
-                blk = N.act_elem(x, u, v)
-                for r in range(blk.nrows):
-                    for c in range(blk.ncols):
-                        phi.rows[r0 + r][c0 + c] = blk.rows[r][c]
-            c0 += src_dims[k]
-        r0 += tgt_dims[l]
-    return phi, src_dims
+        blocks = [N.act_elem(xk[l], u, v).rows
+                  for u, xk in zip(pres.p0, pres.x_elems)]
+        rows.extend([c for blk in blocks for c in blk[r]]
+                    for r in range(N.dims[v - 1]))
+    return Matrix(rows, len(rows), sum(src_dims), N.algebra.field), src_dims
 
 
 def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
@@ -541,8 +545,9 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
     (k, g) at vertex v to n_k g.  All basis maps are built in one pass: one
     walk of the basis tree of e_{u_k} Pi, started at the matrix whose
     columns are the n_k of every kernel vector, gives the images of every
-    coordinate (k, g) at one product each.  Composing with the section
-    P0_v <- M_v then gives the maps on M."""
+    coordinate (k, g) at one product each.  Column m of the maps at v is
+    then the sum of those images over the nonzero entries of column m of
+    the section P0_v <- M_v."""
     if M.total_dim == 0 or N.total_dim == 0:
         return HomBasis(0, [], M, N)
     pres = minimal_projective_presentation(M)
@@ -559,15 +564,22 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
                     d, len(kernel), field)
         walks.append(_path_walk(N, u, nk, Matrix.mul))
         pos += d
-    maps = [{} for _ in kernel]
+    p = field.characteristic
+    maps = [{v: Matrix.zeros(N.dims[v - 1], M.dims[v - 1], field)
+             for v in range(1, A.n + 1)} for _ in kernel]
     for v in range(1, A.n + 1):
-        # P0 coordinate at v -> dim N_v x e matrix
-        cols = [walks[k][g] for (k, g) in pres.p0_layout[v]]
-        d_v = N.dims[v - 1]
-        for j, h in enumerate(maps):
-            fpi = Matrix([[c.rows[r][j] for c in cols] for r in range(d_v)],
-                         d_v, len(cols), field)
-            h[v] = fpi.mul(pres.section[v])
+        # P0 coordinate (k, g) at v -> the rows of its dim N_v x e images
+        cols = [walks[k][g].rows for (k, g) in pres.p0_layout[v]]
+        out = [h[v].rows for h in maps]
+        for m in range(M.dims[v - 1]):
+            terms = [(cols[q], row[m]) for q, row in
+                     enumerate(pres.section[v].rows) if row[m]]
+            for r in range(N.dims[v - 1]):
+                acc = [field.zero] * len(kernel)
+                for rows, c in terms:
+                    acc = [a + c * b for a, b in zip(acc, rows[r])]
+                for h, a in zip(out, acc):
+                    h[r][m] = a % p if p else a
     return HomBasis(len(kernel), maps, M, N)
 
 
@@ -727,12 +739,20 @@ def locally_free_rank(M: ModuleRep):
     return tuple(ranks)
 
 
+def hom_to_tau_vanishes(Y: ModuleRep, X: ModuleRep) -> bool:
+    """Hom(Y, tau X) = 0, without building tau X (AIR Prop. 2.4): the
+    approximation matrix of X's presentation on Y has full row rank."""
+    if Y.total_dim == 0 or X.total_dim == 0:
+        return True
+    if not X.algebra.dynkin:
+        raise NotDynkin("tau requires the finite-dimensional case")
+    phi, _ = _approximation_matrix(minimal_projective_presentation(X), Y)
+    return mat_rank(phi) == phi.nrows
+
+
 def is_tau_rigid(M: ModuleRep) -> bool:
     """Hom(M, tau M) = 0."""
-    if M.total_dim == 0:
-        return True
-    tau = auslander_reiten_translate(M)
-    return hom_space(M, tau).dim == 0
+    return hom_to_tau_vanishes(M, M)
 
 
 def in_fac(summands, X: ModuleRep) -> bool:

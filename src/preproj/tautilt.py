@@ -21,16 +21,18 @@ independent route for the idempotent checks I_i I_i = I_i of
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
 distinct nonzero blocks among its 384 x 4 pairs (w, v).  ``Ideal.block``
 builds the module of each block once, so everything memoized on a module
-(its presentation, tau, series, indecomposability, locally free rank) and
-its display name are computed once per distinct block.  Isomorphic blocks
-are the same block, so ``ModuleNamer`` names them by identity and rank
-tests, without an isomorphism search.
+(its presentation, series, indecomposability, locally free rank) and its
+display name are computed once per distinct block, and the classification
+report tests Hom(M_a, tau M_b) = 0 once per ordered pair of blocks, on the
+presentation of M_b (Adachi-Iyama-Reiten, Prop. 2.4), building no tau.
+Isomorphic blocks are the same block, so ``ModuleNamer`` names them by
+identity and rank tests, without an isomorphism search.
 
 Left mutation finds the minimal left approximation in one sweep over the
-basis maps X -> U_k and keeps the vertex of every summand, so a mutated
-pair can be mutated again.  An edge I_w -> I_{s_i w} changes block i only,
-so its check compares the other summands by identity and the exchanged one
-by a single isomorphism test.
+basis maps X -> U_k, compared by their values on the generators of X, and
+keeps the vertex of every summand, so a mutated pair can be mutated again.
+An edge I_w -> I_{s_i w} changes block i only, so its check compares the
+other summands by identity and the exchanged one by one isomorphism test.
 """
 
 from __future__ import annotations
@@ -45,13 +47,14 @@ from .pathalg import FiniteDimAlgebra
 from .repmod import (
     GradedSpan,
     ModuleRep,
-    auslander_reiten_translate,
     direct_sum,
     hom_space,
+    hom_to_tau_vanishes,
     in_fac,
     is_indecomposable,
     is_isomorphic,
     locally_free_rank,
+    minimal_projective_presentation,
     module_from_subspace,
     nakayama,
     quotient_module,
@@ -131,11 +134,6 @@ class Ideal:
         """The right module e_v I (None when zero), shared per table: equal
         blocks of different ideals are one ``ModuleRep``."""
         return self.table.module(self.blocks[v - 1])
-
-    def module(self) -> ModuleRep:
-        """The ideal as a right module (direct sum of its blocks)."""
-        blocks = (self.block(v) for v in range(1, self.algebra.n + 1))
-        return direct_sum(self.algebra, [b for b in blocks if b is not None])[0]
 
     def __repr__(self):
         return f"Ideal(dim={self.dim}, blocks={self.blocks})"
@@ -387,9 +385,10 @@ def stt_pair(semigroup: IdealSemigroup, w: WeylElement) -> SttPair:
                    block_vertices=tuple(verts))
 
 
-def verify_stt(pair: SttPair):
+def verify_stt(pair: SttPair, rigid=None):
     """Checks Hom(M, tau M) = 0, Hom(P, M) = 0, |M| + |P| = n, and
-    indecomposability of each summand.  Returns (ok, reasons)."""
+    indecomposability of each summand.  Returns (ok, reasons).  ``rigid``
+    memoizes ``hom_to_tau_vanishes`` (no tau is built) by (M_a, M_b)."""
     reasons = []
     A = pair.algebra
     if pair.module_count + len(pair.projective_vertices) != A.n:
@@ -398,28 +397,16 @@ def verify_stt(pair: SttPair):
     for j in pair.projective_vertices:
         if dims[j - 1]:
             reasons.append(f"Hom(e{j}P, M) != 0")
-    taus = [auslander_reiten_translate(s) for s in pair.summands]
+    rigid = {} if rigid is None else rigid
     for a, s in enumerate(pair.summands):
         if not is_indecomposable(s):
             reasons.append(f"summand {a} decomposable")
-        for b, t in enumerate(taus):
-            if _hom_dim_to_tau(s, t):
+        for b, t in enumerate(pair.summands):
+            if (s, t) not in rigid:
+                rigid[s, t] = hom_to_tau_vanishes(s, t)
+            if not rigid[s, t]:
                 reasons.append(f"Hom(M_{a}, tau M_{b}) != 0")
     return (not reasons), reasons
-
-
-def _hom_dim_to_tau(M: ModuleRep, tau: ModuleRep) -> int:
-    """dim Hom(M, tau), memoized on M and keyed by the module ``tau``.
-
-    With shared blocks the same (block, tau block) pairs recur across the
-    pairs (I_w, P_w), so each dimension is computed once.  ``tau`` is built
-    by ``auslander_reiten_translate`` and never refers back to M, so the
-    memo makes no reference cycle."""
-    memo = M._cache.setdefault("hom_dim_to_tau", {})
-    dim = memo.get(tau)
-    if dim is None:
-        dim = memo[tau] = hom_space(M, tau).dim
-    return dim
 
 
 def left_mutation(pair: SttPair, vertex: int) -> SttPair:
@@ -443,31 +430,18 @@ def left_mutation(pair: SttPair, vertex: int) -> SttPair:
     if in_fac(others, X):
         raise NotMutable("summand lies in Fac of the complement; "
                          "only a right mutation exists here")
+    # Y = coker f for f = (f_k): X -> U' = (+)_k U_k, whose column at v is
+    # the columns of the f_k stacked in the order of the copies
     copies = _minimal_approximation(A, X, others)
-    if not copies:
-        Y = zero_module(A)
-    else:
-        target_mods = [others[k] for k, _ in copies]
-        T, offsets = direct_sum(A, target_mods)
-        images = {}
-        for v in range(1, A.n + 1):
-            sub = Subspace(T.dims[v - 1], A.field)
-            for col in range(X.dims[v - 1]):
-                vec = [A.field.zero] * T.dims[v - 1]
-                for (k, h), off in zip(copies, offsets):
-                    block_col = h[v].col(col)
-                    o = off[v - 1]
-                    for r, c in enumerate(block_col):
-                        vec[o + r] = c
-                sub.add(vec)
-            images[v] = sub
-        Y = quotient_module(T, images)
+    T, _ = direct_sum(A, [others[k] for k, _ in copies])
+    Y = quotient_module(T, {v: Subspace.span(
+        ([c for _, f in copies for c in f[v].col(col)]
+         for col in range(X.dims[v - 1])), T.dims[v - 1], A.field)
+        for v in range(1, A.n + 1)})
     if Y.total_dim == 0:
-        udims = [0] * A.n
-        for s in others:
-            udims = [a + b for a, b in zip(udims, s.dims)]
         candidates = [j for j in range(1, A.n + 1)
-                      if j not in pair.projective_vertices and udims[j - 1] == 0]
+                      if j not in pair.projective_vertices
+                      and not any(s.dims[j - 1] for s in others)]
         if len(candidates) != 1:
             raise VerificationFailed(
                 f"completed mutation has {len(candidates)} projective "
@@ -487,34 +461,32 @@ def _minimal_approximation(A, X, others):
     One sweep over the basis maps of each Hom(X, U_k): the map c is dropped
     when it lies in the span of g f_p over the maps p != c still kept and
     every g in Hom(U_{k_p}, U_{k_c}).  Dropping a map only shrinks these
-    spans, so a map kept earlier never becomes droppable later."""
+    spans, so a map kept earlier never becomes droppable later.  A map out
+    of X is fixed by its values on the generators (u, c) of X, so maps are
+    compared there: f on (u, c) is column c of f_u, and g f_p is g_u of it."""
+    gens = minimal_projective_presentation(X).generators
     copies = [(k, f) for k, Uk in enumerate(others)
               for f in hom_space(X, Uk).maps]
+    images = [[f[u].col(c) for u, c in gens] for _, f in copies]
     homs = {}   # (l, k) -> basis of Hom(U_l, U_k)
-    prods = {}  # (p, k) -> the maps g f_p for g in Hom(U_{k_p}, U_k), flat
+    prods = {}  # (p, k) -> the g f_p for g in Hom(U_{k_p}, U_k), on gens
     kept = list(range(len(copies)))
-    for c, (kc, fc) in enumerate(copies):
-        span = Subspace(
-            sum(others[kc].dims[v] * X.dims[v] for v in range(A.n)), A.field)
+    for c, (kc, _) in enumerate(copies):
+        span = Subspace(sum(others[kc].dims[u - 1] for u, _ in gens), A.field)
         for p in kept:
             if p == c:
                 continue
             if (p, kc) not in prods:
-                kp, fp = copies[p]
+                kp = copies[p][0]
                 if (kp, kc) not in homs:
                     homs[kp, kc] = hom_space(others[kp], others[kc]).maps
-                prods[p, kc] = [_flatten_map({v: g[v].mul(fp[v]) for v in g})
-                                for g in homs[kp, kc]]
+                prods[p, kc] = [[x for (u, _), y in zip(gens, images[p])
+                                 for x in g[u].vec(y)] for g in homs[kp, kc]]
             for vec in prods[p, kc]:
                 span.add(vec)
-        if span.contains(_flatten_map(fc)):
+        if span.contains([x for y in images[c] for x in y]):
             kept.remove(c)
     return [copies[c] for c in kept]
-
-
-def _flatten_map(h):
-    """The entries of a per-vertex map, vertex by vertex and row by row."""
-    return [c for v in sorted(h) for row in h[v].rows for c in row]
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +666,10 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
     pairs_ok = True
     blocks = []
     lf_ok = True
+    rigid = {}  # one verdict per ordered pair of blocks, for this call only
     for w in weyl:
         pair = stt_pair(semigroup, w)
-        ok, reasons = verify_stt(pair)
+        ok, reasons = verify_stt(pair, rigid)
         if not ok:
             pairs_ok = False
             failures.append(f"pair at {_word_str(w.word) or 'e'}: {reasons}")

@@ -7,7 +7,7 @@ from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
 from preproj.linalg import Matrix, nullspace
 from preproj.pathalg import build_algebra
-from preproj.repmod import is_isomorphic
+from preproj.repmod import direct_sum, is_isomorphic
 from preproj.tautilt import IdealSemigroup
 
 # Property tests draw the same examples on every run and never time out,
@@ -82,6 +82,13 @@ def brute_hom_dim(M, N):
     if not rows:
         return total
     return len(nullspace(Matrix.from_rows(rows, total, field)))
+
+
+def ideal_module(ideal):
+    """The ideal as one right module: the direct sum of its nonzero blocks,
+    an oracle for the block-by-block checks of the package."""
+    blocks = (ideal.block(v) for v in range(1, ideal.algebra.n + 1))
+    return direct_sum(ideal.algebra, [b for b in blocks if b is not None])[0]
 
 
 def pairs_isomorphic(p1, p2) -> bool:

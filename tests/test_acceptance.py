@@ -39,7 +39,7 @@ from preproj.tautilt import (
     vertex_ideal,
 )
 
-from conftest import WEYL_ORDERS, pairs_isomorphic
+from conftest import WEYL_ORDERS, ideal_module, pairs_isomorphic
 
 CRITERION4 = ("a2min", "eg2", "g2", "a3", "b3")
 
@@ -209,7 +209,7 @@ def test_criterion_7_homological_identities(algebras, semigroups):
                 assert hom_space(projective_module(A, j), Ei).dim == want
             # Hom(I_i, E_i) = 0 and tau(e_i I_i) = E_i
             Ii = vertex_ideal(semigroups[name].table, {i})
-            assert hom_space(Ii.module(), Ei).dim == 0
+            assert hom_space(ideal_module(Ii), Ei).dim == 0
             blk = Ii.block(i)
             assert blk is not None
             assert is_isomorphic(auslander_reiten_translate(blk), Ei)

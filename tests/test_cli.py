@@ -11,9 +11,11 @@ import pytest
 from conftest import weyl_orbit_sizes
 
 import preproj
+import preproj.cli as cli
 from preproj.cli import config_from_dict, load_config, main, run_command
 from preproj.errors import NotDynkin, ParseError, ValidationError
 from preproj.fields import PrimeField
+from preproj.tautilt import vertex_ideal
 
 EG1 = {"cartan": [[2, -1], [-1, 2]], "symmetrizer": [2, 2]}
 EG2 = {"cartan": [[2, -1], [-2, 2]], "symmetrizer": [2, 1]}
@@ -269,6 +271,43 @@ def test_main_clears_and_frees_algebra(command, monkeypatch, capsys):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_homological_identities_run_on_the_blocks_of_I_i(monkeypatch,
+                                                         capsys):
+    """``verify`` tests Hom(I_i, E_i) = 0 on each nonzero block of I_i, the
+    interned block modules of the context, and builds each E_i and
+    E_sigma(i) once per i."""
+    contexts, homs, simples = [], [], []
+    real_ctx, real_hom, real_simple = (cli.IdealSemigroup, cli.hom_space,
+                                       cli.generalized_simple)
+
+    def recording_ctx(*args):
+        contexts.append(real_ctx(*args))
+        return contexts[-1]
+
+    def recording_hom(M, N):
+        homs.append((M, N))
+        return real_hom(M, N)
+
+    def recording_simple(A, i):
+        simples.append(real_simple(A, i))
+        return simples[-1]
+
+    monkeypatch.setattr(cli, "IdealSemigroup", recording_ctx)
+    monkeypatch.setattr(cli, "hom_space", recording_hom)
+    monkeypatch.setattr(cli, "generalized_simple", recording_simple)
+    b3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]}
+    assert main(["verify", "--config", json.dumps(b3)]) == 0
+    assert "PASS homological identities" in capsys.readouterr().out
+    (ctx,) = contexts
+    assert len(simples) == 2 * 3
+    for i in range(1, 4):
+        Ei = simples[2 * (i - 1)]
+        Ii = vertex_ideal(ctx.table, {i})
+        blocks = [Ii.block(v) for v in range(1, 4)]
+        assert [any(M is blk and N is Ei for M, N in homs)
+                for blk in blocks if blk is not None] == [True] * 3
 
 
 def test_stt_builds_each_block_once(monkeypatch, capsys):

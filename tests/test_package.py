@@ -23,3 +23,17 @@ def test_no_module_imports_random():
             if any(name.split(".")[0] == "random" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_function_imports():
+    """Every import of the package runs once, at module level: an import
+    inside a function runs on every call."""
+    modules = sorted(Path(preproj.__file__).parent.rglob("*.py"))
+    offenders = []
+    for path in modules:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders.extend(
+                    f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert offenders == []

@@ -19,6 +19,7 @@ from preproj.repmod import (
     ext1_dim,
     generalized_simple,
     hom_space,
+    hom_to_tau_vanishes,
     in_fac,
     is_indecomposable,
     is_isomorphic,
@@ -246,6 +247,49 @@ def test_tau_rigidity(algebras):
     # oracle: Hom(E_1, tau E_2) is nonzero by direct intertwiner count
     tE2 = auslander_reiten_translate(generalized_simple(eg1, 2))
     assert brute_hom_dim(generalized_simple(eg1, 1), tE2) > 0
+
+
+def _hom_to_tau_is_zero(Y, X):
+    """Oracle for ``hom_to_tau_vanishes``: Hom(Y, tau X) = 0 through the
+    module tau X."""
+    return hom_space(Y, auslander_reiten_translate(X)).dim == 0
+
+
+@pytest.mark.parametrize("entries, sym, field", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", QQ),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", PrimeField(101)),
+    ([[2, -1], [-3, 2]], (3, 1), QQ),
+    ([[2, -1], [-2, 2]], (4, 2), QQ)],
+    ids=["b3-qq", "b3-f101", "g2-31", "b2-42"])
+def test_hom_to_tau_from_the_presentation_matches_the_tau_route(
+        entries, sym, field):
+    """Adachi-Iyama-Reiten Prop. 2.4 on every ordered pair of distinct
+    blocks: Hom(Y, tau X) = 0 iff the presentation of X gives an onto
+    Hom(P0, Y) -> Hom(P1, Y), whichever way the verdict falls."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    blocks = _distinct_blocks(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    verdicts = set()
+    for Y in blocks:
+        for X in blocks:
+            got = hom_to_tau_vanishes(Y, X)
+            assert got == _hom_to_tau_is_zero(Y, X)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_hom_to_tau_on_the_modules_of_eg1(algebras):
+    """The same equivalence on E_1, E_2, e_1 Pi, e_2 Pi, the non-rigid
+    E_1 + E_2, the uniserial S_1 and the zero module of example 1."""
+    eg1 = algebras["eg1"]
+    E1, E2 = generalized_simple(eg1, 1), generalized_simple(eg1, 2)
+    mods = [E1, E2, projective_module(eg1, 1), projective_module(eg1, 2),
+            direct_sum(eg1, [E1, E2])[0], simple_module(eg1, 1),
+            zero_module(eg1)]
+    for Y in mods:
+        for X in mods:
+            assert hom_to_tau_vanishes(Y, X) == _hom_to_tau_is_zero(Y, X)
+    assert not is_tau_rigid(mods[4])
+    assert not _hom_to_tau_is_zero(mods[4], mods[4])
 
 
 def test_in_fac(algebras):

@@ -6,7 +6,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import ALGEBRA_SPECS, pairs_isomorphic, weyl_orbit_sizes
+from conftest import (
+    ALGEBRA_SPECS,
+    ideal_module,
+    pairs_isomorphic,
+    weyl_orbit_sizes,
+)
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import demazure_product, enumerate_weyl
@@ -25,6 +30,7 @@ from preproj.repmod import (
     minimal_projective_presentation,
     projective_module,
 )
+import preproj.repmod as repmod
 import preproj.tautilt as tautilt
 from preproj.tautilt import (
     IdealSemigroup,
@@ -313,8 +319,8 @@ def test_hom_Ii_Ei_and_local_freeness(algebras, semigroups):
         for i in range(1, A.n + 1):
             Ii = vertex_ideal(semigroups[name].table, {i})
             Ei = generalized_simple(A, i)
-            assert hom_space(Ii.module(), Ei).dim == 0
-            assert locally_free_rank(Ii.module()) is not None
+            assert hom_space(ideal_module(Ii), Ei).dim == 0
+            assert locally_free_rank(ideal_module(Ii)) is not None
             blk = Ii.block(i)
             if blk is not None:
                 assert locally_free_rank(blk) is not None
@@ -576,6 +582,50 @@ def test_minimal_approximation_counts_match_cartan(entries, sym):
         assert Counter(verts[k] for k, _ in kept) == want, (src, i)
 
 
+def _flattened_approximation(A, X, others):
+    """Oracle for ``_minimal_approximation``: the same sweep, comparing
+    whole maps, every entry of g f_p at every vertex."""
+    def flat(h):
+        return [c for v in sorted(h) for row in h[v].rows for c in row]
+
+    copies = [(k, f) for k, Uk in enumerate(others)
+              for f in hom_space(X, Uk).maps]
+    kept = list(range(len(copies)))
+    for c, (kc, fc) in enumerate(copies):
+        span = Subspace(
+            sum(others[kc].dims[v] * X.dims[v] for v in range(A.n)), A.field)
+        for p in kept:
+            if p != c:
+                kp, fp = copies[p]
+                for g in hom_space(others[kp], others[kc]).maps:
+                    span.add(flat({v: g[v].mul(fp[v]) for v in g}))
+        if span.contains(flat(fc)):
+            kept.remove(c)
+    return [copies[c] for c in kept]
+
+
+@pytest.mark.parametrize("entries, sym", [
+    (B3, "minimal"), (G2, (3, 1)), (B2, (4, 2))], ids=["b3", "g2", "b2-42"])
+def test_approximation_on_generators_matches_whole_maps(entries, sym):
+    """On every edge, comparing maps by their values on the generators of
+    X keeps exactly the copies that comparing whole maps keeps."""
+    A = build_algebra(cartan_data(entries, sym))
+    W = enumerate_weyl(A.data.cartan)
+    ctx = IdealSemigroup(A, W)
+    dropped = 0
+    for src, _, i in mutation_graph(ctx).edges:
+        pair = stt_pair(ctx, W.from_word(tuple(int(c) for c in src)))
+        idx = pair.block_vertices.index(i)
+        X = pair.summands[idx]
+        others = pair.summands[:idx] + pair.summands[idx + 1:]
+        got = _minimal_approximation(A, X, others)
+        want = _flattened_approximation(A, X, others)
+        assert ([(k, {v: m.rows for v, m in f.items()}) for k, f in got]
+                == [(k, {v: m.rows for v, m in f.items()}) for k, f in want])
+        dropped += sum(len(hom_space(X, U).maps) for U in others) - len(got)
+    assert dropped > 0
+
+
 @pytest.mark.parametrize("entries, sym", [
     (G2, (3, 1)), (A3, "minimal"), (B3, "minimal"), (B2, (4, 2)),
     ([[2, 0, -2], [0, 2, -1], [-1, -1, 2]], "minimal"),
@@ -644,41 +694,55 @@ def test_dropping_the_context_frees_its_blocks(algebras, weyl_groups):
             gc.enable()
 
 
-def test_hom_dims_to_tau_are_memoized_per_summand(algebras, weyl_groups,
-                                                   monkeypatch):
-    """``verify_stt`` computes each dim Hom(block, tau block) once: every
-    memoized dimension equals a fresh ``hom_space``, a second pass over all
-    pairs solves nothing, and the memo keeps no reference cycle."""
-    import preproj.tautilt as tautilt
+def test_tau_pairs_are_solved_once_per_block_pair(algebras, weyl_groups,
+                                                  monkeypatch):
+    """``classification_report`` decides Hom(M_a, tau M_b) = 0 once per
+    ordered pair of blocks that occur together in some (I_w, P_w), each
+    verdict agrees with the route through tau M_b, and the memo keeps no
+    reference cycle: the dropped context frees its blocks."""
     A, W = algebras["b3"], weyl_groups["b3"]
+    real = tautilt.hom_to_tau_vanishes
+    calls = []
+
+    def counting(Y, X):
+        calls.append((Y, X))
+        return real(Y, X)
+
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         ctx = IdealSemigroup(A, W)
-        pairs = [stt_pair(ctx, w) for w in W]
-        assert all(verify_stt(pair)[0] for pair in pairs)
-        blocks = {id(s): s for pair in pairs for s in pair.summands}
-        memoized = 0
-        for M in blocks.values():
-            for tau, dim in M._cache["hom_dim_to_tau"].items():
-                assert dim == hom_space(M, tau).dim
-                memoized += 1
-        summand_pairs = sum(len(pair.summands) ** 2 for pair in pairs)
-        assert 0 < memoized < summand_pairs
-
-        def no_solve(*args):
-            raise AssertionError("hom_space called on a memoized pair")
-
-        monkeypatch.setattr(tautilt, "hom_space", no_solve)
-        assert all(verify_stt(pair)[0] for pair in pairs)
+        monkeypatch.setattr(tautilt, "hom_to_tau_vanishes", counting)
+        classification_report(ctx)
         monkeypatch.undo()
-        blk = ctx.of_element(W.simple(1)).block(1)
-        refs = [weakref.ref(blk), weakref.ref(auslander_reiten_translate(blk))]
-        del ctx, pairs, blocks, M, tau, blk
-        assert [r() for r in refs] == [None, None]
+        together = {(s, t) for w in W for pair in [stt_pair(ctx, w)]
+                    for s in pair.summands for t in pair.summands}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == together
+        assert len(together) < sum(len(stt_pair(ctx, w).summands) ** 2
+                                   for w in W)
+        for Y, X in calls:
+            assert hom_space(Y, auslander_reiten_translate(X)).dim == 0
+        refs = [weakref.ref(Y) for Y, _ in calls]
+        del ctx, calls, together, Y, X
+        assert all(r() is None for r in refs)
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_classification_builds_no_tau(semigroups, monkeypatch):
+    """The report decides tau-rigidity on presentations: with tau and the
+    dual map it is built from raising, the report still passes."""
+    def no_tau(*args):
+        raise AssertionError("classification_report built a tau module")
+
+    for target, name in ((repmod, "auslander_reiten_translate"),
+                         (tautilt, "auslander_reiten_translate"),
+                         (repmod, "_dual_map")):
+        monkeypatch.setattr(target, name, no_tau, raising=False)
+    for name in ("eg1", "g2", "b3"):
+        assert classification_report(semigroups[name]).ok
 
 
 def test_semigroup_memos_are_bounded(monkeypatch):
