@@ -13,12 +13,13 @@ M_{source(a)}; the matrix ``act[a]`` realizes that map in column convention.
 Hom computations run through minimal presentations (Hom out of projectives
 is free), which keeps every linear solve small.
 
-Every module on a right-closed span of paths (a block e_vI, a projective
-e_vPi, the syzygy of a presentation) is built by ``module_from_subspace``
-on a ``GradedSpan``: sparse elements of a free module (+)_k e_{u_k}Pi,
-echelonized once, one ``Subspace`` per vertex.  The module's space at v is
-that span's echelon form at v, the same object, so an ideal block and its
-module share one echelon form.
+A right-closed span of paths (a block e_vI, a projective e_vPi, the syzygy
+of a presentation) is a ``GradedSpan``: sparse elements of a free module
+(+)_k e_{u_k}Pi, echelonized once, one ``Subspace`` per vertex.  The
+module that ``module_from_subspace`` builds on it has that span's echelon
+form at v as its space at v, the same object, so an ideal block and its
+module share one echelon form.  A syzygy stays a span (see
+``minimal_projective_presentation``).
 
 Presentations and ``hom_space`` act by every path of e_u Pi through one
 walk of the basis tree (``_path_walk``), one product per path and none
@@ -85,19 +86,11 @@ class ModuleRep:
                     f"action matrix for {a.name} has shape "
                     f"{(m.nrows, m.ncols)}, expected {want}")
         for rel in self.algebra.relations.all_nonzero():
-            mat = self._eval_relation(rel)
-            if mat is not None and not mat.is_zero():
+            first = next(iter(rel))
+            total = self.act_sum(((mon[1], c) for mon, c in rel.items()),
+                                 mon_source(first), mon_target(q, first))
+            if not total.is_zero():
                 raise VerificationFailed("relation does not annihilate module")
-
-    def _eval_relation(self, rel):
-        q = self.algebra.quiver
-        first = next(iter(rel))
-        u, w = mon_source(first), mon_target(q, first)
-        total = Matrix.zeros(self.dims[u - 1], self.dims[w - 1],
-                             self.algebra.field)
-        for mon, coeff in rel.items():
-            total = total.add(self.act_word(mon[1]).scale(coeff))
-        return total
 
     def act_word(self, word) -> Matrix:
         """Right action of a path: M_{target(word)} -> M_{source(word)}."""
@@ -108,20 +101,13 @@ class ModuleRep:
             m = self.act[a].mul(m)
         return m
 
-    def act_elem(self, coords: dict, from_vertex: int, to_vertex: int) -> Matrix:
-        """Right action of an algebra element in e_u Pi e_v: M_u -> M_v."""
-        A = self.algebra
-        total = Matrix.zeros(self.dims[to_vertex - 1],
-                             self.dims[from_vertex - 1], A.field)
-        for idx, coeff in coords.items():
-            mon = A.basis[idx]
-            if not mon[1]:
-                if mon[0] == from_vertex == to_vertex:
-                    total = total.add(
-                        Matrix.identity(self.dims[from_vertex - 1],
-                                        A.field).scale(coeff))
-                continue
-            total = total.add(self.act_word(mon[1]).scale(coeff))
+    def act_sum(self, terms, source: int, target: int) -> Matrix:
+        """Right action of sum c * word over the (word, c) of ``terms``,
+        nonempty paths from ``source`` to ``target``: M_target -> M_source."""
+        total = Matrix.zeros(self.dims[source - 1], self.dims[target - 1],
+                             self.algebra.field)
+        for word, c in terms:
+            total = total.add(self.act_word(word).scale(c))
         return total
 
     @property
@@ -235,31 +221,40 @@ class GradedSpan:
         return [{key: c for key, c in zip(self.keys[v], row) if c}
                 for v, s in self.spaces.items() for row in s.rows]
 
+    def arrow_images(self, a):
+        """x a for each echelon row x at t(a), dense in the coordinates at
+        s(a)."""
+        A = self.algebra
+        dim = A.dim
+        keys, index = self.keys[a.target], self.index[a.source]
+        arrow = A.arrow_coords[a.index]
+        for row in self.spaces[a.target].rows:
+            copies = {}  # k -> the copy-k part of the row, as algebra coords
+            for key, c in zip(keys, row):
+                if c:
+                    k, g = divmod(key, dim)
+                    copies.setdefault(k, {})[g] = c
+            image = [A.field.zero] * len(index)
+            for k, x in copies.items():
+                for g, c in A.mul_coords(x, arrow).items():
+                    image[index[k * dim + g]] = c
+            yield image
+
 
 def module_from_subspace(algebra: FiniteDimAlgebra,
                          span: GradedSpan) -> ModuleRep:
     """Module structure on a right-closed ``GradedSpan``: the space at v is
-    ``span.spaces[v]``, kept as ``_embedding`` (``_keys = span.keys``), and
-    the arrows act by right multiplication in those echelon bases."""
-    field = algebra.field
-    dim = algebra.dim
-    keys, index, spaces = span.keys, span.index, span.spaces
+    ``span.spaces[v]``, kept as ``_embedding``, and the arrow a sends each
+    echelon row x at t(a) to the coordinates of ``span.arrow_images(a)``
+    in the echelon basis at s(a)."""
+    spaces = span.spaces
     dims = [spaces[v].dim for v in range(1, algebra.n + 1)]
     act = {}
     for a in algebra.quiver.arrows:
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for col, row in enumerate(spaces[a.target].rows):
-            copies = {}  # k -> the copy-k part of the row, as algebra coords
-            for key, c in zip(keys[a.target], row):
-                if c:
-                    k, g = divmod(key, dim)
-                    copies.setdefault(k, {})[g] = c
-            proj = [field.zero] * len(keys[a.source])
-            for k, x in copies.items():
-                for g, c in algebra.mul_coords(
-                        x, algebra.arrow_coords[a.index]).items():
-                    proj[index[a.source][k * dim + g]] = c
-            coeffs = spaces[a.source].express(proj)
+        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1],
+                           algebra.field)
+        for col, image in enumerate(span.arrow_images(a)):
+            coeffs = spaces[a.source].express(image)
             if coeffs is None:
                 raise VerificationFailed(
                     "span is not right-multiplication closed")
@@ -268,7 +263,6 @@ def module_from_subspace(algebra: FiniteDimAlgebra,
         act[a.index] = out
     mod = ModuleRep(algebra, dims, act, validate=False)
     mod._embedding = spaces
-    mod._keys = keys
     return mod
 
 
@@ -440,20 +434,9 @@ class Presentation:
                              # vector of the top column c_k of M e_{u_k}
     p0_layout: dict          # vertex v -> list of (k, global basis index)
     section: dict            # vertex v -> Matrix (dim P0_v x dim M_v)
-    syzygy: ModuleRep        # K = ker(P0 -> M), a submodule of P0
+    kernel: GradedSpan       # K = ker(P0 -> M), over the copies it meets
     p1: list                 # vertices v_l
     x_elems: list            # [k][l] algebra coords in e_{u_k} Pi e_{v_l}
-
-
-def _top_columns(mod: ModuleRep):
-    """Per vertex v, the coordinates of M_v that are not pivots of
-    (rad M)_v: their unit vectors lift a basis of M_v / (rad M)_v."""
-    rad = radical_subspaces(mod)
-    top = {}
-    for v in range(1, mod.algebra.n + 1):
-        pivots = set(rad[v].pivots)
-        top[v] = [c for c in range(mod.dims[v - 1]) if c not in pivots]
-    return top
 
 
 @_memoized("presentation")
@@ -462,14 +445,18 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
 
     Generator k of P0 = (+)_k e_{u_k} Pi maps to the unit vector of the top
     column c_k of M e_{u_k}, and the P0 coordinate (k, g) to that vector
-    acted on by g.  The syzygy K is built by ``module_from_subspace`` on the
-    ``GradedSpan`` of the kernel vectors of the cover, over the copies of P0
-    they meet; the generators of P1 are the echelon rows of K that are not
-    radical pivots."""
+    acted on by g.  The kernel K stays a ``GradedSpan`` of P0: the
+    generators of P1 are its echelon rows whose pivots are not pivots of
+    K J, the span of its ``arrow_images``.  (Reading K-coordinates at K's
+    pivot columns preserves order, so these are the top rows of K.)"""
     A = mod.algebra
     field = A.field
-    top = _top_columns(mod)
-    generators = [(v, c) for v in range(1, A.n + 1) for c in top[v]]
+    rad = radical_subspaces(mod)
+    generators = []
+    for v in range(1, A.n + 1):
+        pivots = set(rad[v].pivots)
+        generators.extend((v, c) for c in range(mod.dims[v - 1])
+                          if c not in pivots)
     p0 = [v for v, _ in generators]
     # layout of P0's vertex-v coordinates: (generator k, basis monomial of
     # e_{u_k} Pi with source v), ordered by k then monomial
@@ -493,15 +480,21 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
                       if c}
                      for vec in nullspace(cover))
     copies = {key // A.dim for x in kvecs for key in x}
-    syz = module_from_subspace(
-        A, GradedSpan(A, {k: p0[k] for k in copies}, kvecs))
+    kernel = GradedSpan(A, {k: p0[k] for k in copies}, kvecs)
+    kj = {v: Subspace(len(keys), field) for v, keys in kernel.keys.items()}
+    for a in A.quiver.arrows:
+        for image in kernel.arrow_images(a):
+            kj[a.source].add(image)
     p1 = []
     x_elems = []  # [l][k]
-    for v, cols in _top_columns(syz).items():
-        for c in cols:
+    for v, space in kernel.spaces.items():
+        pivots = set(kj[v].pivots)
+        for row, pivot in zip(space.rows, space.pivots):
+            if pivot in pivots:
+                continue
             p1.append(v)
             col = [{} for _ in p0]
-            for key, x in zip(syz._keys[v], syz._embedding[v].rows[c]):
+            for key, x in zip(kernel.keys[v], row):
                 if x:
                     k, g = divmod(key, A.dim)
                     col[k][g] = x
@@ -509,7 +502,7 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    return Presentation(p0, generators, p0_layout, section, syz, p1,
+    return Presentation(p0, generators, p0_layout, section, kernel, p1,
                         x_matrix)
 
 
@@ -527,10 +520,13 @@ class HomBasis:
 
 def _approximation_matrix(pres: Presentation, N: ModuleRep):
     """The map (+)_k N e_{u_k} -> (+)_l N e_{v_l}, (n_k) -> (sum_k n_k x_{kl})."""
+    basis = N.algebra.basis
     src_dims = [N.dims[u - 1] for u in pres.p0]
     rows = []
     for l, v in enumerate(pres.p1):
-        blocks = [N.act_elem(xk[l], u, v).rows
+        # x_kl lies in rad P0 (the cover is minimal): no trivial path
+        blocks = [N.act_sum(((basis[g][1], c) for g, c in xk[l].items()),
+                            v, u).rows
                   for u, xk in zip(pres.p0, pres.x_elems)]
         rows.extend([c for blk in blocks for c in blk[r]]
                     for r in range(N.dims[v - 1]))
@@ -590,7 +586,7 @@ def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
     pres = minimal_projective_presentation(M)
     if not pres.p1:
         return 0
-    hk = hom_space(pres.syzygy, N)
+    hk = hom_space(module_from_subspace(M.algebra, pres.kernel), N)
     phi, _ = _approximation_matrix(pres, N)
     return hk.dim - mat_rank(phi)
 

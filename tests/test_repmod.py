@@ -664,11 +664,15 @@ def _dense_presentation(M):
 @pytest.mark.parametrize("entries, sym, field", [
     ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", QQ),
     ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal", PrimeField(101)),
-    ([[2, -1], [-3, 2]], (3, 1), QQ)], ids=["b3-qq", "b3-f101", "g2-qq"])
+    ([[2, -1], [-3, 2]], (3, 1), QQ),
+    ([[2, -1], [-2, 2]], (4, 2), QQ),
+    ([[2, -1], [-3, 2]], (6, 2), QQ)],
+    ids=["b3-qq", "b3-f101", "g2-qq", "b2-42", "g2-62"])
 def test_syzygies_match_the_dense_p0_route(entries, sym, field):
     """For every block and nonzero tau block, the presentation built on
     sparse elements of P0 equals the dense oracle: the same P0 and P1, the
-    same x_{kl} and the same syzygy, dimensions and action matrices."""
+    same x_{kl}, and the module built on ``kernel`` is the oracle's
+    syzygy, dimensions and action matrices."""
     A = build_algebra(cartan_data(entries, sym), field=field)
     mods = _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
     copies = 0
@@ -676,8 +680,9 @@ def test_syzygies_match_the_dense_p0_route(entries, sym, field):
         pres = minimal_projective_presentation(M)
         p0, p1, x_elems, K = _dense_presentation(M)
         assert (pres.p0, pres.p1, pres.x_elems) == (p0, p1, x_elems)
-        assert pres.syzygy.dims == K.dims
-        assert all(pres.syzygy.act[a].rows == K.act[a].rows for a in K.act)
+        syzygy = module_from_subspace(A, pres.kernel)
+        assert syzygy.dims == K.dims
+        assert all(syzygy.act[a].rows == K.act[a].rows for a in K.act)
         copies = max(copies, len(p0))
     assert copies > 1
 
@@ -814,7 +819,8 @@ def test_modules_built_without_the_relation_check_satisfy_the_relations(
         mods.append(nakayama_nu(generalized_simple(A, i)))
         mods.extend(uniserial_module(A, i, d)
                     for d in range(1, A.quiver.symmetrizer[i] + 1))
-    mods.extend([minimal_projective_presentation(M).syzygy for M in mods])
+    mods.extend([module_from_subspace(
+        A, minimal_projective_presentation(M).kernel) for M in mods])
     for M in mods:
         M._validate()
 
@@ -860,30 +866,75 @@ def test_path_walk_matches_act_word(entries, sym, field):
 def test_presentations_and_homs_act_by_the_walk(monkeypatch):
     """Presentations and Hom maps read every P0 coordinate from one walk
     of the basis tree.  With ``act_word`` raising everywhere but inside
-    ``act_elem`` (which evaluates the x_kl of the approximation matrix),
+    ``act_sum`` (which evaluates the x_kl of the approximation matrix),
     both still run on every block of B3."""
     A = build_algebra(cartan_data(_B3, "minimal"))
     blocks = _distinct_blocks(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
-    act_word, act_elem = ModuleRep.act_word, ModuleRep.act_elem
+    act_word, act_sum = ModuleRep.act_word, ModuleRep.act_sum
     inside = []
 
     def guarded_word(self, word):
         if not inside:
-            raise AssertionError("a path acts by act_word outside act_elem")
+            raise AssertionError("a path acts by act_word outside act_sum")
         return act_word(self, word)
 
-    def flagged_elem(self, *args):
+    def flagged_sum(self, *args):
         inside.append(True)
         try:
-            return act_elem(self, *args)
+            return act_sum(self, *args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(ModuleRep, "act_word", guarded_word)
-    monkeypatch.setattr(ModuleRep, "act_elem", flagged_elem)
+    monkeypatch.setattr(ModuleRep, "act_sum", flagged_sum)
     homs = 0
     for M in blocks:
         assert minimal_projective_presentation(M).p0
         for N in blocks:
             homs += hom_space(M, N).dim
     assert homs > len(blocks)
+
+
+_G2 = [[2, -1], [-3, 2]]
+_B2 = [[2, -1], [-2, 2]]
+
+
+@pytest.mark.parametrize("entries, sym, field", [
+    (_B3, "minimal", QQ), (_B3, "minimal", PrimeField(101)),
+    (_G2, (3, 1), QQ), (_B2, (4, 2), QQ)],
+    ids=["b3-qq", "b3-f101", "g2-31", "b2-42"])
+def test_presentations_build_no_module(entries, sym, field, monkeypatch):
+    """The kernel of a presentation stays a span: with every block built
+    first, presenting each of them constructs no ``ModuleRep``."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    blocks = _distinct_blocks(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a presentation built a module")
+
+    monkeypatch.setattr(ModuleRep, "__init__", refuse)
+    relations = 0
+    for M in blocks:
+        M._cache.pop("presentation", None)
+        relations += len(minimal_projective_presentation(M).p1)
+    assert relations > 0
+
+
+@pytest.mark.parametrize("entries, sym", [
+    (_B3, "minimal"), (_G2, (3, 1)), (_B2, (4, 2))],
+    ids=["b3", "g2-31", "b2-42"])
+def test_ext1_vanishes_where_hom_to_tau_does(entries, sym):
+    """Ext^1(M, N) = D Hom-bar(N, tau M) (Auslander-Reiten): on every
+    ordered pair of blocks, Hom(N, tau M) = 0 forces ``ext1_dim(M, N)``,
+    computed on the syzygy module built from the kernel span, to vanish;
+    both Ext^1 = 0 and Ext^1 > 0 occur."""
+    A = build_algebra(cartan_data(entries, sym))
+    blocks = _distinct_blocks(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    seen = set()
+    for M in blocks:
+        for N in blocks:
+            ext = ext1_dim(M, N)
+            if hom_to_tau_vanishes(N, M):
+                assert ext == 0
+            seen.add(ext > 0)
+    assert seen == {False, True}
