@@ -8,17 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 from .cartan import CartanData, cartan_data, dynkin_components
-from .coxeter import (
-    _identity,
-    _mat_mul,
-    coxeter_order,
-    enumerate_weyl,
-    simple_reflection_matrix,
-)
+from .coxeter import coxeter_order, enumerate_weyl, sigma_order
 from .errors import (
     CapExceeded,
     CartanError,
@@ -206,26 +201,26 @@ def cmd_algebra(cfg: RunConfig):
 def cmd_weyl(cfg: RunConfig):
     try:
         group = enumerate_weyl(cfg.data.cartan, cap=cfg.weyl_cap)
-        truncated = False
     except CapExceeded as exc:
         group = exc.partial
-        truncated = True
-    elements = [{"word": "".join(map(str, w.word)), "length": w.length}
-                for w in group.sorted_elements()]
     payload = {
         "order": group.order,
         "complete": group.complete,
-        "longest_length": max(w.length for w in group.sorted_elements()),
-        "elements": elements,
+        "longest_length": group.longest().length,
+        "elements": [],
     }
-    if truncated:
+    if not group.complete:
         lines = [f"weyl group exceeds cap {cfg.weyl_cap}: "
                  f"truncated ball with {group.order} elements"]
     else:
         lines = [f"|W| = {group.order}",
                  f"longest length = {payload['longest_length']}"]
-    if len(elements) <= 64:
-        for e in elements:
+    # the words are built only where they are printed
+    if cfg.json_out or group.order <= 64:
+        payload["elements"] = [{"word": ws, "length": w.length} for ws, w
+                               in zip(group.word_strings(), group)]
+    if group.order <= 64:
+        for e in payload["elements"]:
             lines.append(f"  {e['word'] or 'e'} (length {e['length']})")
     return 0, _emit(cfg, payload, lines)
 
@@ -287,6 +282,15 @@ def _failure_text(exc: Exception) -> str:
     return text
 
 
+def _verdict(checks, head=(), tail=()):
+    """The exit code, and one PASS or FAIL line per check between the
+    ``head`` and ``tail`` lines."""
+    lines = [*head, *(f"{'PASS' if good else 'FAIL'} {name}"
+                      + (f" ({msg})" if msg else "")
+                      for name, good, msg in checks), *tail]
+    return (0 if all(good for _, good, _ in checks) else 1), "\n".join(lines)
+
+
 def cmd_verify(cfg: RunConfig):
     """Aggregated verification; one pass/fail line per check."""
     checks = []
@@ -311,35 +315,18 @@ def cmd_verify(cfg: RunConfig):
         c = d.cartan
         for i in range(1, d.n + 1):
             for j in range(1, d.n + 1):
-                if i == j:
-                    continue
-                m = coxeter_order(c, i, j)
-                si = simple_reflection_matrix(c, i)
-                sj = simple_reflection_matrix(c, j)
-                prod = _mat_mul(si, sj)
-                power = prod
-                k = 1
-                while k <= 6:
-                    if power == _identity(d.n):
-                        break
-                    power = _mat_mul(power, prod)
-                    k += 1
-                found = k if k <= 6 else None
-                if m == float("inf"):
-                    assert found is None, (i, j)
-                else:
-                    assert found == m, (i, j, found, m)
+                if i != j:
+                    m = coxeter_order(c, i, j)
+                    found = sigma_order(c, i, j)
+                    assert found == (None if m == math.inf else m), (
+                        i, j, found, m)
 
     record("coxeter orders of sigma_i*", check_orders)
 
     if not d.dynkin:
-        lines = ["algebra-level checks skipped: C is not of Dynkin type "
-                 "(finite-dimensional selfinjective case required)"]
-        ok = all(c[1] for c in checks)
-        for name, good, msg in checks:
-            lines.append(f"{'PASS' if good else 'FAIL'} {name}"
-                         + (f" ({msg})" if msg else ""))
-        return (0 if ok else 1), "\n".join(lines)
+        return _verdict(checks, ["algebra-level checks skipped: C is not of "
+                                 "Dynkin type (finite-dimensional "
+                                 "selfinjective case required)"])
 
     box = {}
 
@@ -399,18 +386,14 @@ def cmd_verify(cfg: RunConfig):
         else:
             record(name, fn)
 
-    ok = all(c[1] for c in checks)
-    lines = []
-    for name, good, msg in checks:
-        lines.append(f"{'PASS' if good else 'FAIL'} {name}"
-                     + (f" ({msg})" if msg else ""))
+    tail = []
     if "report" in box:
         rep = box["report"]
-        lines.append(f"{rep.stt_count} support tau-tilting modules = |W| = "
-                     f"{group_box['W'].order}")
-        lines.append("tau-rigid indecomposables: "
-                     + ", ".join(t[0] for t in rep.tau_rigid_modules))
-    return (0 if ok else 1), "\n".join(lines)
+        tail = [f"{rep.stt_count} support tau-tilting modules = |W| = "
+                f"{group_box['W'].order}",
+                "tau-rigid indecomposables: "
+                + ", ".join(t[0] for t in rep.tau_rigid_modules)]
+    return _verdict(checks, tail=tail)
 
 
 def run_command(cfg: RunConfig, command: str):

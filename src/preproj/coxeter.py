@@ -1,14 +1,16 @@
 """The Weyl group W(C) as the orbit of rho = (1, ..., 1).
 
-Elements are keyed by w(rho) in fundamental-weight coordinates, faithful as
-rho is regular; lam_i < 0 exactly when i is a left descent.  The BFS records
-every s_i w, so ``left_mul`` is a lookup and ``right_mul`` reads an inverse
-table built on first use.  Words are tuples of generator indices (1-based),
-read left to right: (i, j) means s_i s_j.
+An element is its weight w(rho) in fundamental-weight coordinates, faithful
+as rho is regular; lam_i < 0 exactly when i is a left descent.  The BFS
+records every s_i w, so ``left_mul`` is a lookup and ``right_mul`` reads a
+table filled from these steps.  ``word`` reads the lex-least reduced word off
+the weight, a smallest left descent at a time: a tuple of generator indices
+(1-based), read left to right, (i, j) meaning s_i s_j.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,17 +42,10 @@ def _cartan_columns(c: CartanMatrix):
 
 def simple_reflection_matrix(c: CartanMatrix, i: int):
     """Matrix of sigma_i* : alpha_i* -> alpha_i* - sum_j c_ji alpha_j*."""
-    n = c.n
-    assert 1 <= i <= n
-    cols = []
-    for l in range(1, n + 1):
-        if l != i:
-            cols.append(tuple(1 if r == l else 0 for r in range(1, n + 1)))
-        else:
-            cols.append(tuple((1 if r == i else 0) - c[r, i]
-                              for r in range(1, n + 1)))
-    # stored row-major
-    return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
+    assert 1 <= i <= c.n
+    # row-major: column i is alpha_i* - sum_r c_ri alpha_r*, the others fixed
+    return tuple(tuple(int(r == l) - (c[r, i] if l == i else 0)
+                       for l in range(1, c.n + 1)) for r in range(1, c.n + 1))
 
 
 def coxeter_order(c: CartanMatrix, i: int, j: int):
@@ -58,6 +53,18 @@ def coxeter_order(c: CartanMatrix, i: int, j: int):
     assert i != j
     prod = c[i, j] * c[j, i]
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(prod, math.inf)
+
+
+def sigma_order(c: CartanMatrix, i: int, j: int, bound: int = 6):
+    """The least m <= ``bound`` with (sigma_i* sigma_j*)^m = 1, else None."""
+    prod = _mat_mul(simple_reflection_matrix(c, i),
+                    simple_reflection_matrix(c, j))
+    power, one = prod, _identity(c.n)
+    for m in range(1, bound + 1):
+        if power == one:
+            return m
+        power = _mat_mul(power, prod)
+    return None
 
 
 def weyl_order(c: CartanMatrix) -> int:
@@ -84,17 +91,18 @@ def weyl_order(c: CartanMatrix) -> int:
 class WeylElement:
     weight: tuple  # w(rho) in fundamental-weight coordinates
     length: int
-    word: tuple  # lexicographically least reduced word
     index: int = field(compare=False)  # position in the enumeration
 
-    def __repr__(self):
-        w = "".join(str(i) for i in self.word) or "e"
-        return f"w{w}"
+
+def _descent(weight) -> int:
+    """The smallest left descent, 0-based: the first lam_i < 0."""
+    return next(i for i, x in enumerate(weight) if x < 0)
 
 
 class WeylGroup:
-    """BFS-enumerated group (complete, or a ball when capped, without the
-    steps out of its outer layer)."""
+    """BFS-enumerated group: complete, or a ball when capped or bounded by
+    length, whose steps out of the outer layer are None.  Iteration follows
+    the enumeration, which is by length, then lex-least word."""
 
     def __init__(self, cartan: CartanMatrix, elements, left, complete):
         self.cartan = cartan
@@ -103,8 +111,7 @@ class WeylGroup:
         self.identity = elements[(1,) * self.n]
         self.complete = complete
         self._left = left  # s_i w at n * w.index + i - 1
-        self._inverse = None  # index -> w^-1
-        self._sorted = None
+        self._right = None  # w s_i likewise, filled on first use
 
     @property
     def order(self) -> int:
@@ -117,12 +124,38 @@ class WeylGroup:
         return self._left[self.n * w.index + i - 1]
 
     def right_mul(self, w: WeylElement, i: int) -> WeylElement:
-        """w s_i = (s_i w^-1)^-1."""
-        inverse = self._inverse
-        if inverse is None:
-            inverse = self._inverse = [self.from_word(w.word[::-1])
-                                       for w in self.elements.values()]
-        return inverse[self.left_mul(i, inverse[w.index]).index]
+        """A lookup in a table filled on first use: e s_j = s_j, and
+        x s_j = s_k (p s_j) for x != e with smallest left descent k and
+        p = s_k x, which precedes x in the enumeration."""
+        n, left, right = self.n, self._left, self._right
+        if right is None:
+            right = self._right = left[:n]
+            for x in itertools.islice(self.elements.values(), 1, None):
+                k = _descent(x.weight)
+                p = left[n * x.index + k].index
+                right.extend(None if y is None else left[n * y.index + k]
+                             for y in right[n * p:n * p + n])
+        return right[n * w.index + i - 1]
+
+    def word(self, w: WeylElement) -> tuple:
+        """The lex-least reduced word: the smallest left descent i of w,
+        then the word of s_i w."""
+        word = []
+        while w.length:
+            i = _descent(w.weight)
+            word.append(i + 1)
+            w = self._left[self.n * w.index + i]
+        return tuple(word)
+
+    def word_strings(self) -> list:
+        """Every word as a string, by index, from the word of s_i w as in
+        ``word``: one concatenation per element."""
+        strings = [""]
+        for w in itertools.islice(self.elements.values(), 1, None):
+            i = _descent(w.weight)
+            strings.append(
+                str(i + 1) + strings[self._left[self.n * w.index + i].index])
+        return strings
 
     def from_word(self, word) -> WeylElement:
         """s_{i_1} ... s_{i_k} for any sequence (i_1, ..., i_k)."""
@@ -134,25 +167,16 @@ class WeylGroup:
     def matrix(self, w: WeylElement):
         """The contragredient matrix of w, the product of its sigma_i*."""
         m = _identity(self.n)
-        for i in w.word:
+        for i in self.word(w):
             m = _mat_mul(m, simple_reflection_matrix(self.cartan, i))
         return m
 
     def longest(self) -> WeylElement:
-        return self.sorted_elements()[-1]
-
-    def sorted_elements(self):
-        """By length, then word; sorted on first use."""
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements.values(),
-                                        key=lambda w: (w.length, w.word)))
-        return self._sorted
+        """The last element, w_0 when the group is complete."""
+        return next(reversed(self.elements.values()))
 
     def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def __len__(self):
-        return len(self.elements)
+        return iter(self.elements.values())
 
 
 def enumerate_weyl(c: CartanMatrix, cap: int = 1_000_000,
@@ -165,33 +189,35 @@ def enumerate_weyl(c: CartanMatrix, cap: int = 1_000_000,
     """
     n = c.n
     cols = _cartan_columns(c)
-    e = WeylElement((1,) * n, 0, (), 0)
+    e = WeylElement((1,) * n, 0, 0)
     elements = {e.weight: e}
     left = []
     frontier = [e]
     while frontier:
-        if max_length is not None and frontier[0].length >= max_length:
-            return WeylGroup(c, elements, left, False)
+        outer = max_length is not None and frontier[0].length >= max_length
         new = {}
         steps = [None] * (n * len(frontier))
-        # generator loop outermost: the first discovery of an element uses the
-        # smallest left descent, which yields the lex-least reduced word
+        # generator loop outermost: the first discovery of an element uses its
+        # smallest left descent, so each layer comes in lex-least word order
         for i in range(n):
             for k, w in enumerate(frontier):
                 mu = _step(w.weight, cols[i], i)
                 v = elements.get(mu) or new.get(mu)
-                if v is None:
-                    v = new[mu] = WeylElement(
-                        mu, w.length + 1, (i + 1,) + w.word,
-                        len(elements) + len(new))
+                if v is None and not outer:
+                    v = new[mu] = WeylElement(mu, w.length + 1,
+                                              len(elements) + len(new))
                 steps[n * k + i] = v
         if len(elements) + len(new) > cap:
             message = (f"Weyl group of order {weyl_order(c)} exceeds cap {cap}"
                        if is_dynkin(c, find_symmetrizer(c)) else
                        f"Weyl group exceeds cap {cap}; C is likely non-Dynkin")
+            # the partial ball keeps the frontier's steps into the ball only
+            left.extend(v if v.index < len(elements) else None for v in steps)
             raise CapExceeded(message,
                               partial=WeylGroup(c, elements, left, False))
         left.extend(steps)
+        if outer:
+            return WeylGroup(c, elements, left, False)
         elements.update(new)
         frontier = list(new.values())
     return WeylGroup(c, elements, left, True)
@@ -218,7 +244,7 @@ def all_reduced_words(group: WeylGroup, w: WeylElement, _memo=None):
 def demazure_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylElement:
     """0-Hecke product: fold u * s_i = u s_i if the length grows, else u."""
     cur = u
-    for i in v.word:
+    for i in group.word(v):
         cand = group.right_mul(cur, i)
         if cand.length > cur.length:
             cur = cand

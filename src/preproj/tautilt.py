@@ -264,22 +264,21 @@ class IdealSemigroup:
         return self.of_element(self.weyl.simple(i))
 
     def of_element(self, w: WeylElement) -> Ideal:
-        """I_w = I_i I_{s_i w} for i = w.word[0] differs from I_{s_i w} in
-        block i only.  At a second left descent j, I_w = I_j I_{s_j w}
-        keeps block i of I_{s_j w}, so ``extend_left`` runs only where i is
-        the one left descent.  Check (i) of ``classification_report``
-        proves I_w = I_{i_1} ... I_{i_k} along every reduced word whatever
-        route filled the memo: its induction needs only I_e = Pi and the
-        ascents I_u I_i = I_{u s_i}."""
+        """I_w = I_i I_{s_i w} for the smallest left descent i of w differs
+        from I_{s_i w} in block i only.  At a second left descent j,
+        I_w = I_j I_{s_j w} keeps block i of I_{s_j w}, so ``extend_left``
+        runs only where i is the one left descent.  Check (i) of
+        ``classification_report`` proves I_w = I_{i_1} ... I_{i_k} along
+        every reduced word whatever route filled the memo: its induction
+        needs only I_e = Pi and the ascents I_u I_i = I_{u s_i}."""
         ideal = self._cache.get(w.index)
         if ideal is not None:
             return ideal
         if w.length == 0:
             ideal = full_ideal(self.table)
         else:
-            i = w.word[0]
+            i, *others = [j for j, x in enumerate(w.weight, 1) if x < 0]
             rest = self.of_element(self.weyl.left_mul(i, w))
-            others = [j for j, x in enumerate(w.weight, 1) if x < 0 and j != i]
             if not others:
                 ideal = extend_left(i, rest)
             else:
@@ -313,15 +312,15 @@ class ModuleNamer:
         self.semigroup = semigroup
         self._names = {}  # block module -> name
 
-    def name_block(self, vertex: int, word, mod: ModuleRep) -> str:
+    def name_block(self, vertex: int, w: WeylElement, mod: ModuleRep) -> str:
         """Name of the block ``mod = I_w.block(vertex)``, memoized per
         block."""
         name = self._names.get(mod)
         if name is None:
-            name = self._names[mod] = self._name(vertex, word, mod)
+            name = self._names[mod] = self._name(vertex, w, mod)
         return name
 
-    def _name(self, vertex: int, word, mod: ModuleRep) -> str:
+    def _name(self, vertex: int, w: WeylElement, mod: ModuleRep) -> str:
         sg = self.semigroup
         if mod is sg.projectives[vertex - 1]:
             return f"e{vertex}P"
@@ -330,7 +329,7 @@ class ModuleNamer:
             return f"E{rank.index(1) + 1}"
         if mod is sg.generator(vertex).block(vertex):
             return f"e{vertex}I{vertex}"
-        return f"e{vertex}Iw{''.join(map(str, word))}"
+        return f"e{vertex}Iw{_word_str(sg.weyl, w)}"
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +345,6 @@ class SttPair:
     summands: list                 # indecomposable ModuleReps
     projective_vertices: tuple     # j with e_j Pi a summand of P
     block_vertices: tuple = None   # for ideal pairs: vertex of each summand
-
-    @property
-    def module_count(self):
-        return len(self.summands)
 
     def module(self) -> ModuleRep:
         if not self.summands:
@@ -391,7 +386,7 @@ def verify_stt(pair: SttPair, rigid=None):
     memoizes ``hom_to_tau_vanishes`` (no tau is built) by (M_a, M_b)."""
     reasons = []
     A = pair.algebra
-    if pair.module_count + len(pair.projective_vertices) != A.n:
+    if len(pair.summands) + len(pair.projective_vertices) != A.n:
         reasons.append("|M| + |P| != n")
     dims = pair.module_dims()
     for j in pair.projective_vertices:
@@ -495,7 +490,6 @@ def _minimal_approximation(A, X, others):
 
 @dataclass
 class GraphNode:
-    word: tuple
     summands: list       # display names, block-vertex ascending
     dims: list           # per-summand total dimension
     rank_vectors: list   # per-summand locally-free rank or None
@@ -507,18 +501,14 @@ class MutationGraph:
     nodes: dict          # word-string -> GraphNode
     edges: list          # (from word-string, to word-string, label i)
 
-    def node_id(self, word_str: str) -> str:
-        return "w" + word_str
-
     def to_dot(self) -> str:
         lines = ["digraph stt {", "  rankdir=LR;"]
         for ws in sorted(self.nodes):
             node = self.nodes[ws]
             label = "+".join(node.summands) if node.summands else "0"
-            lines.append(f'  "{self.node_id(ws)}" [label="{label}"];')
+            lines.append(f'  "w{ws}" [label="{label}"];')
         for (src, dst, i) in self.edges:
-            lines.append(
-                f'  "{self.node_id(src)}" -> "{self.node_id(dst)}" [label="{i}"];')
+            lines.append(f'  "w{src}" -> "w{dst}" [label="{i}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -538,8 +528,8 @@ class MutationGraph:
         return {"nodes": nodes, "edges": edges}
 
 
-def _word_str(word) -> str:
-    return "".join(map(str, word))
+def _word_str(weyl: WeylGroup, w: WeylElement) -> str:
+    return "".join(map(str, weyl.word(w)))
 
 
 def mutation_graph(semigroup: IdealSemigroup,
@@ -557,13 +547,14 @@ def mutation_graph(semigroup: IdealSemigroup,
     if not weyl.complete:
         raise NotDynkin("the exchange quiver requires the full Weyl group")
     namer = ModuleNamer(semigroup)
+    words = weyl.word_strings()
     nodes = {}
     ascents = []  # (w, s_i w, i) with l(s_i w) > l(w)
     for w in weyl:
         pair = stt_pair(semigroup, w)
-        nodes[_word_str(w.word)] = GraphNode(
-            w.word, [namer.name_block(v, w.word, s) for v, s
-                     in zip(pair.block_vertices, pair.summands)],
+        nodes[words[w.index]] = GraphNode(
+            [namer.name_block(v, w, s) for v, s
+             in zip(pair.block_vertices, pair.summands)],
             [s.total_dim for s in pair.summands],
             [locally_free_rank(s) for s in pair.summands],
             sorted(f"e{j}P" for j in pair.projective_vertices))
@@ -571,7 +562,7 @@ def mutation_graph(semigroup: IdealSemigroup,
             v = weyl.left_mul(i, w)
             if v.length > w.length:
                 ascents.append((w, v, i))
-    edges = [(_word_str(w.word), _word_str(v.word), i) for w, v, i in ascents]
+    edges = [(words[w.index], words[v.index], i) for w, v, i in ascents]
     graph = MutationGraph(nodes, edges)
     # regularity: each node meets exactly n edges
     incident = {ws: 0 for ws in nodes}
@@ -606,9 +597,10 @@ def _check_edge(semigroup: IdealSemigroup, w: WeylElement, v: WeylElement,
             and all(got is want if u != i else is_isomorphic(want, got)
                     for u, got, want in zip(verts, mutated.summands,
                                             expected.summands))):
+        weyl = semigroup.weyl
         raise VerificationFailed(
-            f"left mutation does not reproduce edge {_word_str(w.word)} -> "
-            f"{_word_str(v.word)} (label {i})")
+            f"left mutation does not reproduce edge {_word_str(weyl, w)} -> "
+            f"{_word_str(weyl, v)} (label {i})")
 
 
 # ---------------------------------------------------------------------------
@@ -655,34 +647,32 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
             via_product = extend_right(iu, i)
             if via_product != semigroup.of_element(v):
                 well_defined = False
-                failures.append(
-                    f"I_({_word_str(u.word)}) * I_{i} != I_({_word_str(v.word)})")
+                failures.append(f"I_({_word_str(weyl, u)}) * I_{i} != "
+                                f"I_({_word_str(weyl, v)})")
     # (ii) injectivity
     keys = {semigroup.of_element(w).blocks for w in weyl}
     injective = len(keys) == weyl.order
     if not injective:
         failures.append(f"only {len(keys)} distinct ideals for {weyl.order} elements")
-    # (iii) pairs
+    # (iii) pairs, and (iv) their blocks up to isomorphism, through their
+    # stable names
     pairs_ok = True
-    blocks = []
     lf_ok = True
     rigid = {}  # one verdict per ordered pair of blocks, for this call only
+    seen = {}
     for w in weyl:
         pair = stt_pair(semigroup, w)
         ok, reasons = verify_stt(pair, rigid)
         if not ok:
             pairs_ok = False
-            failures.append(f"pair at {_word_str(w.word) or 'e'}: {reasons}")
+            failures.append(f"pair at {_word_str(weyl, w) or 'e'}: {reasons}")
         for v, s in zip(pair.block_vertices, pair.summands):
-            blocks.append((v, w.word, s))
-            if locally_free_rank(s) is None:
+            rank = locally_free_rank(s)
+            if rank is None:
                 lf_ok = False
-    # (iv) dedupe blocks by isomorphism through their stable names
-    seen = {}
-    for v, word, mod in blocks:
-        name = namer.name_block(v, word, mod)
-        if name not in seen:
-            seen[name] = (name, mod.total_dim, locally_free_rank(mod))
+            name = namer.name_block(v, w, s)
+            if name not in seen:
+                seen[name] = (name, s.total_dim, rank)
     tau_rigid = sorted(seen.values())
     # (v) 0-Hecke consistency, I_u I_v = I_(u*v) for every pair, from the n
     # idempotents I_i I_i = I_i.  Check (i) gives I_x I_i = I_(x s_i) at

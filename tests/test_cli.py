@@ -404,6 +404,11 @@ _B3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]}
 _C3 = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}
 _D4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
                   [0, -1, 0, 2]]}
+# `weyl` outputs recorded while every element stored its word; at --cap 40
+# the B3, F4 and affine A1 groups are truncated balls
+_F4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1],
+                  [0, 0, -1, 2]]}
+_AFF = {"cartan": [[2, -2], [-2, 2]]}
 
 
 @pytest.mark.parametrize("command, raw, flags, digest", [
@@ -425,8 +430,26 @@ _D4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
      "48cbb1dd4dbbf2cdb35de559f46669f851f33f7d647065c7eff61846a3309821"),
     ("verify", _B3, ["--field", "fp:101"],
      "dd563e4b212b749e968795b63ad1d39c0e5fc69481eef2afca4b445c0327f134"),
+    ("weyl", _G2, ["--cap", "40"],
+     "2c9aeab79b4c25d792b7b7d61add759227683a977fd3a4021b3d03827d79d577"),
+    ("weyl", _G2, ["--cap", "40", "--json"],
+     "42d76aa4d9cff16882012d3c3af60c9b75ab3a3be2145776f3c870643e206385"),
+    ("weyl", _B3, ["--cap", "40"],
+     "2183f6c75a290a504e23480e6e9dfabbd330cff0d90b6fbecdf6d9901fbd834a"),
+    ("weyl", _B3, ["--cap", "40", "--json"],
+     "38bafa04966bfd572381b8ee5efab44e63ed71a449739c01b34ccb1f067828b9"),
+    ("weyl", _F4, ["--cap", "40"],
+     "d001a163b41f76108d928360136371be2885c463b5319405826a13bcc0754b16"),
+    ("weyl", _F4, ["--cap", "40", "--json"],
+     "79a7a35a7950c8a9ef9f3ae490617b93865baacb322b438617836338b9fbc04e"),
+    ("weyl", _AFF, ["--cap", "40"],
+     "e810c166e0a3738062e87355a645755845166e4710479467e9dffe04e8d19a36"),
+    ("weyl", _AFF, ["--cap", "40", "--json"],
+     "743c419207e688688305cfa16aa31d7b8235eb4ea6acc8699ddc2f6aa8f8765a"),
 ], ids=["stt-g2", "stt-b2-42", "stt-b3", "stt-c3", "stt-d4", "graph-g2",
-        "graph-b2-42", "verify-g2", "verify-b3-fp101"])
+        "graph-b2-42", "verify-g2", "verify-b3-fp101", "weyl-g2",
+        "weyl-g2-json", "weyl-b3", "weyl-b3-json", "weyl-f4", "weyl-f4-json",
+        "weyl-affine", "weyl-affine-json"])
 def test_golden_stdout(command, raw, flags, digest, capsys):
     assert main([command, "--config", json.dumps(raw), *flags]) == 0
     out = capsys.readouterr().out

@@ -37,3 +37,18 @@ def test_no_function_imports():
                     f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                     if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert offenders == []
+
+
+def test_no_private_cross_module_imports():
+    """No module imports a ``_``-prefixed name from another module of the
+    package: what a module shares, it names without the underscore."""
+    modules = sorted(Path(preproj.__file__).parent.rglob("*.py"))
+    offenders = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("preproj")):
+                offenders.extend(f"{path.name}:{node.lineno} {alias.name}"
+                                 for alias in node.names
+                                 if alias.name.startswith("_"))
+    assert offenders == []

@@ -447,7 +447,7 @@ def test_indecomposable_over_prime_field_agrees_or_refuses():
                 except RadicalUnavailable:
                     assert 0 < field.characteristic <= Q.total_dim
                     got = "refused"
-                answers.setdefault((w.word, v), {})[field.characteristic] = got
+                answers.setdefault((W.word(w), v), {})[field.characteristic] = got
     for (word, v), got in answers.items():
         assert got[5] == got[0], (word, v)
         assert got[3] in (got[0], "refused"), (word, v)

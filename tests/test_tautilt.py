@@ -124,9 +124,9 @@ def test_stt_pairs_eg1(weyl_groups, semigroups):
     got = {}
     for w in W:
         pair = stt_pair(ctx, w)
-        names = tuple(namer.name_block(v, w.word, s)
+        names = tuple(namer.name_block(v, w, s)
                       for v, s in zip(pair.block_vertices, pair.summands))
-        got["".join(map(str, w.word))] = (names, pair.projective_vertices)
+        got["".join(map(str, W.word(w)))] = (names, pair.projective_vertices)
     assert got == {
         "": (("e1P", "e2P"), ()),
         "1": (("E2", "e2P"), ()),
@@ -216,7 +216,7 @@ def test_check_edge_tests_only_the_exchanged_summand(weyl_groups, semigroups,
                 tautilt._check_edge(ctx, w, v, i)
                 want = ctx.of_element(v).block(i)
                 assert [id(M) for M in firsts] == \
-                    ([id(want)] if want is not None else []), (w.word, i)
+                    ([id(want)] if want is not None else []), (W.word(w), i)
 
 
 def test_left_mutation_refuses_fac_direction(weyl_groups, semigroups):
@@ -438,7 +438,7 @@ def test_b3_qq_scalars_are_exact(algebras, weyl_groups, semigroups):
         for j in range(A.dim):
             assert exact(A.mul_basis(i, j).values())
     W = weyl_groups["b3"]
-    w = next(e for e in W.sorted_elements() if e.length == 4)
+    w = next(e for e in W if e.length == 4)
     ideal = semigroups["b3"].of_element(w)
     assert 0 < ideal.dim < A.dim
     assert exact(x for b in ideal.blocks
@@ -469,7 +469,7 @@ def test_b3_fp_scalars_are_reduced_ints(weyl_groups):
     square = A.mul_coords(minus_one, minus_one)
     assert square and reduced(square.values())
     W = weyl_groups["b3"]
-    w = next(e for e in W.sorted_elements() if e.length == 4)
+    w = next(e for e in W if e.length == 4)
     ideal = IdealSemigroup(A, W).of_element(w)
     assert 0 < ideal.dim < A.dim
     assert reduced(x for b in ideal.blocks
@@ -656,8 +656,8 @@ def test_block_names_match_first_isomorphic_candidate(entries, sym):
             seen.add(id(blk))
             want = next((name for name, cand in candidates
                          if is_isomorphic(blk, cand)),
-                        f"e{v}Iw{''.join(map(str, w.word))}")
-            assert namer.name_block(v, w.word, blk) == want
+                        f"e{v}Iw{''.join(map(str, W.word(w)))}")
+            assert namer.name_block(v, w, blk) == want
     assert len(seen) == sum(s - 1 for s in weyl_orbit_sizes(entries))
 
 
@@ -786,7 +786,7 @@ A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 def test_descent_rule_matches_plain_left_extension(entries, sym, field,
                                                    expected, monkeypatch):
     """``of_element`` gives, for every w, the ideal of the plain route
-    I_w = extend_left(i, I_{s_i w}) for i = w.word[0], with no reuse of
+    I_w = extend_left(i, I_{s_i w}) for i = W.word(w)[0], with no reuse of
     blocks, on the same ``BlockTable``.  It calls ``extend_left`` once per
     element with a single left descent, which is one call per distinct
     nonzero block: sum_v (|W omega_v| - 1)."""
@@ -811,9 +811,26 @@ def test_descent_rule_matches_plain_left_extension(entries, sym, field,
         if w.length == 0:
             plain[w.index] = full_ideal(ctx.table)
         else:
-            i = w.word[0]
+            i = W.word(w)[0]
             plain[w.index] = real(i, plain[W.left_mul(i, w).index])
         assert plain[w.index].blocks == got[w.index], w
+
+
+def test_ideals_on_a_ball_match_the_full_group(algebras, semigroups):
+    """``of_element`` on a ``max_length`` ball reaches the outer layer's
+    descents, and every ideal on the ball is the ideal of the element with
+    the same weight in the full group."""
+    A, full = algebras["b3"], semigroups["b3"]
+    ball = enumerate_weyl(A.data.cartan, max_length=3)
+    assert ball.order == 16 and not ball.complete
+    ctx = IdealSemigroup(A, ball)
+
+    def spans(sg, w):
+        return [sg.table.spans[b].rows() for b in sg.of_element(w).blocks]
+
+    for w in ball:
+        assert spans(ctx, w) == spans(full, full.weyl.elements[w.weight]), \
+            ball.word(w)
 
 
 def _rank_vector(entries, word, i):
@@ -856,9 +873,9 @@ def test_block_dims_match_root_formula(entries, sym, p):
         for i in range(1, A.n + 1):
             blk = ideal.block(i)
             sub = blk.dims if blk is not None else [0] * A.n
-            r = _rank_vector(entries, w.word, i)
+            r = _rank_vector(entries, W.word(w), i)
             assert [full[i - 1][j] - sub[j] for j in range(A.n)] == \
-                [d[j + 1] * r[j] for j in range(A.n)], (w.word, i)
+                [d[j + 1] * r[j] for j in range(A.n)], (W.word(w), i)
 
 
 def test_edge_sample_is_every_ceil_e_over_20th_ascent(semigroups,
@@ -869,8 +886,8 @@ def test_edge_sample_is_every_ceil_e_over_20th_ascent(semigroups,
     checked = []
 
     def record(ctx, w, v, i):
-        checked.append((tautilt._word_str(w.word), tautilt._word_str(v.word),
-                        i))
+        checked.append((tautilt._word_str(ctx.weyl, w),
+                        tautilt._word_str(ctx.weyl, v), i))
 
     monkeypatch.setattr(tautilt, "_check_edge", record)
     graph = mutation_graph(semigroups["a2min"], validate="sample")
