@@ -203,11 +203,15 @@ def cmd_weyl(cfg: RunConfig):
         group = enumerate_weyl(cfg.data.cartan, cap=cfg.weyl_cap)
     except CapExceeded as exc:
         group = exc.partial
+    # the words are built only where they are printed
+    elements = ([{"word": ws, "length": w.length}
+                 for ws, w in zip(group.word_strings(), group)]
+                if cfg.json_out or group.order <= 64 else [])
     payload = {
         "order": group.order,
         "complete": group.complete,
         "longest_length": group.longest().length,
-        "elements": [],
+        "elements": elements,
     }
     if not group.complete:
         lines = [f"weyl group exceeds cap {cfg.weyl_cap}: "
@@ -215,12 +219,8 @@ def cmd_weyl(cfg: RunConfig):
     else:
         lines = [f"|W| = {group.order}",
                  f"longest length = {payload['longest_length']}"]
-    # the words are built only where they are printed
-    if cfg.json_out or group.order <= 64:
-        payload["elements"] = [{"word": ws, "length": w.length} for ws, w
-                               in zip(group.word_strings(), group)]
     if group.order <= 64:
-        for e in payload["elements"]:
+        for e in elements:
             lines.append(f"  {e['word'] or 'e'} (length {e['length']})")
     return 0, _emit(cfg, payload, lines)
 

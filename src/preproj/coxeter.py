@@ -42,10 +42,17 @@ def _cartan_columns(c: CartanMatrix):
 
 def simple_reflection_matrix(c: CartanMatrix, i: int):
     """Matrix of sigma_i* : alpha_i* -> alpha_i* - sum_j c_ji alpha_j*."""
-    assert 1 <= i <= c.n
-    # row-major: column i is alpha_i* - sum_r c_ri alpha_r*, the others fixed
-    return tuple(tuple(int(r == l) - (c[r, i] if l == i else 0)
-                       for l in range(1, c.n + 1)) for r in range(1, c.n + 1))
+    n = c.n
+    assert 1 <= i <= n
+    cols = []
+    for l in range(1, n + 1):
+        if l != i:
+            cols.append(tuple(1 if r == l else 0 for r in range(1, n + 1)))
+        else:
+            cols.append(tuple((1 if r == i else 0) - c[r, i]
+                              for r in range(1, n + 1)))
+    # stored row-major
+    return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
 
 
 def coxeter_order(c: CartanMatrix, i: int, j: int):
@@ -55,12 +62,13 @@ def coxeter_order(c: CartanMatrix, i: int, j: int):
     return {0: 2, 1: 3, 2: 4, 3: 6}.get(prod, math.inf)
 
 
-def sigma_order(c: CartanMatrix, i: int, j: int, bound: int = 6):
-    """The least m <= ``bound`` with (sigma_i* sigma_j*)^m = 1, else None."""
+def sigma_order(c: CartanMatrix, i: int, j: int):
+    """The least m <= 6 with (sigma_i* sigma_j*)^m = 1, else None: 6 is the
+    largest finite m_ij."""
     prod = _mat_mul(simple_reflection_matrix(c, i),
                     simple_reflection_matrix(c, j))
     power, one = prod, _identity(c.n)
-    for m in range(1, bound + 1):
+    for m in range(1, 7):
         if power == one:
             return m
         power = _mat_mul(power, prod)
