@@ -44,6 +44,7 @@ from .repmod import (
 from .tautilt import (
     IdealSemigroup,
     classification_report,
+    exchange_graph,
     ideal_product,
     left_mutation,
     mutation_graph,

@@ -41,6 +41,8 @@ from .repmod import (
 from .tautilt import (
     IdealSemigroup,
     classification_report,
+    exchange_graph,
+    graph_nodes,
     mutation_graph,
     vertex_ideal,
 )
@@ -177,7 +179,7 @@ def cmd_algebra(cfg: RunConfig):
     algebra = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
     verify_algebra(algebra)
     vertex_dims = algebra.vertex_dims()
-    layers = {v: structure_series(projective_module(algebra, v)).radical_layers
+    layers = {v: structure_series(projective_module(algebra, v))
               for v in range(1, algebra.n + 1)}
     payload = {
         "dim": algebra.dim,
@@ -235,17 +237,17 @@ def _dynkin_semigroup(cfg: RunConfig) -> IdealSemigroup:
     return IdealSemigroup(algebra, group)
 
 
+def _stt_rows(cfg: RunConfig) -> list:
+    """The pairs; the ideal layer is freed on return, before any output."""
+    semigroup = _dynkin_semigroup(cfg)
+    return [{"word": ws, "summands": node.summands, "dims": node.dims,
+             "projective": node.projective}
+            for ws, node in zip(semigroup.weyl.word_strings(),
+                                graph_nodes(semigroup))]
+
+
 def cmd_stt(cfg: RunConfig):
-    graph = mutation_graph(_dynkin_semigroup(cfg), validate="none")
-    pairs = []
-    for ws in sorted(graph.nodes, key=lambda s: (len(s), s)):
-        node = graph.nodes[ws]
-        pairs.append({
-            "word": ws,
-            "summands": node.summands,
-            "dims": node.dims,
-            "projective": node.projective,
-        })
+    pairs = _stt_rows(cfg)
     payload = {"count": len(pairs), "pairs": pairs}
     if cfg.json_out:
         return 0, _emit(cfg, payload, ())
@@ -258,7 +260,7 @@ def cmd_stt(cfg: RunConfig):
 
 
 def cmd_mutation_graph(cfg: RunConfig):
-    graph = mutation_graph(_dynkin_semigroup(cfg), validate="sample")
+    graph = exchange_graph(_dynkin_semigroup(cfg))
     if cfg.dot:
         return 0, graph.to_dot()
     payload = graph.to_json_dict()
@@ -345,7 +347,7 @@ def cmd_verify(cfg: RunConfig):
         for i in range(1, A.n + 1):
             # E_i first: its memoized presentation serves both iso tests
             Ei = generalized_simple(A, i)
-            si = ctx.sigma.apply(i)
+            si = ctx.sigma[i - 1]
             Esi = generalized_simple(A, si)
             assert A.quiver.symmetrizer[i] == A.quiver.symmetrizer[si]
             assert is_isomorphic(Ei, nakayama_nu(Esi))
@@ -370,7 +372,7 @@ def cmd_verify(cfg: RunConfig):
         box["report"] = classification_report(box["ctx"])
 
     def check_graph():
-        mutation_graph(box["ctx"], validate="sample")
+        mutation_graph(box["ctx"])
 
     record("algebra construction and verification", check_build)
     for name, fn, needs_weyl in (

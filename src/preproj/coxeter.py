@@ -118,6 +118,7 @@ class WeylGroup:
         self.elements = elements  # dict w(rho) -> WeylElement, by index
         self.identity = elements[(1,) * self.n]
         self.complete = complete
+        self.sep = "." if self.n >= 10 else ""  # in strings: s_1 s_12 = 1.12
         self._left = left  # s_i w at n * w.index + i - 1
         self._right = None  # w s_i likewise, filled on first use
 
@@ -155,14 +156,17 @@ class WeylGroup:
             w = self._left[self.n * w.index + i]
         return tuple(word)
 
+    def word_str(self, w: WeylElement) -> str:
+        return self.sep.join(map(str, self.word(w)))
+
     def word_strings(self) -> list:
-        """Every word as a string, by index, from the word of s_i w as in
+        """Every ``word_str``, by index, from the string of s_i w as in
         ``word``: one concatenation per element."""
         strings = [""]
         for w in itertools.islice(self.elements.values(), 1, None):
             i = _descent(w.weight)
-            strings.append(
-                str(i + 1) + strings[self._left[self.n * w.index + i].index])
+            rest = strings[self._left[self.n * w.index + i].index]
+            strings.append(f"{i + 1}{self.sep}{rest}" if rest else str(i + 1))
         return strings
 
     def from_word(self, word) -> WeylElement:

@@ -18,8 +18,8 @@ of a presentation) is a ``GradedSpan``: sparse elements of a free module
 (+)_k e_{u_k}Pi, echelonized once, one ``Subspace`` per vertex.  The
 module that ``module_from_subspace`` builds on it has that span's echelon
 form at v as its space at v, the same object, so an ideal block and its
-module share one echelon form.  A syzygy stays a span (see
-``minimal_projective_presentation``).
+module share one echelon form.  A presentation reads P1 off its syzygy
+and keeps only the x_kl; ``syzygy`` rebuilds the span from them.
 
 Presentations and ``hom_space`` act by every path of e_u Pi through one
 walk of the basis tree (``_path_walk``), one product per path and none
@@ -390,15 +390,10 @@ def socle_subspaces(mod: ModuleRep):
     return out
 
 
-@dataclass
-class SeriesReport:
-    radical_layers: list   # list of per-vertex multiplicity tuples, top first
-
-
 @_memoized("series")
-def structure_series(mod: ModuleRep) -> SeriesReport:
+def structure_series(mod: ModuleRep) -> list:
     """The radical filtration: the per-vertex multiplicities of each layer
-    rad^k M / rad^{k+1} M, top first."""
+    rad^k M / rad^{k+1} M, as tuples, top first."""
     field = mod.algebra.field
     n = mod.algebra.n
     layers = []
@@ -415,7 +410,7 @@ def structure_series(mod: ModuleRep) -> SeriesReport:
             for row in current[a.target].rows:
                 nxt[a.source].add(mod.act[a.index].vec(row))
         current = nxt
-    return SeriesReport(layers)
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +429,6 @@ class Presentation:
                              # vector of the top column c_k of M e_{u_k}
     p0_layout: dict          # vertex v -> list of (k, global basis index)
     section: dict            # vertex v -> Matrix (dim P0_v x dim M_v)
-    kernel: GradedSpan       # K = ker(P0 -> M), over the copies it meets
     p1: list                 # vertices v_l
     x_elems: list            # [k][l] algebra coords in e_{u_k} Pi e_{v_l}
 
@@ -445,7 +439,7 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
 
     Generator k of P0 = (+)_k e_{u_k} Pi maps to the unit vector of the top
     column c_k of M e_{u_k}, and the P0 coordinate (k, g) to that vector
-    acted on by g.  The kernel K stays a ``GradedSpan`` of P0: the
+    acted on by g.  The kernel K is a ``GradedSpan`` of P0, not kept: the
     generators of P1 are its echelon rows whose pivots are not pivots of
     K J, the span of its ``arrow_images``.  (Reading K-coordinates at K's
     pivot columns preserves order, so these are the top rows of K.)"""
@@ -502,8 +496,21 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    return Presentation(p0, generators, p0_layout, section, kernel, p1,
-                        x_matrix)
+    return Presentation(p0, generators, p0_layout, section, p1, x_matrix)
+
+
+def syzygy(M: ModuleRep) -> GradedSpan:
+    """K = ker(P0 -> M), rebuilt as the image of P1 -> P0: the span of the
+    x_l g, x_l = (x_kl)_k, over the basis paths g of e_{v_l}Pi, in the
+    copies of P0 that K meets, those with some x_kl != 0."""
+    A = M.algebra
+    one = A.field.one
+    pres = minimal_projective_presentation(M)
+    copies = [k for k, xk in enumerate(pres.x_elems) if any(xk)]
+    return GradedSpan(A, {k: pres.p0[k] for k in copies}, (
+        {k * A.dim + h: c for k in copies
+         for h, c in A.mul_coords(pres.x_elems[k][l], {g: one}).items()}
+        for l, v in enumerate(pres.p1) for g in A.by_target[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +521,6 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
 class HomBasis:
     dim: int
     maps: list    # each map: dict vertex -> Matrix (dim N_v x dim M_v)
-    source: ModuleRep
-    target: ModuleRep
 
 
 def _approximation_matrix(pres: Presentation, N: ModuleRep):
@@ -545,12 +550,12 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
     then the sum of those images over the nonzero entries of column m of
     the section P0_v <- M_v."""
     if M.total_dim == 0 or N.total_dim == 0:
-        return HomBasis(0, [], M, N)
+        return HomBasis(0, [])
     pres = minimal_projective_presentation(M)
     phi, src_dims = _approximation_matrix(pres, N)
     kernel = nullspace(phi)
     if not kernel:
-        return HomBasis(0, [], M, N)
+        return HomBasis(0, [])
     A = N.algebra
     field = A.field
     walks = []  # generator k -> path g -> the n_k g of all kernel vectors
@@ -576,18 +581,16 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
                     acc = [a + c * b for a, b in zip(acc, rows[r])]
                 for h, a in zip(out, acc):
                     h[r][m] = a % p if p else a
-    return HomBasis(len(kernel), maps, M, N)
+    return HomBasis(len(kernel), maps)
 
 
 def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
-    """dim Ext^1(M, N) = dim Hom(K, N) - rank(Hom(P0,N) -> Hom(K,N))."""
+    """dim Ext^1(M, N) = dim Hom(K, N) - rank(Hom(P0,N) -> Hom(K,N)), for
+    K the ``syzygy`` of M."""
     if M.total_dim == 0 or N.total_dim == 0:
         return 0
-    pres = minimal_projective_presentation(M)
-    if not pres.p1:
-        return 0
-    hk = hom_space(module_from_subspace(M.algebra, pres.kernel), N)
-    phi, _ = _approximation_matrix(pres, N)
+    hk = hom_space(module_from_subspace(M.algebra, syzygy(M)), N)
+    phi, _ = _approximation_matrix(minimal_projective_presentation(M), N)
     return hk.dim - mat_rank(phi)
 
 
@@ -677,17 +680,9 @@ def nakayama_nu(M: ModuleRep) -> ModuleRep:
     return quotient_module(_dual_free(A, layout0), images)
 
 
-@dataclass
-class Nakayama:
-    sigma: tuple      # sigma[i-1] = sigma(i), from soc(e_i Pi) = S_{sigma(i)}
-
-    def apply(self, i: int) -> int:
-        return self.sigma[i - 1]
-
-
-def nakayama(projectives) -> Nakayama:
-    """The permutation with soc(e_i Pi) = S_{sigma(i)}, read from the
-    modules ``projectives[i - 1] = e_i Pi``."""
+def nakayama(projectives) -> tuple:
+    """The permutation sigma with soc(e_i Pi) = S_{sigma[i - 1]}, read from
+    the modules ``projectives[i - 1] = e_i Pi``."""
     algebra = projectives[0].algebra
     if not algebra.dynkin:
         raise NotDynkin("Nakayama data requires Dynkin type")
@@ -701,7 +696,7 @@ def nakayama(projectives) -> Nakayama:
         sigma.append(nonzero[0][0])
     if sorted(sigma) != list(range(1, algebra.n + 1)):
         raise SocleNotSimple(f"socle assignment {sigma} is not a permutation")
-    return Nakayama(tuple(sigma))
+    return tuple(sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ basis maps X -> U_k, compared by their values on the generators of X, and
 keeps the vertex of every summand, so a mutated pair can be mutated again.
 An edge I_w -> I_{s_i w} changes block i only, so its check compares the
 other summands by identity and the exchanged one by one isomorphism test.
+The checked exchange quiver (``mutation_graph``) names no block; its
+display (``graph_nodes``, ``exchange_graph``) is built only where printed.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .repmod import (
     zero_module,
 )
 
-# the most edges that mutation_graph(validate="sample") checks
+# the most ascents that mutation_graph reproduces by left mutation
 EDGE_SAMPLE = 20
 
 
@@ -257,7 +259,7 @@ class IdealSemigroup:
 
     @functools.cached_property
     def sigma(self):
-        """The Nakayama permutation: soc(e_i Pi) = S_{sigma(i)}."""
+        """The Nakayama permutation: soc(e_i Pi) = S_{sigma[i - 1]}."""
         return nakayama(self.projectives)
 
     def generator(self, i: int) -> Ideal:
@@ -329,7 +331,7 @@ class ModuleNamer:
             return f"E{rank.index(1) + 1}"
         if mod is sg.generator(vertex).block(vertex):
             return f"e{vertex}I{vertex}"
-        return f"e{vertex}Iw{_word_str(sg.weyl, w)}"
+        return f"e{vertex}Iw{sg.weyl.word_str(w)}"
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +367,13 @@ def stt_pair(semigroup: IdealSemigroup, w: WeylElement) -> SttPair:
     if not algebra.dynkin:
         raise NotDynkin("support tau-tilting pairs require Dynkin type")
     ideal = semigroup.of_element(w)
-    nak = semigroup.sigma
     summands = []
     verts = []
     proj = []
     for i in range(1, algebra.n + 1):
         blk = ideal.block(i)
         if blk is None:
-            proj.append(nak.apply(i))
+            proj.append(semigroup.sigma[i - 1])
         else:
             summands.append(blk)
             verts.append(i)
@@ -528,56 +529,58 @@ class MutationGraph:
         return {"nodes": nodes, "edges": edges}
 
 
-def _word_str(weyl: WeylGroup, w: WeylElement) -> str:
-    return "".join(map(str, weyl.word(w)))
+def mutation_graph(semigroup: IdealSemigroup) -> list:
+    """The ascents (w, s_i w, i) with l(s_i w) > l(w), the edges
+    I_w -> I_{s_i w} of the exchange quiver, in enumeration order, checked.
 
-
-def mutation_graph(semigroup: IdealSemigroup,
-                   validate: str = "none") -> MutationGraph:
-    """Nodes I_w, edges I_w -> I_{s_i w} for l(s_i w) > l(w), labelled i.
-
-    validate="all" reproduces every edge by an independent
-    approximation-theoretic left mutation; validate="sample" checks every
-    ceil(E / ``EDGE_SAMPLE``)-th of the E edges in enumeration order, at
-    most ``EDGE_SAMPLE`` edges spread over all lengths, and every edge when
-    E <= ``EDGE_SAMPLE``."""
+    Every node meets n of them, and every ceil(E / ``EDGE_SAMPLE``)-th of
+    the E ascents is reproduced by left mutation: at most ``EDGE_SAMPLE``,
+    spread over all lengths, and every one when E <= ``EDGE_SAMPLE``."""
     algebra, weyl = semigroup.algebra, semigroup.weyl
     if not algebra.dynkin:
         raise NotDynkin("the exchange quiver requires Dynkin type")
     if not weyl.complete:
         raise NotDynkin("the exchange quiver requires the full Weyl group")
-    namer = ModuleNamer(semigroup)
-    words = weyl.word_strings()
-    nodes = {}
-    ascents = []  # (w, s_i w, i) with l(s_i w) > l(w)
+    n = algebra.n
+    ascents = []
+    incident = [0] * weyl.order
     for w in weyl:
+        for i in range(1, n + 1):
+            v = weyl.left_mul(i, w)
+            if v.length > w.length:
+                ascents.append((w, v, i))
+                incident[w.index] += 1
+                incident[v.index] += 1
+    if any(k != n for k in incident):
+        words = weyl.word_strings()
+        raise VerificationFailed(
+            f"exchange quiver is not {n}-regular",
+            witness={words[x]: k for x, k in enumerate(incident) if k != n})
+    for w, v, i in ascents[::-(-len(ascents) // EDGE_SAMPLE)]:
+        _check_edge(semigroup, w, v, i)
+    return ascents
+
+
+def graph_nodes(semigroup: IdealSemigroup):
+    """The ``GraphNode`` of each (I_w, P_w), in enumeration order."""
+    namer = ModuleNamer(semigroup)
+    for w in semigroup.weyl:
         pair = stt_pair(semigroup, w)
-        nodes[words[w.index]] = GraphNode(
+        yield GraphNode(
             [namer.name_block(v, w, s) for v, s
              in zip(pair.block_vertices, pair.summands)],
             [s.total_dim for s in pair.summands],
             [locally_free_rank(s) for s in pair.summands],
             sorted(f"e{j}P" for j in pair.projective_vertices))
-        for i in range(1, algebra.n + 1):
-            v = weyl.left_mul(i, w)
-            if v.length > w.length:
-                ascents.append((w, v, i))
-    edges = [(words[w.index], words[v.index], i) for w, v, i in ascents]
-    graph = MutationGraph(nodes, edges)
-    # regularity: each node meets exactly n edges
-    incident = {ws: 0 for ws in nodes}
-    for (a, b, _) in edges:
-        incident[a] += 1
-        incident[b] += 1
-    bad = {ws: k for ws, k in incident.items() if k != algebra.n}
-    if bad:
-        raise VerificationFailed(f"exchange quiver is not {algebra.n}-regular",
-                                 witness=bad)
-    if validate != "none":
-        step = -(-len(ascents) // EDGE_SAMPLE) if validate == "sample" else 1
-        for w, v, i in ascents[::step]:
-            _check_edge(semigroup, w, v, i)
-    return graph
+
+
+def exchange_graph(semigroup: IdealSemigroup) -> MutationGraph:
+    """The checked exchange quiver and its display, keyed by words."""
+    ascents = mutation_graph(semigroup)
+    words = semigroup.weyl.word_strings()
+    return MutationGraph(
+        dict(zip(words, graph_nodes(semigroup))),
+        [(words[w.index], words[v.index], i) for w, v, i in ascents])
 
 
 def _check_edge(semigroup: IdealSemigroup, w: WeylElement, v: WeylElement,
@@ -599,8 +602,8 @@ def _check_edge(semigroup: IdealSemigroup, w: WeylElement, v: WeylElement,
                                             expected.summands))):
         weyl = semigroup.weyl
         raise VerificationFailed(
-            f"left mutation does not reproduce edge {_word_str(weyl, w)} -> "
-            f"{_word_str(weyl, v)} (label {i})")
+            f"left mutation does not reproduce edge {weyl.word_str(w)} -> "
+            f"{weyl.word_str(v)} (label {i})")
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +612,12 @@ def _check_edge(semigroup: IdealSemigroup, w: WeylElement, v: WeylElement,
 
 @dataclass
 class ClassificationReport:
-    group_order: int
     psi_well_defined: bool
     psi_injective: bool
     stt_count: int
     all_pairs_valid: bool
     tau_rigid_modules: list      # (name, total dim, rank vector or None)
     demazure_consistent: bool
-    all_blocks_locally_free: bool  # observed, not asserted
     failures: list = dc_field(default_factory=list)
 
     @property
@@ -632,6 +633,8 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
     algebra, weyl = semigroup.algebra, semigroup.weyl
     if not algebra.dynkin:
         raise NotDynkin("classification requires Dynkin type")
+    if not weyl.complete:
+        raise NotDynkin("classification requires the full Weyl group")
     namer = ModuleNamer(semigroup)
     failures = []
     # (i) every reduced word yields the same ideal: every weak-order ascent
@@ -647,8 +650,8 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
             via_product = extend_right(iu, i)
             if via_product != semigroup.of_element(v):
                 well_defined = False
-                failures.append(f"I_({_word_str(weyl, u)}) * I_{i} != "
-                                f"I_({_word_str(weyl, v)})")
+                failures.append(f"I_({weyl.word_str(u)}) * I_{i} != "
+                                f"I_({weyl.word_str(v)})")
     # (ii) injectivity
     keys = {semigroup.of_element(w).blocks for w in weyl}
     injective = len(keys) == weyl.order
@@ -657,7 +660,6 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
     # (iii) pairs, and (iv) their blocks up to isomorphism, through their
     # stable names
     pairs_ok = True
-    lf_ok = True
     rigid = {}  # one verdict per ordered pair of blocks, for this call only
     seen = {}
     for w in weyl:
@@ -665,14 +667,11 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
         ok, reasons = verify_stt(pair, rigid)
         if not ok:
             pairs_ok = False
-            failures.append(f"pair at {_word_str(weyl, w) or 'e'}: {reasons}")
+            failures.append(f"pair at {weyl.word_str(w) or 'e'}: {reasons}")
         for v, s in zip(pair.block_vertices, pair.summands):
-            rank = locally_free_rank(s)
-            if rank is None:
-                lf_ok = False
             name = namer.name_block(v, w, s)
             if name not in seen:
-                seen[name] = (name, s.total_dim, rank)
+                seen[name] = (name, s.total_dim, locally_free_rank(s))
     tau_rigid = sorted(seen.values())
     # (v) 0-Hecke consistency, I_u I_v = I_(u*v) for every pair, from the n
     # idempotents I_i I_i = I_i.  Check (i) gives I_x I_i = I_(x s_i) at
@@ -686,14 +685,12 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
             demazure_ok = False
             failures.append(f"I_{i} I_{i} != I_{i}")
     report = ClassificationReport(
-        group_order=weyl.order,
         psi_well_defined=well_defined,
         psi_injective=injective,
         stt_count=len(keys),
         all_pairs_valid=pairs_ok,
         tau_rigid_modules=tau_rigid,
         demazure_consistent=demazure_ok,
-        all_blocks_locally_free=lf_ok,
         failures=failures,
     )
     if failures:

@@ -8,7 +8,7 @@ from preproj.coxeter import enumerate_weyl
 from preproj.linalg import Matrix, nullspace
 from preproj.pathalg import build_algebra
 from preproj.repmod import direct_sum, is_isomorphic
-from preproj.tautilt import IdealSemigroup
+from preproj.tautilt import IdealSemigroup, _check_edge
 
 # Property tests draw the same examples on every run and never time out,
 # so their outcome and the test count do not depend on luck or host load.
@@ -47,6 +47,20 @@ def semigroups(algebras, weyl_groups):
     so that each I_w and each block module is built once per session."""
     return {name: IdealSemigroup(A, weyl_groups[name])
             for name, A in algebras.items()}
+
+
+def check_every_edge(ctx):
+    """Every edge I_w -> I_{s_i w}, l(s_i w) > l(w), of the exchange quiver
+    reproduced by left mutation, not a sample; returns the edge count."""
+    W = ctx.weyl
+    edges = 0
+    for w in W:
+        for i in range(1, W.n + 1):
+            v = W.left_mul(i, w)
+            if v.length > w.length:
+                _check_edge(ctx, w, v, i)
+                edges += 1
+    return edges
 
 
 def brute_hom_dim(M, N):

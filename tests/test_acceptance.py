@@ -28,6 +28,7 @@ from preproj.repmod import (
 from preproj.tautilt import (
     IdealSemigroup,
     classification_report,
+    exchange_graph,
     full_ideal,
     ideal_product,
     left_mutation,
@@ -37,15 +38,19 @@ from preproj.tautilt import (
     vertex_ideal,
 )
 
-from conftest import WEYL_ORDERS, ideal_module, pairs_isomorphic
+from conftest import (
+    WEYL_ORDERS,
+    check_every_edge,
+    ideal_module,
+    pairs_isomorphic,
+)
 
 CRITERION4 = ("a2min", "eg2", "g2", "a3", "b3")
 
 
 def _layer_sizes(A, v):
     """Radical layer sizes of e_v Pi, read from the module layer."""
-    layers = structure_series(projective_module(A, v)).radical_layers
-    return [sum(layer) for layer in layers]
+    return [sum(layer) for layer in structure_series(projective_module(A, v))]
 
 
 def test_criterion_1_eg1_dimensions(algebras):
@@ -165,22 +170,23 @@ EG2_GRAPH = {
 def test_criterion_6_mutation_graphs(weyl_groups, semigroups):
     # the two displayed exchange graphs, as labelled digraphs
     for name, expected in (("eg1", EG1_GRAPH), ("eg2", EG2_GRAPH)):
-        g = mutation_graph(semigroups[name], validate="all")
+        check_every_edge(semigroups[name])
+        g = exchange_graph(semigroups[name])
         got_nodes = {ws: set(n.summands) or {"0"} for ws, n in g.nodes.items()}
         assert got_nodes == expected["nodes"], name
         assert set(g.edges) == expected["edges"], name
     # rank 2: every edge independently reproduced by a minimal left approximation
-    mutation_graph(semigroups["a2min"], validate="all")
-    mutation_graph(semigroups["g2"], validate="all")
+    check_every_edge(semigroups["a2min"])
+    check_every_edge(semigroups["g2"])
     # A3: at least 20 sampled edges reproduced
     W, ctx = weyl_groups["a3"], semigroups["a3"]
-    g3 = mutation_graph(ctx)
     rng = random.Random(0)
-    sample = rng.sample(g3.edges, 20)
-    for (src, dst, i) in sample:
-        pair = stt_pair(ctx, W.from_word(tuple(map(int, src))))
-        want = stt_pair(ctx, W.from_word(tuple(map(int, dst))))
-        assert pairs_isomorphic(left_mutation(pair, i), want), (src, dst, i)
+    sample = rng.sample(mutation_graph(ctx), 20)
+    for (w, v, i) in sample:
+        pair = stt_pair(ctx, w)
+        want = stt_pair(ctx, v)
+        assert pairs_isomorphic(left_mutation(pair, i), want), \
+            (W.word(w), W.word(v), i)
     print("PASS criterion 6: eg1 and eg2 graphs match the figures; "
           "all rank-2 edges and 20 A3 edges reproduced by left mutation")
 
@@ -188,11 +194,11 @@ def test_criterion_6_mutation_graphs(weyl_groups, semigroups):
 def test_criterion_7_homological_identities(algebras, semigroups):
     for name in CRITERION4:
         A = algebras[name]
-        nak = semigroups[name].sigma
+        sigma = semigroups[name].sigma
         pdims = [projective_module(A, j).total_dim for j in range(1, A.n + 1)]
         for i in range(1, A.n + 1):
             Ei = generalized_simple(A, i)
-            si = nak.apply(i)
+            si = sigma[i - 1]
             # dimension identity from the four-term resolution
             lhs = (Ei.total_dim + generalized_simple(A, si).total_dim
                    + sum(abs(A.data.cartan[j, i]) * pdims[j - 1]

@@ -115,6 +115,46 @@ def test_cmd_stt_not_dynkin():
     assert main(["stt", "--config", json.dumps(AFFINE)]) == 2
 
 
+def test_stt_builds_no_edge_list(monkeypatch, capsys):
+    """``stt`` prints the pairs only: it lists no ascent of the exchange
+    quiver and checks no edge by left mutation."""
+    import preproj.tautilt as tautilt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stt walked the exchange quiver")
+
+    for target, name in ((cli, "mutation_graph"),
+                         (tautilt, "mutation_graph"),
+                         (tautilt, "_check_edge")):
+        monkeypatch.setattr(target, name, refuse)
+    assert main(["stt", "--config", json.dumps(EG2)]) == 0
+    assert "8 support tau-tilting pairs" in capsys.readouterr().out
+
+
+def test_words_stay_distinct_from_rank_ten_on(capsys):
+    """From n = 10 on the labels of a word are joined by "." (s_1 s_12 is
+    "1.12", s_12 is "12"), so twelve disjoint A1 give 4,096 distinct words,
+    and ``stt``, ``mutation-graph`` and ``verify`` see a 12-regular
+    exchange quiver."""
+    raw = json.dumps({"cartan": [[2 * (i == j) for j in range(12)]
+                                 for i in range(12)]})
+    assert main(["weyl", "--config", raw, "--json"]) == 0
+    elements = json.loads(capsys.readouterr().out)["elements"]
+    words = [e["word"] for e in elements]
+    assert len(set(words)) == len(words) == 4096
+    assert {"12", "1.12", "2.11", "1.2.3.4.5.6.7.8.9.10.11.12"} <= set(words)
+    assert main(["stt", "--config", raw, "--json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert [p["word"] for p in pairs] == words
+    assert main(["mutation-graph", "--config", raw, "--json"]) == 0
+    graph = json.loads(capsys.readouterr().out)
+    assert len(graph["nodes"]) == 4096 and len(graph["edges"]) == 6 * 4096
+    assert main(["verify", "--config", raw]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "4096 support tau-tilting modules = |W| = 4096" in out
+
+
 def test_cmd_mutation_graph_outputs():
     cfg = load_config(json.dumps(EG2))
     cfg.dot = True

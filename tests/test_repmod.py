@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import pytest
@@ -35,6 +36,7 @@ from preproj.repmod import (
     simple_module,
     structure_series,
     submodule,
+    syzygy,
     uniserial_module,
     zero_module,
 )
@@ -107,11 +109,10 @@ def test_yoneda(algebras):
 
 def test_structure_series(algebras):
     eg1, eg2 = algebras["eg1"], algebras["eg2"]
-    s = structure_series(projective_module(eg2, 1))
-    assert [sum(l) for l in s.radical_layers] == [1, 2, 2, 1]
-    assert s.radical_layers == [(1, 0), (1, 1), (1, 1), (1, 0)]
-    simple = structure_series(simple_module(eg1, 1))
-    assert simple.radical_layers == [(1, 0)]
+    layers = structure_series(projective_module(eg2, 1))
+    assert [sum(l) for l in layers] == [1, 2, 2, 1]
+    assert layers == [(1, 0), (1, 1), (1, 1), (1, 0)]
+    assert structure_series(simple_module(eg1, 1)) == [(1, 0)]
 
 
 def test_presentations(algebras):
@@ -123,6 +124,15 @@ def test_presentations(algebras):
     assert pres.p0 == [1] and pres.p1 == [2]
     pres2 = minimal_projective_presentation(generalized_simple(eg2, 1))
     assert pres2.p0 == [1] and pres2.p1 == [2, 2]
+
+
+def test_presentations_keep_no_syzygy(algebras):
+    """The memoized presentation holds the x_kl, not the span of K."""
+    M = generalized_simple(algebras["eg2"], 1)
+    pres = minimal_projective_presentation(M)
+    assert pres.p1 and syzygy(M).vectors()
+    assert not any(isinstance(getattr(pres, f.name), GradedSpan)
+                   for f in dataclasses.fields(pres))
 
 
 def test_tau_basics(algebras):
@@ -155,14 +165,14 @@ def _projectives(A):
 
 
 def test_nakayama(algebras, semigroups):
-    assert nakayama(_projectives(algebras["eg1"])).sigma == (2, 1)
-    assert nakayama(_projectives(algebras["eg2"])).sigma == (1, 2)
+    assert nakayama(_projectives(algebras["eg1"])) == (2, 1)
+    assert nakayama(_projectives(algebras["eg2"])) == (1, 2)
     for name in ("eg1", "eg2", "g2", "a3", "b3"):
         A = algebras[name]
-        nak = nakayama(_projectives(A))
-        assert semigroups[name].sigma == nak
+        sigma = nakayama(_projectives(A))
+        assert semigroups[name].sigma == sigma
         for i in range(1, A.n + 1):
-            si = nak.apply(i)
+            si = sigma[i - 1]
             assert A.quiver.symmetrizer[i] == A.quiver.symmetrizer[si]
             nu = nakayama_nu(generalized_simple(A, si))
             assert is_isomorphic(nu, generalized_simple(A, i))
@@ -226,11 +236,11 @@ def test_dimension_identity(algebras):
     # dim E_i + dim E_{sigma(i)} + sum_j |c_ji| dim e_j Pi = 2 dim e_i Pi
     for name in ("eg1", "eg2", "g2", "a3", "b3"):
         A = algebras[name]
-        nak = nakayama(_projectives(A))
+        sigma = nakayama(_projectives(A))
         pdims = [projective_module(A, j).total_dim for j in range(1, A.n + 1)]
         for i in range(1, A.n + 1):
             lhs = (generalized_simple(A, i).total_dim
-                   + generalized_simple(A, nak.apply(i)).total_dim
+                   + generalized_simple(A, sigma[i - 1]).total_dim
                    + sum(abs(A.data.cartan[j, i]) * pdims[j - 1]
                          for j in range(1, A.n + 1) if j != i))
             assert lhs == 2 * pdims[i - 1]
@@ -493,8 +503,7 @@ def test_submodule_roundtrip(algebras):
     R = module_from_subspace(eg1, GradedSpan(eg1, {0: 1}, [
         {g: eg1.field.one} for g in eg1.by_target[1] if eg1.basis[g][1]]))
     assert R.total_dim == P1.total_dim - 1
-    s = structure_series(R)
-    assert [sum(l) for l in s.radical_layers] == [2, 1]
+    assert [sum(l) for l in structure_series(R)] == [2, 1]
 
 
 def test_submodule_needs_arrow_stable_spaces(algebras):
@@ -671,8 +680,8 @@ def _dense_presentation(M):
 def test_syzygies_match_the_dense_p0_route(entries, sym, field):
     """For every block and nonzero tau block, the presentation built on
     sparse elements of P0 equals the dense oracle: the same P0 and P1, the
-    same x_{kl}, and the module built on ``kernel`` is the oracle's
-    syzygy, dimensions and action matrices."""
+    same x_{kl}, and the module built on the ``syzygy`` rebuilt from the
+    x_{kl} is the oracle's syzygy, dimensions and action matrices."""
     A = build_algebra(cartan_data(entries, sym), field=field)
     mods = _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
     copies = 0
@@ -680,9 +689,9 @@ def test_syzygies_match_the_dense_p0_route(entries, sym, field):
         pres = minimal_projective_presentation(M)
         p0, p1, x_elems, K = _dense_presentation(M)
         assert (pres.p0, pres.p1, pres.x_elems) == (p0, p1, x_elems)
-        syzygy = module_from_subspace(A, pres.kernel)
-        assert syzygy.dims == K.dims
-        assert all(syzygy.act[a].rows == K.act[a].rows for a in K.act)
+        rebuilt = module_from_subspace(A, syzygy(M))
+        assert rebuilt.dims == K.dims
+        assert all(rebuilt.act[a].rows == K.act[a].rows for a in K.act)
         copies = max(copies, len(p0))
     assert copies > 1
 
@@ -819,8 +828,7 @@ def test_modules_built_without_the_relation_check_satisfy_the_relations(
         mods.append(nakayama_nu(generalized_simple(A, i)))
         mods.extend(uniserial_module(A, i, d)
                     for d in range(1, A.quiver.symmetrizer[i] + 1))
-    mods.extend([module_from_subspace(
-        A, minimal_projective_presentation(M).kernel) for M in mods])
+    mods.extend([module_from_subspace(A, syzygy(M)) for M in mods])
     for M in mods:
         M._validate()
 

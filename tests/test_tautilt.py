@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     ALGEBRA_SPECS,
+    check_every_edge,
     ideal_module,
     pairs_isomorphic,
     weyl_orbit_sizes,
@@ -15,7 +16,12 @@ from conftest import (
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import demazure_product, enumerate_weyl
-from preproj.errors import NotMutable, ReportFailure, VerificationFailed
+from preproj.errors import (
+    NotDynkin,
+    NotMutable,
+    ReportFailure,
+    VerificationFailed,
+)
 from preproj.fields import QQ, PrimeField
 from preproj.linalg import Subspace
 from preproj.pathalg import build_algebra
@@ -38,8 +44,10 @@ from preproj.tautilt import (
     SttPair,
     _minimal_approximation,
     classification_report,
+    exchange_graph,
     extend_right,
     full_ideal,
+    graph_nodes,
     ideal_product,
     left_mutation,
     mutation_graph,
@@ -240,7 +248,8 @@ def test_left_mutation_rejects_a_vertex_without_summand(weyl_groups,
 
 
 def test_mutation_graph_eg1(semigroups):
-    g = mutation_graph(semigroups["eg1"], validate="all")
+    assert check_every_edge(semigroups["eg1"]) == 6
+    g = exchange_graph(semigroups["eg1"])
     labels = {ws: set(node.summands) or {"0"} for ws, node in g.nodes.items()}
     assert labels == {
         "": {"e1P", "e2P"},
@@ -257,7 +266,8 @@ def test_mutation_graph_eg1(semigroups):
 
 
 def test_mutation_graph_eg2(semigroups):
-    g = mutation_graph(semigroups["eg2"], validate="all")
+    assert check_every_edge(semigroups["eg2"]) == 8
+    g = exchange_graph(semigroups["eg2"])
     labels = {ws: set(n.summands) or {"0"} for ws, n in g.nodes.items()}
     assert labels == {
         "": {"e1P", "e2P"},
@@ -279,14 +289,16 @@ def test_mutation_graph_eg2(semigroups):
 def test_rank1_graph():
     A = build_algebra(cartan_data([[2]], (3,)))
     W = enumerate_weyl(A.data.cartan)
-    g = mutation_graph(IdealSemigroup(A, W), validate="all")
+    ctx = IdealSemigroup(A, W)
+    assert check_every_edge(ctx) == 1
+    g = exchange_graph(ctx)
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
 
 
 def test_graph_connected(semigroups):
     for name in ("eg1", "eg2", "g2", "a3"):
-        g = mutation_graph(semigroups[name])
+        g = exchange_graph(semigroups[name])
         adj = {ws: set() for ws in g.nodes}
         for a, b, _ in g.edges:
             adj[a].add(b)
@@ -302,13 +314,12 @@ def test_graph_connected(semigroups):
         assert seen == set(g.nodes)
 
 
-def test_fac_strictly_decreases(weyl_groups, semigroups):
+def test_fac_strictly_decreases(semigroups):
     for name in ("eg1", "eg2"):
-        W, ctx = weyl_groups[name], semigroups[name]
-        g = mutation_graph(ctx)
-        for (src, dst, i) in g.edges:
-            old = stt_pair(ctx, W.from_word(tuple(map(int, src))))
-            new = stt_pair(ctx, W.from_word(tuple(map(int, dst))))
+        ctx = semigroups[name]
+        for w, v, _ in mutation_graph(ctx):
+            old = stt_pair(ctx, w)
+            new = stt_pair(ctx, v)
             assert in_fac(old.summands, new.module())
             assert not in_fac(new.summands, old.module())
 
@@ -348,7 +359,34 @@ def test_classification_report_takes_no_seed():
 
 
 def test_mutation_graph_takes_no_seed():
-    assert "seed" not in inspect.signature(mutation_graph).parameters
+    assert list(inspect.signature(mutation_graph).parameters) == ["semigroup"]
+
+
+def test_mutation_graph_builds_no_display(semigroups, monkeypatch):
+    """The checked exchange quiver names no block and builds no
+    ``GraphNode``: it returns the ascents alone."""
+    display = []
+    monkeypatch.setattr(ModuleNamer, "name_block",
+                        lambda *args: display.append(args))
+    monkeypatch.setattr(tautilt, "GraphNode",
+                        lambda *args: display.append(args))
+    ascents = mutation_graph(semigroups["b3"])
+    assert display == []
+    assert len(ascents) == 3 * 48 // 2
+
+
+@pytest.mark.parametrize("name, length", [("a2min", 2), ("a3", 3)])
+def test_classification_report_refuses_a_ball(algebras, name, length):
+    """On a ``max_length`` ball the report refuses, as the exchange quiver
+    does, instead of stepping out of the ball."""
+    A = algebras[name]
+    ball = enumerate_weyl(A.data.cartan, max_length=length)
+    assert not ball.complete
+    ctx = IdealSemigroup(A, ball)
+    with pytest.raises(NotDynkin, match="full Weyl group"):
+        classification_report(ctx)
+    with pytest.raises(NotDynkin, match="full Weyl group"):
+        mutation_graph(ctx)
 
 
 def test_classification_report_checks_each_idempotent(semigroups,
@@ -414,7 +452,7 @@ def test_classification_agrees_over_prime_field(weyl_groups):
 
 
 def test_emitters(semigroups):
-    g = mutation_graph(semigroups["eg1"])
+    g = exchange_graph(semigroups["eg1"])
     dot = g.to_dot()
     assert dot.startswith("digraph")
     assert '"w121" [label="0"];' in dot
@@ -570,9 +608,9 @@ def test_minimal_approximation_counts_match_cartan(entries, sym):
     A = build_algebra(cartan_data(entries, sym))
     W = enumerate_weyl(A.data.cartan)
     ctx = IdealSemigroup(A, W)
-    graph = mutation_graph(ctx, validate="all")
-    for src, _, i in graph.edges:
-        pair = stt_pair(ctx, W.from_word(tuple(int(c) for c in src)))
+    check_every_edge(ctx)
+    for w, _, i in mutation_graph(ctx):
+        pair = stt_pair(ctx, w)
         idx = pair.block_vertices.index(i)
         others = pair.summands[:idx] + pair.summands[idx + 1:]
         verts = pair.block_vertices[:idx] + pair.block_vertices[idx + 1:]
@@ -613,8 +651,8 @@ def test_approximation_on_generators_matches_whole_maps(entries, sym):
     W = enumerate_weyl(A.data.cartan)
     ctx = IdealSemigroup(A, W)
     dropped = 0
-    for src, _, i in mutation_graph(ctx).edges:
-        pair = stt_pair(ctx, W.from_word(tuple(int(c) for c in src)))
+    for w, _, i in mutation_graph(ctx):
+        pair = stt_pair(ctx, w)
         idx = pair.block_vertices.index(i)
         X = pair.summands[idx]
         others = pair.summands[:idx] + pair.summands[idx + 1:]
@@ -668,8 +706,7 @@ def test_block_names_match_first_isomorphic_candidate(entries, sym):
 def test_mutation_graph_validates_over_small_primes(entries, sym, p):
     A = build_algebra(cartan_data(entries, sym), field=PrimeField(p))
     W = enumerate_weyl(A.data.cartan)
-    graph = mutation_graph(IdealSemigroup(A, W), validate="all")
-    assert len(graph.nodes) == W.order
+    assert check_every_edge(IdealSemigroup(A, W)) == A.n * W.order // 2
 
 
 def test_dropping_the_context_frees_its_blocks(algebras, weyl_groups):
@@ -760,7 +797,7 @@ def test_semigroup_memos_are_bounded(monkeypatch):
         return real(i, J)
 
     monkeypatch.setattr(tautilt, "extend_left", counting)
-    mutation_graph(ctx, validate="none")
+    assert len(list(graph_nodes(ctx))) == W.order
     monkeypatch.undo()
     assert len(calls) == 76
     table = ctx.table
@@ -880,24 +917,20 @@ def test_block_dims_match_root_formula(entries, sym, p):
 
 def test_edge_sample_is_every_ceil_e_over_20th_ascent(semigroups,
                                                       monkeypatch):
-    """validate="sample" checks every ceil(E/20)-th of the E ascents in
+    """``mutation_graph`` checks every ceil(E/20)-th of the E ascents in
     enumeration order: all 6 edges of A2, and the ascents [::20] of D4's
     384.  Two calls check the same edges."""
     checked = []
-
-    def record(ctx, w, v, i):
-        checked.append((tautilt._word_str(ctx.weyl, w),
-                        tautilt._word_str(ctx.weyl, v), i))
-
-    monkeypatch.setattr(tautilt, "_check_edge", record)
-    graph = mutation_graph(semigroups["a2min"], validate="sample")
-    assert checked == graph.edges and len(checked) == 6
+    monkeypatch.setattr(tautilt, "_check_edge",
+                        lambda ctx, w, v, i: checked.append((w, v, i)))
+    ascents = mutation_graph(semigroups["a2min"])
+    assert checked == ascents and len(checked) == 6
     A = build_algebra(cartan_data(D4, "minimal"))
     ctx = IdealSemigroup(A, enumerate_weyl(A.data.cartan))
     runs = []
     for _ in range(2):
         checked.clear()
-        graph = mutation_graph(ctx, validate="sample")
+        ascents = mutation_graph(ctx)
         runs.append(list(checked))
-    assert len(graph.edges) == 384
-    assert runs[0] == runs[1] == graph.edges[::20]
+    assert len(ascents) == 384
+    assert runs[0] == runs[1] == ascents[::20]
