@@ -203,11 +203,8 @@ def find_symmetrizer(c: CartanMatrix, request="minimal") -> Symmetrizer:
 
 def default_orientation(c: CartanMatrix) -> Orientation:
     """Ω = {(i,j) : c_ij < 0 and i < j}; always satisfies (A1) and (A2)."""
-    pairs = frozenset((i, j) for i in range(1, c.n + 1)
-                      for j in range(i + 1, c.n + 1) if c[i, j] < 0)
-    omega = Orientation(pairs)
-    validate_orientation(c, omega)
-    return omega
+    return Orientation(frozenset((i, j) for i in range(1, c.n + 1)
+                                 for j in range(i + 1, c.n + 1) if c[i, j] < 0))
 
 
 def orientation_from_pairs(c: CartanMatrix, pairs) -> Orientation:
@@ -263,6 +260,7 @@ def double_quiver(c: CartanMatrix, d: Symmetrizer, omega: Orientation) -> Double
     Order: loops eps_1..eps_n first, then the families a^{(g)}_{ij} sorted
     by (min(i,j), max(i,j), direction, g) where the Ω-oriented family comes
     before its reverse.  This order fixes monomial orders downstream.
+    Ω is validated here, and only here, raising ``OrientationError``.
     """
     validate_orientation(c, omega)
     arrows = []
@@ -367,6 +365,6 @@ def cartan_data(entries, symmetrizer="minimal", orientation=None) -> CartanData:
     if orientation is None:
         omega = default_orientation(c)
     else:
-        omega = validate_orientation(c, orientation_from_pairs(c, orientation))
+        omega = orientation_from_pairs(c, orientation)
     q = double_quiver(c, d, omega)
     return CartanData(c, d, omega, q, gram_matrix(c, d))

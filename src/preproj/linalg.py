@@ -47,11 +47,9 @@ class Matrix:
 
     @staticmethod
     def from_cols(cols, nrows, field):
-        m = Matrix.zeros(nrows, len(cols), field)
-        for j, col in enumerate(cols):
-            for i in range(nrows):
-                m.rows[i][j] = col[i]
-        return m
+        if not cols:
+            return Matrix.zeros(nrows, 0, field)
+        return Matrix([list(r) for r in zip(*cols)], nrows, len(cols), field)
 
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]

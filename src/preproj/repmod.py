@@ -15,11 +15,14 @@ is free), which keeps every linear solve small.
 
 A right-closed span of paths (a block e_vI, a projective e_vPi, the syzygy
 of a presentation) is a ``GradedSpan``: sparse elements of a free module
-(+)_k e_{u_k}Pi, echelonized once, one ``Subspace`` per vertex.  The
-module that ``module_from_subspace`` builds on it has that span's echelon
-form at v as its space at v, the same object, so an ideal block and its
-module share one echelon form.  A presentation reads P1 off its syzygy
-and keeps only the x_kl; ``syzygy`` rebuilds the span from them.
+(+)_k e_{u_k}Pi, echelonized once, one ``Subspace`` per vertex; its keys
+are the one layout of that free module.  A presentation lays P0 out as a
+span over all generator copies whose space at v is the cover's kernel,
+and keeps only its keys (``p0_keys``) and the x_kl read off that syzygy,
+which ``syzygy`` rebuilds.  One builder makes every module on per-vertex
+echelon spaces (``module_from_subspace``, ``submodule``, with one
+arrow-stability error) and the quotient, zero and uniserial modules, so a
+block and its module share one echelon form.
 
 Presentations and ``hom_space`` act by every path of e_u Pi through one
 walk of the basis tree (``_path_walk``), one product per path and none
@@ -160,11 +163,31 @@ def _memoized(key):
 # constructors
 # ---------------------------------------------------------------------------
 
+def _module(algebra: FiniteDimAlgebra, dims, columns) -> ModuleRep:
+    """The module with ``dims`` on which the arrow a acts by the matrix
+    whose columns are the list ``columns(a)``, one per basis vector at
+    t(a)."""
+    return ModuleRep(algebra, dims, {
+        a.index: Matrix.from_cols(columns(a), dims[a.source - 1],
+                                  algebra.field)
+        for a in algebra.quiver.arrows}, validate=False)
+
+
+def _on_echelon_spaces(algebra: FiniteDimAlgebra, spaces, images) -> ModuleRep:
+    """The module on the per-vertex echelon ``spaces``: the arrow a sends
+    echelon row j at t(a) to the coordinates, over the echelon rows at
+    s(a), of the j-th vector of ``images(a)``."""
+    def columns(a):
+        cols = list(map(spaces[a.source].express, images(a)))
+        if None in cols:
+            raise VerificationFailed("subspaces are not arrow-stable")
+        return cols
+    return _module(algebra, [spaces[v].dim for v in range(1, algebra.n + 1)],
+                   columns)
+
+
 def zero_module(algebra: FiniteDimAlgebra) -> ModuleRep:
-    dims = [0] * algebra.n
-    act = {a.index: Matrix.zeros(0, 0, algebra.field)
-           for a in algebra.quiver.arrows}
-    return ModuleRep(algebra, dims, act, validate=False)
+    return _module(algebra, [0] * algebra.n, lambda a: [])
 
 
 def projective_module(algebra: FiniteDimAlgebra, v: int) -> ModuleRep:
@@ -244,26 +267,9 @@ class GradedSpan:
 def module_from_subspace(algebra: FiniteDimAlgebra,
                          span: GradedSpan) -> ModuleRep:
     """Module structure on a right-closed ``GradedSpan``: the space at v is
-    ``span.spaces[v]``, kept as ``_embedding``, and the arrow a sends each
-    echelon row x at t(a) to the coordinates of ``span.arrow_images(a)``
-    in the echelon basis at s(a)."""
-    spaces = span.spaces
-    dims = [spaces[v].dim for v in range(1, algebra.n + 1)]
-    act = {}
-    for a in algebra.quiver.arrows:
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1],
-                           algebra.field)
-        for col, image in enumerate(span.arrow_images(a)):
-            coeffs = spaces[a.source].express(image)
-            if coeffs is None:
-                raise VerificationFailed(
-                    "span is not right-multiplication closed")
-            for r, c in enumerate(coeffs):
-                out.rows[r][col] = c
-        act[a.index] = out
-    mod = ModuleRep(algebra, dims, act, validate=False)
-    mod._embedding = spaces
-    return mod
+    ``span.spaces[v]``, and the arrow a sends each echelon row x at t(a) to
+    x a, read off ``span.arrow_images(a)``."""
+    return _on_echelon_spaces(algebra, span.spaces, span.arrow_images)
 
 
 def generalized_simple(algebra: FiniteDimAlgebra, i: int) -> ModuleRep:
@@ -274,19 +280,15 @@ def generalized_simple(algebra: FiniteDimAlgebra, i: int) -> ModuleRep:
 
 def uniserial_module(algebra: FiniteDimAlgebra, i: int, d: int) -> ModuleRep:
     """The uniserial module with d composition factors S_i (d <= c_i)."""
-    c_i = algebra.quiver.symmetrizer[i]
-    assert 1 <= d <= c_i
-    field = algebra.field
-    dims = [0] * algebra.n
-    dims[i - 1] = d
-    act = {}
-    for a in algebra.quiver.arrows:
-        m = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        if a.is_loop and a.i == i:
-            for t in range(d - 1):
-                m.rows[t + 1][t] = field.one
-        act[a.index] = m
-    return ModuleRep(algebra, dims, act, validate=False)
+    assert 1 <= d <= algebra.quiver.symmetrizer[i]
+    one, zero = algebra.field.one, algebra.field.zero
+    dims = [d if v == i else 0 for v in range(1, algebra.n + 1)]
+    # the loop at i sends unit vector t to unit vector t + 1; every other
+    # arrow meets vertex i at one end only and acts by zero
+    return _module(algebra, dims, lambda a: [
+        [one if a.is_loop and r == t + 1 else zero
+         for r in range(dims[a.source - 1])]
+        for t in range(dims[a.target - 1])])
 
 
 def simple_module(algebra: FiniteDimAlgebra, i: int) -> ModuleRep:
@@ -317,42 +319,21 @@ def direct_sum(algebra: FiniteDimAlgebra, mods):
 def quotient_module(parent: ModuleRep, sub_spaces) -> ModuleRep:
     """Quotient by per-vertex subspaces of an action-stable submodule."""
     field = parent.algebra.field
-    projs = {}
-    lifts = {}
-    dims = []
-    for v in range(1, parent.algebra.n + 1):
-        sub = sub_spaces.get(v) or Subspace(parent.dims[v - 1], field)
-        proj, dim, lift = sub.quotient()
-        projs[v] = proj
-        lifts[v] = lift
+    projs, dims, lifts = {}, [], {}
+    for v, d in enumerate(parent.dims, 1):
+        sub = sub_spaces.get(v) or Subspace(d, field)
+        projs[v], dim, lifts[v] = sub.quotient()
         dims.append(dim)
-    act = {}
-    for a in parent.algebra.quiver.arrows:
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for col, lift in enumerate(lifts[a.target]):
-            img = projs[a.source](parent.act[a.index].vec(lift))
-            for r, c in enumerate(img):
-                out.rows[r][col] = c
-        act[a.index] = out
-    return ModuleRep(parent.algebra, dims, act, validate=False)
+    return _module(parent.algebra, dims, lambda a: [
+        projs[a.source](parent.act[a.index].vec(lift))
+        for lift in lifts[a.target]])
 
 
 def submodule(parent: ModuleRep, spaces) -> ModuleRep:
     """The submodule on the per-vertex subspaces ``spaces[v]``, in their
     echelon bases; the counterpart of ``quotient_module``."""
-    field = parent.algebra.field
-    dims = [spaces[v].dim for v in range(1, parent.algebra.n + 1)]
-    act = {}
-    for a in parent.algebra.quiver.arrows:
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for col, row in enumerate(spaces[a.target].rows):
-            coeffs = spaces[a.source].express(parent.act[a.index].vec(row))
-            if coeffs is None:
-                raise VerificationFailed("subspaces are not arrow-stable")
-            for r, c in enumerate(coeffs):
-                out.rows[r][col] = c
-        act[a.index] = out
-    return ModuleRep(parent.algebra, dims, act, validate=False)
+    return _on_echelon_spaces(parent.algebra, spaces, lambda a: map(
+        parent.act[a.index].vec, spaces[a.target].rows))
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +341,19 @@ def submodule(parent: ModuleRep, spaces) -> ModuleRep:
 # ---------------------------------------------------------------------------
 
 def radical_subspaces(mod: ModuleRep):
-    """rad M = M J as per-vertex subspaces (sum of arrow images)."""
+    """rad M = M J as per-vertex subspaces: the span of the columns of the
+    arrow matrices, the images of a basis."""
+    return _arrow_images(mod, lambda a: zip(*mod.act[a.index].rows))
+
+
+def _arrow_images(mod: ModuleRep, images):
+    """The per-vertex subspaces spanned at s(a) by the vectors ``images(a)``
+    of M_{s(a)}, over the arrows a."""
     field = mod.algebra.field
-    out = {v: Subspace(mod.dims[v - 1], field)
-           for v in range(1, mod.algebra.n + 1)}
+    out = {v: Subspace(d, field) for v, d in enumerate(mod.dims, 1)}
     for a in mod.algebra.quiver.arrows:
-        m = mod.act[a.index]
-        for j in range(m.ncols):
-            out[a.source].add(m.col(j))
+        for x in images(a):
+            out[a.source].add(x)
     return out
 
 
@@ -394,22 +380,18 @@ def socle_subspaces(mod: ModuleRep):
 def structure_series(mod: ModuleRep) -> list:
     """The radical filtration: the per-vertex multiplicities of each layer
     rad^k M / rad^{k+1} M, as tuples, top first."""
-    field = mod.algebra.field
-    n = mod.algebra.n
     layers = []
     prev = tuple(mod.dims)
     current = radical_subspaces(mod)
     while any(prev):
-        dims = tuple(current[v].dim for v in range(1, n + 1))
+        dims = tuple(s.dim for s in current.values())
         layers.append(tuple(p - d for p, d in zip(prev, dims)))
         if len(layers) > mod.total_dim + 1:
             raise VerificationFailed("radical series does not terminate")
         prev = dims
-        nxt = {v: Subspace(mod.dims[v - 1], field) for v in range(1, n + 1)}
-        for a in mod.algebra.quiver.arrows:
-            for row in current[a.target].rows:
-                nxt[a.source].add(mod.act[a.index].vec(row))
-        current = nxt
+        rows = {v: s.rows for v, s in current.items()}  # rad^k M
+        current = _arrow_images(mod, lambda a: map(mod.act[a.index].vec,
+                                                   rows[a.target]))
     return layers
 
 
@@ -427,7 +409,8 @@ class Presentation:
     p0: list                 # vertices u_k
     generators: list         # (u_k, c_k): generator k maps to the unit
                              # vector of the top column c_k of M e_{u_k}
-    p0_layout: dict          # vertex v -> list of (k, global basis index)
+    p0_keys: dict            # vertex v -> the P0 coordinates k * dim Pi + g
+                             # at v, the ``GradedSpan`` keys of P0
     section: dict            # vertex v -> Matrix (dim P0_v x dim M_v)
     p1: list                 # vertices v_l
     x_elems: list            # [k][l] algebra coords in e_{u_k} Pi e_{v_l}
@@ -439,10 +422,12 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
 
     Generator k of P0 = (+)_k e_{u_k} Pi maps to the unit vector of the top
     column c_k of M e_{u_k}, and the P0 coordinate (k, g) to that vector
-    acted on by g.  The kernel K is a ``GradedSpan`` of P0, not kept: the
-    generators of P1 are its echelon rows whose pivots are not pivots of
-    K J, the span of its ``arrow_images``.  (Reading K-coordinates at K's
-    pivot columns preserves order, so these are the top rows of K.)"""
+    acted on by g.  P0 is laid out as one ``GradedSpan`` over every copy,
+    whose space at v is the kernel of the cover there, so the span is
+    K = ker(P0 -> M), not kept: the generators of P1 are its echelon rows
+    whose pivots are not pivots of K J, the span of its ``arrow_images``.
+    (Reading K-coordinates at K's pivot columns preserves order, so these
+    are the top rows of K.)"""
     A = mod.algebra
     field = A.field
     rad = radical_subspaces(mod)
@@ -452,29 +437,20 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
         generators.extend((v, c) for c in range(mod.dims[v - 1])
                           if c not in pivots)
     p0 = [v for v, _ in generators]
-    # layout of P0's vertex-v coordinates: (generator k, basis monomial of
-    # e_{u_k} Pi with source v), ordered by k then monomial
-    p0_layout = {v: [] for v in range(1, A.n + 1)}
-    for k, u in enumerate(p0):
-        for g in A.by_target[u]:
-            p0_layout[A.source[g]].append((k, g))
     images = [_path_walk(mod, u, [field.one if r == c else field.zero
                                   for r in range(mod.dims[u - 1])], Matrix.vec)
               for u, c in generators]
     section = {}
-    kvecs = []
-    for v in range(1, A.n + 1):
-        cols = [images[k][g] for (k, g) in p0_layout[v]]
+    kernel = GradedSpan(A, dict(enumerate(p0)))
+    for v, keys in kernel.keys.items():
+        cols = [images[k][g] for k, g in (divmod(key, A.dim) for key in keys)]
         cover = Matrix.from_cols(cols, mod.dims[v - 1], field)
         s = solve_matrix(cover, Matrix.identity(mod.dims[v - 1], field))
         if s is None:
             raise VerificationFailed("projective cover is not surjective")
         section[v] = s
-        kvecs.extend({k * A.dim + g: c for (k, g), c in zip(p0_layout[v], vec)
-                      if c}
-                     for vec in nullspace(cover))
-    copies = {key // A.dim for x in kvecs for key in x}
-    kernel = GradedSpan(A, {k: p0[k] for k in copies}, kvecs)
+        for vec in nullspace(cover):
+            kernel.spaces[v].add(vec)
     kj = {v: Subspace(len(keys), field) for v, keys in kernel.keys.items()}
     for a in A.quiver.arrows:
         for image in kernel.arrow_images(a):
@@ -496,32 +472,25 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    return Presentation(p0, generators, p0_layout, section, p1, x_matrix)
+    return Presentation(p0, generators, kernel.keys, section, p1, x_matrix)
 
 
 def syzygy(M: ModuleRep) -> GradedSpan:
     """K = ker(P0 -> M), rebuilt as the image of P1 -> P0: the span of the
     x_l g, x_l = (x_kl)_k, over the basis paths g of e_{v_l}Pi, in the
-    copies of P0 that K meets, those with some x_kl != 0."""
+    layout of P0."""
     A = M.algebra
     one = A.field.one
     pres = minimal_projective_presentation(M)
-    copies = [k for k, xk in enumerate(pres.x_elems) if any(xk)]
-    return GradedSpan(A, {k: pres.p0[k] for k in copies}, (
-        {k * A.dim + h: c for k in copies
-         for h, c in A.mul_coords(pres.x_elems[k][l], {g: one}).items()}
+    return GradedSpan(A, dict(enumerate(pres.p0)), (
+        {k * A.dim + h: c for k, xk in enumerate(pres.x_elems)
+         for h, c in A.mul_coords(xk[l], {g: one}).items()}
         for l, v in enumerate(pres.p1) for g in A.by_target[v]))
 
 
 # ---------------------------------------------------------------------------
 # Hom and Ext^1
 # ---------------------------------------------------------------------------
-
-@dataclass
-class HomBasis:
-    dim: int
-    maps: list    # each map: dict vertex -> Matrix (dim N_v x dim M_v)
-
 
 def _approximation_matrix(pres: Presentation, N: ModuleRep):
     """The map (+)_k N e_{u_k} -> (+)_l N e_{v_l}, (n_k) -> (sum_k n_k x_{kl})."""
@@ -538,8 +507,9 @@ def _approximation_matrix(pres: Presentation, N: ModuleRep):
     return Matrix(rows, len(rows), sum(src_dims), N.algebra.field), src_dims
 
 
-def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
-    """Basis of Hom(M, N) computed through the minimal presentation of M.
+def hom_space(M: ModuleRep, N: ModuleRep) -> list:
+    """A basis of Hom(M, N), computed through the minimal presentation of
+    M: a list of maps, each a dict vertex v -> Matrix (dim N_v x dim M_v).
 
     A kernel vector of the approximation matrix gives the images n_k in
     N e_{u_k} of the generators of P0, and its map sends the P0 coordinate
@@ -550,12 +520,12 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
     then the sum of those images over the nonzero entries of column m of
     the section P0_v <- M_v."""
     if M.total_dim == 0 or N.total_dim == 0:
-        return HomBasis(0, [])
+        return []
     pres = minimal_projective_presentation(M)
     phi, src_dims = _approximation_matrix(pres, N)
     kernel = nullspace(phi)
     if not kernel:
-        return HomBasis(0, [])
+        return []
     A = N.algebra
     field = A.field
     walks = []  # generator k -> path g -> the n_k g of all kernel vectors
@@ -570,7 +540,8 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
              for v in range(1, A.n + 1)} for _ in kernel]
     for v in range(1, A.n + 1):
         # P0 coordinate (k, g) at v -> the rows of its dim N_v x e images
-        cols = [walks[k][g].rows for (k, g) in pres.p0_layout[v]]
+        cols = [walks[k][g].rows
+                for k, g in (divmod(key, A.dim) for key in pres.p0_keys[v])]
         out = [h[v].rows for h in maps]
         for m in range(M.dims[v - 1]):
             terms = [(cols[q], row[m]) for q, row in
@@ -581,7 +552,7 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> HomBasis:
                     acc = [a + c * b for a, b in zip(acc, rows[r])]
                 for h, a in zip(out, acc):
                     h[r][m] = a % p if p else a
-    return HomBasis(len(kernel), maps)
+    return maps
 
 
 def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
@@ -591,7 +562,7 @@ def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
         return 0
     hk = hom_space(module_from_subspace(M.algebra, syzygy(M)), N)
     phi, _ = _approximation_matrix(minimal_projective_presentation(M), N)
-    return hk.dim - mat_rank(phi)
+    return len(hk) - mat_rank(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +723,7 @@ def in_fac(summands, X: ModuleRep) -> bool:
     Hom(T_k, X) over the summands."""
     if X.total_dim == 0:
         return True
-    maps = [h for T in summands for h in hom_space(T, X).maps]
+    maps = [h for T in summands for h in hom_space(T, X)]
     field = X.algebra.field
     for v in range(1, X.algebra.n + 1):
         sub = Subspace(X.dims[v - 1], field)
@@ -778,7 +749,7 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
     n = M.algebra.n
     return M.total_dim == 0 or any(
         all(mat_rank(h[v]) == M.dims[v - 1] for v in range(1, n + 1))
-        for h in hom_space(M, N).maps)
+        for h in hom_space(M, N))
 
 
 @_memoized("indecomposable")
@@ -799,13 +770,13 @@ def is_indecomposable(M: ModuleRep) -> bool:
         raise RadicalUnavailable(
             f"p = {p} <= dim M = {M.total_dim}; rerun over the rationals")
     ends = hom_space(M, M)
-    e = ends.dim
+    e = len(ends)
     gram = Matrix.zeros(e, e, field)
     for a in range(e):
         for b in range(a, e):
             tr = field.zero
             for v in range(1, M.algebra.n + 1):
-                prod = ends.maps[a][v].mul(ends.maps[b][v])
+                prod = ends[a][v].mul(ends[b][v])
                 for i in range(prod.nrows):
                     tr = tr + prod.rows[i][i]
             if p:

@@ -59,12 +59,12 @@ def test_hom_dims_with_oracle(algebras):
     E1 = generalized_simple(eg1, 1)
     P1 = projective_module(eg1, 1)
     P2 = projective_module(eg1, 2)
-    assert hom_space(P1, E1).dim == 2 == brute_hom_dim(P1, E1)
-    assert hom_space(P2, E1).dim == 0 == brute_hom_dim(P2, E1)
-    assert hom_space(P1, zero_module(eg1)).dim == 0
+    assert len(hom_space(P1, E1)) == 2 == brute_hom_dim(P1, E1)
+    assert len(hom_space(P2, E1)) == 0 == brute_hom_dim(P2, E1)
+    assert len(hom_space(P1, zero_module(eg1))) == 0
     # materialized maps really intertwine: check one against the oracle count
     hb = hom_space(P1, P1)
-    assert hb.dim == brute_hom_dim(P1, P1)
+    assert len(hb) == brute_hom_dim(P1, P1)
 
 
 def test_materialized_homs_intertwine(algebras, semigroups):
@@ -80,10 +80,10 @@ def test_materialized_homs_intertwine(algebras, semigroups):
         ]
         for M, N in pairs:
             hb = hom_space(M, N)
-            assert hb.dim == brute_hom_dim(M, N)
+            assert len(hb) == brute_hom_dim(M, N)
             flat = Subspace(
                 sum(N.dims[v] * M.dims[v] for v in range(A.n)), A.field)
-            for f in hb.maps:
+            for f in hb:
                 for a in A.quiver.arrows:
                     left = f[a.source].mul(M.act[a.index])
                     right = N.act[a.index].mul(f[a.target])
@@ -93,7 +93,7 @@ def test_materialized_homs_intertwine(algebras, semigroups):
                     for row in f[v].rows:
                         vec.extend(row)
                 assert flat.add(vec)  # linearly independent family
-            assert flat.dim == hb.dim
+            assert flat.dim == len(hb)
 
 
 def test_yoneda(algebras):
@@ -103,7 +103,7 @@ def test_yoneda(algebras):
         mods += [generalized_simple(A, v) for v in range(1, A.n + 1)]
         for M in mods:
             for j in range(1, A.n + 1):
-                assert hom_space(projective_module(A, j), M).dim == \
+                assert len(hom_space(projective_module(A, j), M)) == \
                     M.dims[j - 1]
 
 
@@ -262,7 +262,7 @@ def test_tau_rigidity(algebras):
 def _hom_to_tau_is_zero(Y, X):
     """Oracle for ``hom_to_tau_vanishes``: Hom(Y, tau X) = 0 through the
     module tau X."""
-    return hom_space(Y, auslander_reiten_translate(X)).dim == 0
+    return len(hom_space(Y, auslander_reiten_translate(X))) == 0
 
 
 @pytest.mark.parametrize("entries, sym, field", [
@@ -374,7 +374,7 @@ def test_isomorphism_is_deterministic_on_blocks(entries, sym, field):
     for blk in blocks:
         copy = _conjugate(blk)
         assert is_isomorphic(blk, copy) and is_isomorphic(copy, blk)
-        largest_hom = max(largest_hom, hom_space(blk, copy).dim)
+        largest_hom = max(largest_hom, len(hom_space(blk, copy)))
     # the check reaches Hom spaces of dimension > 4
     assert largest_hom > 4
     same_dims = 0
@@ -425,17 +425,16 @@ def test_radical_unavailable_small_prime():
 
 
 def _projective_over_block(ctx, w, v):
-    """e_v Pi / e_v I_w as a quotient of the projective e_v Pi."""
+    """e_v Pi / e_v I_w as a quotient of the projective e_v Pi, built on
+    the span of the paths; the block's span lies in the same e_v Pi."""
     A = ctx.algebra
-    P = projective_module(A, v)
-    blk = ctx.of_element(w).block(v)
-    subs = {}
-    for u in range(1, A.n + 1):
-        sub = Subspace(P.dims[u - 1], A.field)
-        for row in blk._embedding[u].rows if blk is not None else ():
-            sub.add(P._embedding[u].express(row))
-        subs[u] = sub
-    return quotient_module(P, subs)
+    paths = GradedSpan(A, {0: v}, ({g: A.field.one} for g in A.by_target[v]))
+    P = module_from_subspace(A, paths)
+    blk = ctx.table.spans[ctx.of_element(w).blocks[v - 1]]
+    return quotient_module(P, {
+        u: Subspace.span(map(paths.spaces[u].express, blk.spaces[u].rows),
+                         P.dims[u - 1], A.field)
+        for u in range(1, A.n + 1)})
 
 
 def test_indecomposable_over_prime_field_agrees_or_refuses():
@@ -565,7 +564,7 @@ def _per_vector_homs(M, N):
         out = {}
         for v in range(1, A.n + 1):
             cols = []
-            for (k, g) in pres.p0_layout[v]:
+            for k, g in (divmod(key, A.dim) for key in pres.p0_keys[v]):
                 word = A.basis[g][1]
                 nk = splits[k]
                 cols.append(N.act_word(word).vec(nk) if word else list(nk))
@@ -596,26 +595,55 @@ def test_one_pass_hom_maps_match_the_per_vector_route(entries, sym, field):
         for N in mods:
             hb = hom_space(M, N)
             want = _per_vector_homs(M, N)
-            assert hb.dim == len(hb.maps) == len(want)
-            for h, w in zip(hb.maps, want):
+            assert len(hb) == len(want)
+            for h, w in zip(hb, want):
                 assert all(h[v].rows == w[v].rows for v in w)
                 for a in A.quiver.arrows:
                     assert (h[a.source].mul(M.act[a.index]).rows
                             == N.act[a.index].mul(h[a.target]).rows)
-            largest = max(largest, hb.dim)
+            largest = max(largest, len(hb))
     assert largest > 2
 
 
-def _dense_p0_module(A, p0, p0_layout):
-    """P0 = (+)_k e_{u_k} Pi with dense action matrices on the
-    ``p0_layout`` coordinates."""
-    dims = [len(p0_layout[v]) for v in range(1, A.n + 1)]
-    pos = {v: {pair: i for i, pair in enumerate(p0_layout[v])}
-           for v in p0_layout}
+@pytest.mark.parametrize("entries, sym", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal"),
+    ([[2, -1], [-3, 2]], (3, 1)),
+    ([[2, -1], [-2, 2]], (4, 2))], ids=["b3", "g2-31", "b2-42"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+def test_p0_is_one_graded_span_and_echelon_modules_share_one_check(
+        entries, sym, field):
+    """The P0 coordinates of every presentation at v are the keys at v of
+    the ``GradedSpan`` over all generator copies, and ``submodule`` and
+    ``module_from_subspace`` reject the span of e_v, which is not
+    arrow-stable, with the same error."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    for M in _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan))):
+        pres = minimal_projective_presentation(M)
+        keys = GradedSpan(A, dict(enumerate(pres.p0))).keys
+        assert all(pres.p0_keys[v] == keys[v] for v in range(1, A.n + 1))
+    for v in range(1, A.n + 1):
+        e_v = next(g for g in A.by_target[v] if not A.basis[g][1])
+        span = GradedSpan(A, {0: v}, [{e_v: A.field.one}])
+        errors = []
+        for build in (lambda: module_from_subspace(A, span),
+                      lambda: submodule(projective_module(A, v), span.spaces)):
+            with pytest.raises(VerificationFailed, match="not arrow-stable") \
+                    as err:
+                build()
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+
+def _dense_p0_module(A, p0, layout):
+    """P0 = (+)_k e_{u_k} Pi with dense action matrices on the coordinates
+    (k, g) of ``layout``, the oracle's own layout of P0."""
+    dims = [len(layout[v]) for v in range(1, A.n + 1)]
+    pos = {v: {pair: i for i, pair in enumerate(layout[v])}
+           for v in layout}
     act = {}
     for a in A.quiver.arrows:
         out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], A.field)
-        for col, (k, g) in enumerate(p0_layout[a.target]):
+        for col, (k, g) in enumerate(layout[a.target]):
             prod = A.mul_coords({g: A.field.one}, A.arrow_coords[a.index])
             for g2, c in prod.items():
                 out.rows[pos[a.source][(k, g2)]][col] = c
@@ -899,7 +927,7 @@ def test_presentations_and_homs_act_by_the_walk(monkeypatch):
     for M in blocks:
         assert minimal_projective_presentation(M).p0
         for N in blocks:
-            homs += hom_space(M, N).dim
+            homs += len(hom_space(M, N))
     assert homs > len(blocks)
 
 
