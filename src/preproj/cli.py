@@ -1,6 +1,7 @@
 """Command-line interface: config loading, dispatch, reports.
 
-Commands: check, algebra, weyl, stt, mutation-graph, verify.
+Commands: check, algebra, weyl, stt, mutation-graph, verify.  Every
+``verify`` check fails by raising, so ``python -O`` keeps them all.
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
 
@@ -11,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import permutations
 
 from .cartan import CartanData, cartan_data, dynkin_components
 from .coxeter import coxeter_order, enumerate_weyl, sigma_order
@@ -47,13 +49,10 @@ from .tautilt import (
     vertex_ideal,
 )
 
-COMMANDS = ("check", "algebra", "weyl", "stt", "mutation-graph", "verify")
-
-
 @dataclass
 class RunConfig:
     data: CartanData
-    field: object = None
+    field: object = QQ
     weyl_cap: int = 1_000_000
     max_degree: int = 64
     max_basis: int = 20000
@@ -61,10 +60,6 @@ class RunConfig:
     json_out: bool = False
     dot: bool = False
     show_basis: bool = False
-
-    def __post_init__(self):
-        if self.field is None:
-            self.field = QQ
 
 
 def _int_key(key: str, value) -> int:
@@ -109,9 +104,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key not in ("weyl", "max_degree", "max_basis"):
             raise ValidationError(f"caps.{key}: unknown key")
     limits = {"caps.weyl" if "weyl" in caps else "weyl_cap":
-              caps.get("weyl", raw.get("weyl_cap", 1_000_000)),
-              "caps.max_degree": caps.get("max_degree", 64),
-              "caps.max_basis": caps.get("max_basis", 20000)}
+              caps.get("weyl", raw.get("weyl_cap", RunConfig.weyl_cap)),
+              "caps.max_degree": caps.get("max_degree", RunConfig.max_degree),
+              "caps.max_basis": caps.get("max_basis", RunConfig.max_basis)}
     for key, value in limits.items():
         if _int_key(key, value) <= 0:
             raise ValidationError(f"{key}: must be positive")
@@ -284,133 +279,119 @@ def _failure_text(exc: Exception) -> str:
     return text
 
 
-def _verdict(checks, head=(), tail=()):
-    """The exit code, and one PASS or FAIL line per check between the
-    ``head`` and ``tail`` lines."""
-    lines = [*head, *(f"{'PASS' if good else 'FAIL'} {name}"
-                      + (f" ({msg})" if msg else "")
-                      for name, good, msg in checks), *tail]
-    return (0 if all(good for _, good, _ in checks) else 1), "\n".join(lines)
+def _sigma_orders(cartan):
+    """sigma_i* sigma_j* has the order m_ij of s_i s_j (None when infinite)."""
+    for i, j in permutations(range(1, cartan.n + 1), 2):
+        m = coxeter_order(cartan, i, j)
+        found = sigma_order(cartan, i, j)
+        if found != (None if m == math.inf else m):
+            raise VerificationFailed(f"pair ({i}, {j}): sigma_i* sigma_j* has "
+                                     f"order {found}, s_i s_j has order {m}")
+
+
+def _homological_identities(ctx):
+    """At each vertex i: E_i = nu(E_sigma(i)), dim E_i + dim E_sigma(i) +
+    sum_j |c_ji| dim e_j Pi = 2 dim e_i Pi, dim Hom(e_j Pi, E_i) = delta_ij
+    c_i; on each block of I_i, Hom(e_v I_i, E_i) = 0 and e_v I_i locally
+    free; tau(e_i I_i) = E_i."""
+    A, projectives = ctx.algebra, ctx.projectives
+    c, d = A.data.cartan, A.quiver.symmetrizer
+    dims = [P.total_dim for P in projectives]
+    for i in range(1, A.n + 1):
+        # E_i first: its memoized presentation serves both iso tests
+        Ei = generalized_simple(A, i)
+        si = ctx.sigma[i - 1]
+        Esi = generalized_simple(A, si)
+        if d[i] != d[si] or not is_isomorphic(Ei, nakayama_nu(Esi)):
+            raise VerificationFailed(f"vertex {i}: E_{i} is not nu(E_{si})")
+        lhs = Ei.total_dim + Esi.total_dim + sum(
+            abs(c[j, i]) * dims[j - 1] for j in range(1, A.n + 1) if j != i)
+        if lhs != 2 * dims[i - 1]:
+            raise VerificationFailed(f"vertex {i}: dim E_i + dim E_sigma(i) "
+                                     "+ sum_j |c_ji| dim e_jPi != 2 dim e_iPi")
+        for j, P in enumerate(projectives, 1):
+            found, want = len(hom_space(P, Ei)), d[i] if i == j else 0
+            if found != want:
+                raise VerificationFailed(f"pair ({i}, {j}): dim Hom(e_{j}Pi, "
+                                         f"E_{i}) = {found}, not {want}")
+        Ii = vertex_ideal(ctx.table, {i})
+        for v in range(1, A.n + 1):
+            blk = Ii.block(v)
+            if blk is None:
+                continue
+            if hom_space(blk, Ei):
+                raise VerificationFailed(
+                    f"pair ({i}, {v}): Hom(e_{v}I_{i}, E_{i}) != 0")
+            if locally_free_rank(blk) is None:
+                raise VerificationFailed(
+                    f"pair ({i}, {v}): e_{v}I_{i} is not locally free")
+            if v == i and not is_isomorphic(Ei, auslander_reiten_translate(blk)):
+                raise VerificationFailed(f"vertex {i}: tau(e_iI_i) is not E_i")
 
 
 def cmd_verify(cfg: RunConfig):
-    """Aggregated verification; one pass/fail line per check."""
-    checks = []
-
-    def record(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - report, do not crash
-            checks.append((name, False, _failure_text(exc)))
-
+    """One PASS or FAIL line per check, exit code 1 if any fails; a check
+    whose inputs were not built prints why it was skipped."""
     d = cfg.data
-    group_box = {}
+    lines = [] if d.dynkin else [
+        "algebra-level checks skipped: C is not of Dynkin type "
+        "(finite-dimensional selfinjective case required)"]
+    built = {}
+    skips = {"ctx": "algebra construction failed",
+             "W": "Weyl enumeration failed"}
 
-    def check_weyl():
-        group_box["W"] = enumerate_weyl(d.cartan, cap=cfg.weyl_cap,
-                                        max_length=None if d.dynkin else 8)
+    def run(name, key, fn, *needs):
+        """Run ``fn`` if every result it needs was built; keep its result."""
+        missing = [skips[need] for need in needs if need not in built]
+        if missing:
+            lines.append(f"FAIL {name} (skipped: {missing[0]})")
+            return
+        try:
+            result = fn()
+        except Exception as exc:  # noqa: BLE001 - report, do not crash
+            lines.append(f"FAIL {name} ({_failure_text(exc)})")
+            return
+        lines.append(f"PASS {name}")
+        if key is not None:
+            built[key] = result
 
-    record("weyl enumeration", check_weyl)
-
-    def check_orders():
-        c = d.cartan
-        for i in range(1, d.n + 1):
-            for j in range(1, d.n + 1):
-                if i != j:
-                    m = coxeter_order(c, i, j)
-                    found = sigma_order(c, i, j)
-                    assert found == (None if m == math.inf else m), (
-                        i, j, found, m)
-
-    record("coxeter orders of sigma_i*", check_orders)
-
-    if not d.dynkin:
-        return _verdict(checks, ["algebra-level checks skipped: C is not of "
-                                 "Dynkin type (finite-dimensional "
-                                 "selfinjective case required)"])
-
-    box = {}
-
-    def check_build():
-        A = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
-        box["ctx"] = IdealSemigroup(A, group_box.get("W"))
+    def build():
+        A = build_algebra(d, cfg.field, cfg.max_degree, cfg.max_basis)
+        # stored first: the later checks run even when verification fails
+        built["ctx"] = IdealSemigroup(A, built.get("W"))
         verify_algebra(A)
-        for P in box["ctx"].projectives:
+        for P in built["ctx"].projectives:
             structure_series(P)  # the radical filtration of e_v Pi terminates
 
-    def check_homological():
-        ctx = box["ctx"]
-        A = ctx.algebra
-        projectives = ctx.projectives
-        dims = [P.total_dim for P in projectives]
-        for i in range(1, A.n + 1):
-            # E_i first: its memoized presentation serves both iso tests
-            Ei = generalized_simple(A, i)
-            si = ctx.sigma[i - 1]
-            Esi = generalized_simple(A, si)
-            assert A.quiver.symmetrizer[i] == A.quiver.symmetrizer[si]
-            assert is_isomorphic(Ei, nakayama_nu(Esi))
-            lhs = Ei.total_dim + Esi.total_dim + sum(
-                abs(A.data.cartan[j, i]) * dims[j - 1]
-                for j in range(1, A.n + 1) if j != i and A.data.cartan[j, i])
-            assert lhs == 2 * dims[i - 1], (i, lhs)
-            for j, P in enumerate(projectives, 1):
-                want = A.quiver.symmetrizer[i] if i == j else 0
-                assert len(hom_space(P, Ei)) == want
-            # Hom(I_i, E_i) = 0, I_i locally free, tau(e_i I_i) = E_i
-            Ii = vertex_ideal(ctx.table, {i})
-            for v in range(1, A.n + 1):
-                blk = Ii.block(v)
-                if blk is not None:
-                    assert not hom_space(blk, Ei)
-                    assert locally_free_rank(blk) is not None
-                    if v == i:
-                        assert is_isomorphic(Ei, auslander_reiten_translate(blk))
+    run("weyl enumeration", "W", lambda: enumerate_weyl(
+        d.cartan, cap=cfg.weyl_cap, max_length=None if d.dynkin else 8))
+    run("coxeter orders of sigma_i*", None, lambda: _sigma_orders(d.cartan))
+    if d.dynkin:
+        run("algebra construction and verification", None, build)
+        run("homological identities", None,
+            lambda: _homological_identities(built["ctx"]), "ctx")
+        run("classification report", "report",
+            lambda: classification_report(built["ctx"]), "ctx", "W")
+        run("mutation graph with left-mutation cross-check", None,
+            lambda: mutation_graph(built["ctx"]), "ctx", "W")
+    code = int(any(line.startswith("FAIL") for line in lines))
+    if "report" in built:
+        lines += [f"{built['report'].stt_count} support tau-tilting modules = "
+                  f"|W| = {built['W'].order}", "tau-rigid indecomposables: "
+                  + ", ".join(t[0] for t in built["report"].tau_rigid_modules)]
+    return code, "\n".join(lines)
 
-    def check_classification():
-        box["report"] = classification_report(box["ctx"])
 
-    def check_graph():
-        mutation_graph(box["ctx"])
-
-    record("algebra construction and verification", check_build)
-    for name, fn, needs_weyl in (
-            ("homological identities", check_homological, False),
-            ("classification report", check_classification, True),
-            ("mutation graph with left-mutation cross-check", check_graph,
-             True)):
-        if "ctx" not in box:
-            checks.append((name, False,
-                           "skipped: algebra construction failed"))
-        elif needs_weyl and "W" not in group_box:
-            checks.append((name, False, "skipped: Weyl enumeration failed"))
-        else:
-            record(name, fn)
-
-    tail = []
-    if "report" in box:
-        rep = box["report"]
-        tail = [f"{rep.stt_count} support tau-tilting modules = |W| = "
-                f"{group_box['W'].order}",
-                "tau-rigid indecomposables: "
-                + ", ".join(t[0] for t in rep.tau_rigid_modules)]
-    return _verdict(checks, tail=tail)
+COMMANDS = {"check": cmd_check, "algebra": cmd_algebra, "weyl": cmd_weyl,
+            "stt": cmd_stt, "mutation-graph": cmd_mutation_graph,
+            "verify": cmd_verify}
 
 
 def run_command(cfg: RunConfig, command: str):
     """Dispatch; returns (exit_code, output)."""
-    table = {
-        "check": cmd_check,
-        "algebra": cmd_algebra,
-        "weyl": cmd_weyl,
-        "stt": cmd_stt,
-        "mutation-graph": cmd_mutation_graph,
-        "verify": cmd_verify,
-    }
-    if command not in table:
+    if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    return table[command](cfg)
+    return COMMANDS[command](cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,17 +428,10 @@ def main(argv=None) -> int:
         cfg.dot = args.dot
         cfg.show_basis = args.basis
         code, output = run_command(cfg, args.command)
-    except (ParseError, ValidationError, CartanError, NotDynkin) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ReportFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        for f in exc.failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
     except PreprojectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, ValidationError, CartanError,
+                                     NotDynkin)) else 1
     print(output)
     return code
 

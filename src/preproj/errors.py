@@ -71,10 +71,9 @@ class NotMutable(PreprojectiveError):
 
 
 class ReportFailure(PreprojectiveError):
-    def __init__(self, message, failures=(), report=None):
+    def __init__(self, message, failures=()):
         super().__init__(message)
         self.failures = list(failures)
-        self.report = report
 
 
 class ParseError(PreprojectiveError, ValueError):

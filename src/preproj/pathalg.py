@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .cartan import CartanData, DoubledQuiver
+from .cartan import CartanData, DoubledQuiver, gram_matrix
 from .errors import CapExceeded, VerificationFailed
 from .fields import QQ
 
@@ -488,9 +488,7 @@ def groebner_quotient(relations: RelationSet, field=None, max_degree: int = 64,
     if cartan_data is None:
         cartan_data = CartanData(
             quiver.cartan, quiver.symmetrizer, quiver.orientation, quiver,
-            tuple(tuple(quiver.symmetrizer[i] * quiver.cartan[i, j]
-                        for j in range(1, quiver.n + 1))
-                  for i in range(1, quiver.n + 1)))
+            gram_matrix(quiver.cartan, quiver.symmetrizer))
     return FiniteDimAlgebra(cartan_data, field, comp, basis, relations)
 
 

@@ -385,7 +385,7 @@ def stt_pair(semigroup: IdealSemigroup, w: WeylElement) -> SttPair:
 
 def verify_stt(pair: SttPair, rigid=None):
     """Checks Hom(M, tau M) = 0, Hom(P, M) = 0, |M| + |P| = n, and
-    indecomposability of each summand.  Returns (ok, reasons).  ``rigid``
+    indecomposability of each summand.  Returns the failed checks.  ``rigid``
     memoizes ``hom_to_tau_vanishes`` (no tau is built) by (M_a, M_b)."""
     reasons = []
     A = pair.algebra
@@ -404,7 +404,7 @@ def verify_stt(pair: SttPair, rigid=None):
                 rigid[s, t] = hom_to_tau_vanishes(s, t)
             if not rigid[s, t]:
                 reasons.append(f"Hom(M_{a}, tau M_{b}) != 0")
-    return (not reasons), reasons
+    return reasons
 
 
 def left_mutation(pair: SttPair, vertex: int) -> SttPair:
@@ -620,18 +620,13 @@ def _check_edge(semigroup: IdealSemigroup, w: WeylElement, v: WeylElement,
 class ClassificationReport:
     stt_count: int
     tau_rigid_modules: list      # (name, total dim, rank vector or None)
-    failures: list
-
-    @property
-    def ok(self):
-        return not self.failures
 
 
 def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
     """(i) psi well-defined over every reduced word, (ii) injective,
     (iii) every (I_w, P_w) a valid pair, (iv) the block list up to iso,
     (v) 0-Hecke consistency of the product.  Raises ``ReportFailure``, with
-    the report attached, when any of them fails."""
+    every failed check, when any of them fails."""
     algebra, weyl = semigroup.algebra, semigroup.weyl
     if not algebra.dynkin:
         raise NotDynkin("classification requires Dynkin type")
@@ -662,8 +657,8 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
     seen = {}
     for w in weyl:
         pair = stt_pair(semigroup, w)
-        ok, reasons = verify_stt(pair, rigid)
-        if not ok:
+        reasons = verify_stt(pair, rigid)
+        if reasons:
             failures.append(f"pair at {weyl.word_str(w) or 'e'}: {reasons}")
         for v, s in zip(pair.block_vertices, pair.summands):
             name = namer.name_block(v, w, s)
@@ -679,7 +674,6 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
         gen = semigroup.generator(i)
         if ideal_product(gen, gen) != gen:
             failures.append(f"I_{i} I_{i} != I_{i}")
-    report = ClassificationReport(len(keys), tau_rigid, failures)
     if failures:
-        raise ReportFailure("classification report failed", failures, report)
-    return report
+        raise ReportFailure("classification report failed", failures)
+    return ClassificationReport(len(keys), tau_rigid)

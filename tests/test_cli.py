@@ -399,6 +399,30 @@ def test_verify_builds_each_projective_once(monkeypatch, capsys):
     assert builds == {1: 1, 2: 1, 3: 1}
 
 
+@pytest.mark.parametrize("name, value, line", [
+    ("hom_space", "[]", "FAIL homological identities (VerificationFailed: "
+     "pair (1, 1): dim Hom(e_1Pi, E_1) = 0, not 1)"),
+    ("sigma_order", "None", "FAIL coxeter orders of sigma_i* "
+     "(VerificationFailed: pair (1, 2): sigma_i* sigma_j* has order None, "
+     "s_i s_j has order 3)"),
+], ids=["hom_space", "sigma_order"])
+def test_verify_checks_hold_under_python_O(name, value, line):
+    """With ``cli.hom_space`` returning no maps, or ``cli.sigma_order`` no
+    order, A2 ``verify`` under ``python -O`` prints the FAIL line naming
+    the pair and exits 1: its checks raise instead of asserting."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(preproj.__file__).resolve().parents[1])}
+    code = ("import sys\nimport preproj.cli as cli\n"
+            f"cli.{name} = lambda *args: {value}\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code, "verify", "--config",
+         json.dumps({"cartan": [[2, -1], [-1, 2]]})],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert line in done.stdout.splitlines()
+
+
 @pytest.mark.parametrize("extra, key", [
     ({"seed": "abc"}, "seed"),
     ({"seed": 1.5}, "seed"),

@@ -39,6 +39,14 @@ def test_no_function_imports():
     assert offenders == []
 
 
+def test_cli_makes_no_assert():
+    """Every check ``verify`` prints raises on failure: ``python -O``
+    strips an ``assert``, and the check with it."""
+    path = Path(preproj.__file__).parent / "cli.py"
+    assert [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)] == []
+
+
 def test_no_private_cross_module_imports():
     """No module imports a ``_``-prefixed name from another module of the
     package: what a module shares, it names without the underscore."""
