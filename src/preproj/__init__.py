@@ -11,9 +11,7 @@ from .cartan import (
     validate_cartan,
 )
 from .coxeter import (
-    all_reduced_words,
     coxeter_order,
-    demazure_product,
     enumerate_weyl,
     simple_reflection_matrix,
 )
@@ -21,20 +19,17 @@ from .fields import QQ, PrimeField
 from .pathalg import (
     build_algebra,
     groebner_quotient,
-    normal_form,
     preprojective_relations,
     verify_algebra,
 )
 from .repmod import (
     auslander_reiten_translate,
-    ext1_dim,
     generalized_simple,
     hom_space,
     hom_to_tau_vanishes,
     in_fac,
     is_indecomposable,
     is_isomorphic,
-    is_tau_rigid,
     locally_free_rank,
     minimal_projective_presentation,
     nakayama,

@@ -169,20 +169,6 @@ class WeylGroup:
             strings.append(f"{i + 1}{self.sep}{rest}" if rest else str(i + 1))
         return strings
 
-    def from_word(self, word) -> WeylElement:
-        """s_{i_1} ... s_{i_k} for any sequence (i_1, ..., i_k)."""
-        w = self.identity
-        for i in reversed(word):
-            w = self.left_mul(i, w)
-        return w
-
-    def matrix(self, w: WeylElement):
-        """The contragredient matrix of w, the product of its sigma_i*."""
-        m = _identity(self.n)
-        for i in self.word(w):
-            m = _mat_mul(m, simple_reflection_matrix(self.cartan, i))
-        return m
-
     def longest(self) -> WeylElement:
         """The last element, w_0 when the group is complete."""
         return next(reversed(self.elements.values()))
@@ -234,30 +220,3 @@ def enumerate_weyl(c: CartanMatrix, cap: int = 1_000_000,
         frontier = list(new.values())
     return WeylGroup(c, elements, left, True)
 
-
-def all_reduced_words(group: WeylGroup, w: WeylElement, _memo=None):
-    """Every reduced expression, via words(w) = U_i {i . words(s_i w)}."""
-    if _memo is None:
-        _memo = {}
-    if w.length == 0:
-        return {()}
-    if w.index in _memo:
-        return _memo[w.index]
-    words = set()
-    for i in range(1, group.n + 1):
-        v = group.left_mul(i, w)
-        if v.length < w.length:
-            for tail in all_reduced_words(group, v, _memo):
-                words.add((i,) + tail)
-    _memo[w.index] = words
-    return words
-
-
-def demazure_product(group: WeylGroup, u: WeylElement, v: WeylElement) -> WeylElement:
-    """0-Hecke product: fold u * s_i = u s_i if the length grows, else u."""
-    cur = u
-    for i in group.word(v):
-        cand = group.right_mul(cur, i)
-        if cand.length > cur.length:
-            cur = cand
-    return cur

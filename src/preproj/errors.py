@@ -56,10 +56,6 @@ class SocleNotSimple(PreprojectiveError):
     """A projective with non-simple socle; flags an algebra-construction bug."""
 
 
-class RadicalUnavailable(PreprojectiveError):
-    """Trace-form radical is unreliable over this field; rerun over rationals."""
-
-
 class VerificationFailed(PreprojectiveError):
     def __init__(self, message, witness=None):
         super().__init__(message)

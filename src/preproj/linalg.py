@@ -91,13 +91,6 @@ class Matrix:
             return [x % p for x in out]
         return out
 
-    def transpose(self) -> "Matrix":
-        out = Matrix.zeros(self.ncols, self.nrows, self.field)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out.rows[j][i] = self.rows[i][j]
-        return out
-
     def add(self, other: "Matrix") -> "Matrix":
         assert self.nrows == other.nrows and self.ncols == other.ncols
         p = self.field.characteristic

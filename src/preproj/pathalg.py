@@ -361,9 +361,6 @@ class FiniteDimAlgebra:
         return [tuple(sorted(((m[1], m[0]) for m in g), reverse=True))
                 for g in self._completion.gb]
 
-    def basis_words(self):
-        return list(self.basis)
-
     def nf_free(self, elem: dict) -> dict:
         """Normal form of a free element; idempotent."""
         return self._completion.normal_form(elem)
@@ -497,11 +494,6 @@ def build_algebra(data: CartanData, field=QQ, max_degree: int = 64,
     """Relations plus quotient in one step."""
     rels = preprojective_relations(data.quiver, field)
     return groebner_quotient(rels, field, max_degree, max_basis, data)
-
-
-def normal_form(algebra: FiniteDimAlgebra, elem: dict) -> dict:
-    """Unique reduced representative of a free element modulo the ideal."""
-    return algebra.nf_free(elem)
 
 
 # ---------------------------------------------------------------------------

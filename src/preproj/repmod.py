@@ -1,10 +1,12 @@
 """Finite-dimensional right modules over the preprojective quotient and the
-homological toolkit: Hom/Ext^1, radical layers, minimal projective
-presentations, the Auslander-Reiten translate, the Nakayama permutation and
-functor, locally-free ranks, tau-rigidity, Fac membership, isomorphism and
+homological toolkit: Hom, radical layers, minimal projective presentations,
+the Auslander-Reiten translate, the Nakayama permutation and functor,
+locally-free ranks, Hom(Y, tau X) = 0, Fac membership, isomorphism and
 indecomposability tests.  Every test is deterministic: the isomorphism test
 compares ``dims`` and then looks for an invertible map among the basis maps
-of Hom(M, N), which is exact when one of the two modules is indecomposable.
+of Hom(M, N), which is exact when one of the two modules is indecomposable,
+and the indecomposability test asks for a simple socle, which is exact on
+every module the package passes to it (see ``is_indecomposable``).
 
 A module stores one space per vertex (M_v = M e_v, coordinates of elements
 whose paths start at v) and one matrix per arrow.  Right multiplication by
@@ -13,16 +15,16 @@ M_{source(a)}; the matrix ``act[a]`` realizes that map in column convention.
 Hom computations run through minimal presentations (Hom out of projectives
 is free), which keeps every linear solve small.
 
-A right-closed span of paths (a block e_vI, a projective e_vPi, the syzygy
-of a presentation) is a ``GradedSpan``: sparse elements of a free module
-(+)_k e_{u_k}Pi, echelonized once, one ``Subspace`` per vertex; its keys
-are the one layout of that free module.  A presentation lays P0 out as a
-span over all generator copies whose space at v is the cover's kernel,
-and keeps only its keys (``p0_keys``) and the x_kl read off that syzygy,
-which ``syzygy`` rebuilds.  One builder makes every module on per-vertex
-echelon spaces (``module_from_subspace``, ``submodule``, with one
-arrow-stability error) and the quotient, zero and uniserial modules, so a
-block and its module share one echelon form.
+A right-closed span of paths (a block e_vI, a projective e_vPi) is a
+``GradedSpan``: sparse elements of a free module (+)_k e_{u_k}Pi,
+echelonized once, one ``Subspace`` per vertex; its keys are the one layout
+of that free module.  A presentation lays P0 out as a span over all
+generator copies whose space at v is the cover's kernel, and keeps only its
+keys (``p0_keys``) and the x_kl read off that kernel.  One builder makes
+every module on per-vertex echelon spaces (``module_from_subspace``,
+``submodule``, with one arrow-stability error) and the quotient, zero and
+generalized simple modules, so a block and its module share one echelon
+form.
 
 Presentations and ``hom_space`` act by every path of e_u Pi through one
 walk of the basis tree (``_path_walk``), one product per path and none
@@ -42,7 +44,7 @@ its values on the generators of P0, the unit vectors of the top columns
 The relation check runs where untrusted data enters: the public
 ``ModuleRep(...)`` constructor checks that every relation of Pi acts by
 zero.  The constructors that build a module from already-checked algebra
-data (``module_from_subspace``, ``uniserial_module``, ``direct_sum``,
+data (``module_from_subspace``, ``generalized_simple``, ``direct_sum``,
 ``quotient_module``, ``submodule``, tau and nu) skip it; the tests call
 ``_validate`` on their output as an oracle.
 """
@@ -52,7 +54,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import NotDynkin, RadicalUnavailable, SocleNotSimple, VerificationFailed
+from .errors import NotDynkin, SocleNotSimple, VerificationFailed
 from .linalg import Matrix, Subspace, mat_rank, nullspace, solve_matrix
 from .pathalg import FiniteDimAlgebra, mon_source, mon_target
 
@@ -112,10 +114,6 @@ class ModuleRep:
         for word, c in terms:
             total = total.add(self.act_word(word).scale(c))
         return total
-
-    @property
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
 
     def __repr__(self):
         return f"Module(dims={tuple(self.dims)})"
@@ -275,14 +273,9 @@ def module_from_subspace(algebra: FiniteDimAlgebra,
 def generalized_simple(algebra: FiniteDimAlgebra, i: int) -> ModuleRep:
     """E_i: vertex-i space of dimension c_i, the loop acting as one nilpotent
     Jordan block, every other arrow acting by zero."""
-    return uniserial_module(algebra, i, algebra.quiver.symmetrizer[i])
-
-
-def uniserial_module(algebra: FiniteDimAlgebra, i: int, d: int) -> ModuleRep:
-    """The uniserial module with d composition factors S_i (d <= c_i)."""
-    assert 1 <= d <= algebra.quiver.symmetrizer[i]
     one, zero = algebra.field.one, algebra.field.zero
-    dims = [d if v == i else 0 for v in range(1, algebra.n + 1)]
+    dims = [algebra.quiver.symmetrizer[i] if v == i else 0
+            for v in range(1, algebra.n + 1)]
     # the loop at i sends unit vector t to unit vector t + 1; every other
     # arrow meets vertex i at one end only and acts by zero
     return _module(algebra, dims, lambda a: [
@@ -291,29 +284,21 @@ def uniserial_module(algebra: FiniteDimAlgebra, i: int, d: int) -> ModuleRep:
         for t in range(dims[a.target - 1])])
 
 
-def simple_module(algebra: FiniteDimAlgebra, i: int) -> ModuleRep:
-    return uniserial_module(algebra, i, 1)
-
-
-def direct_sum(algebra: FiniteDimAlgebra, mods):
-    """Block-diagonal sum.  Returns (module, per-vertex offsets per summand)."""
-    mods = list(mods)
+def direct_sum(algebra: FiniteDimAlgebra, mods: list) -> ModuleRep:
+    """Block-diagonal sum, the summands in the order of ``mods``."""
     field = algebra.field
     dims = [sum(m.dims[v] for m in mods) for v in range(algebra.n)]
-    offsets = []
-    running = [0] * algebra.n
-    for m in mods:
-        offsets.append(list(running))
-        running = [r + d for r, d in zip(running, m.dims)]
     act = {}
     for a in algebra.quiver.arrows:
         out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for m, off in zip(mods, offsets):
-            r0, c0 = off[a.source - 1], off[a.target - 1]
+        r0 = c0 = 0
+        for m in mods:
             for r, row in enumerate(m.act[a.index].rows):
                 out.rows[r0 + r][c0:c0 + len(row)] = row
+            r0 += m.dims[a.source - 1]
+            c0 += m.dims[a.target - 1]
         act[a.index] = out
-    return ModuleRep(algebra, dims, act, validate=False), offsets
+    return ModuleRep(algebra, dims, act, validate=False)
 
 
 def quotient_module(parent: ModuleRep, sub_spaces) -> ModuleRep:
@@ -475,21 +460,8 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     return Presentation(p0, generators, kernel.keys, section, p1, x_matrix)
 
 
-def syzygy(M: ModuleRep) -> GradedSpan:
-    """K = ker(P0 -> M), rebuilt as the image of P1 -> P0: the span of the
-    x_l g, x_l = (x_kl)_k, over the basis paths g of e_{v_l}Pi, in the
-    layout of P0."""
-    A = M.algebra
-    one = A.field.one
-    pres = minimal_projective_presentation(M)
-    return GradedSpan(A, dict(enumerate(pres.p0)), (
-        {k * A.dim + h: c for k, xk in enumerate(pres.x_elems)
-         for h, c in A.mul_coords(xk[l], {g: one}).items()}
-        for l, v in enumerate(pres.p1) for g in A.by_target[v]))
-
-
 # ---------------------------------------------------------------------------
-# Hom and Ext^1
+# Hom
 # ---------------------------------------------------------------------------
 
 def _approximation_matrix(pres: Presentation, N: ModuleRep):
@@ -553,16 +525,6 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
                 for h, a in zip(out, acc):
                     h[r][m] = a % p if p else a
     return maps
-
-
-def ext1_dim(M: ModuleRep, N: ModuleRep) -> int:
-    """dim Ext^1(M, N) = dim Hom(K, N) - rank(Hom(P0,N) -> Hom(K,N)), for
-    K the ``syzygy`` of M."""
-    if M.total_dim == 0 or N.total_dim == 0:
-        return 0
-    hk = hom_space(module_from_subspace(M.algebra, syzygy(M)), N)
-    phi, _ = _approximation_matrix(minimal_projective_presentation(M), N)
-    return len(hk) - mat_rank(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +674,6 @@ def hom_to_tau_vanishes(Y: ModuleRep, X: ModuleRep) -> bool:
     return mat_rank(phi) == phi.nrows
 
 
-def is_tau_rigid(M: ModuleRep) -> bool:
-    """Hom(M, tau M) = 0."""
-    return hom_to_tau_vanishes(M, M)
-
-
 def in_fac(summands, X: ModuleRep) -> bool:
     """X in Fac T for T the direct sum of ``summands`` (T = 0 when there
     are none), decided by the trace of T in X: the sum of the images of
@@ -754,34 +711,14 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> bool:
 
 @_memoized("indecomposable")
 def is_indecomposable(M: ModuleRep) -> bool:
-    """End(M) local, via the trace-form radical; simple socle fast path.
+    """M has a simple socle.
 
-    Over F_p the radical of the trace form is rad End(M) only when no
-    nonzero idempotent has trace (its rank, at most dim M) divisible by p,
-    so the test refuses when p <= dim M."""
-    if M.total_dim == 0:
-        return False
-    soc = socle_subspaces(M)
-    if sum(soc[v].dim for v in soc) == 1:
-        return True
-    field = M.algebra.field
-    p = field.characteristic
-    if p and p <= M.total_dim:
-        raise RadicalUnavailable(
-            f"p = {p} <= dim M = {M.total_dim}; rerun over the rationals")
-    ends = hom_space(M, M)
-    e = len(ends)
-    gram = Matrix.zeros(e, e, field)
-    for a in range(e):
-        for b in range(a, e):
-            tr = field.zero
-            for v in range(1, M.algebra.n + 1):
-                prod = ends[a][v].mul(ends[b][v])
-                for i in range(prod.nrows):
-                    tr = tr + prod.rows[i][i]
-            if p:
-                tr %= p
-            gram.rows[a][b] = tr
-            gram.rows[b][a] = tr
-    rad_dim = e - mat_rank(gram)
-    return e - rad_dim == 1
+    A simple socle makes M indecomposable, as a decomposition splits the
+    socle; the converse fails in general, so the test decides only modules
+    whose indecomposable summands have simple socles.  Every module the
+    package passes here is one: the summands of an ideal pair are blocks
+    e_vI_w, nonzero submodules of e_vPi, whose socle is simple as Pi is
+    selfinjective; and a mutation cokernel Y = Y'^m has a tau-rigid
+    indecomposable Y', which is isomorphic to a block, since in the Dynkin
+    case every indecomposable tau-rigid module is one."""
+    return sum(s.dim for s in socle_subspaces(M).values()) == 1

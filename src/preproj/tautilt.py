@@ -31,6 +31,9 @@ identity and rank tests, without an isomorphism search.
 Left mutation finds the minimal left approximation in one sweep over the
 basis maps X -> U_k, compared by their values on the generators of X, and
 keeps the vertex of every summand, so a mutated pair can be mutated again.
+A summand or a mutation cokernel is indecomposable when its socle is
+simple, which is exact on blocks and on tau-rigid modules (see
+``repmod.is_indecomposable``).
 An edge I_w -> I_{s_i w} changes block i only.  The checked exchange
 quiver (``mutation_graph``) walks the ascents once, lazily, checking that
 on every edge, and reproduces a sample of the edges by left mutation,
@@ -62,7 +65,6 @@ from .repmod import (
     module_from_subspace,
     nakayama,
     quotient_module,
-    zero_module,
 )
 
 # the most ascents that mutation_graph reproduces by left mutation
@@ -348,13 +350,7 @@ class SttPair:
     algebra: FiniteDimAlgebra
     summands: list                 # indecomposable ModuleReps
     projective_vertices: tuple     # j with e_j Pi a summand of P
-    block_vertices: tuple = None   # for ideal pairs: vertex of each summand
-
-    def module(self) -> ModuleRep:
-        if not self.summands:
-            return zero_module(self.algebra)
-        total, _ = direct_sum(self.algebra, self.summands)
-        return total
+    block_vertices: tuple          # the vertex v of each summand e_vI
 
     def module_dims(self):
         out = [0] * self.algebra.n
@@ -384,9 +380,10 @@ def stt_pair(semigroup: IdealSemigroup, w: WeylElement) -> SttPair:
 
 
 def verify_stt(pair: SttPair, rigid=None):
-    """Checks Hom(M, tau M) = 0, Hom(P, M) = 0, |M| + |P| = n, and
-    indecomposability of each summand.  Returns the failed checks.  ``rigid``
-    memoizes ``hom_to_tau_vanishes`` (no tau is built) by (M_a, M_b)."""
+    """Checks Hom(M, tau M) = 0, Hom(P, M) = 0, |M| + |P| = n, and that
+    each summand is indecomposable: a block, it has a simple socle.
+    Returns the failed checks.  ``rigid`` memoizes ``hom_to_tau_vanishes``
+    (no tau is built) by (M_a, M_b)."""
     reasons = []
     A = pair.algebra
     if len(pair.summands) + len(pair.projective_vertices) != A.n:
@@ -398,7 +395,7 @@ def verify_stt(pair: SttPair, rigid=None):
     rigid = {} if rigid is None else rigid
     for a, s in enumerate(pair.summands):
         if not is_indecomposable(s):
-            reasons.append(f"summand {a} decomposable")
+            reasons.append(f"summand {a} has no simple socle")
         for b, t in enumerate(pair.summands):
             if (s, t) not in rigid:
                 rigid[s, t] = hom_to_tau_vanishes(s, t)
@@ -412,14 +409,15 @@ def left_mutation(pair: SttPair, vertex: int) -> SttPair:
 
     The exchange: take the minimal left add(U)-approximation f : X -> U',
     set Y = coker f; the new pair is (U, P + e_j Pi) when Y = 0 and
-    (U + Y, P) otherwise.  In general Y = Y'^m; the package needs m = 1 and
-    fails with the dimension vector of Y as witness when Y decomposes.
+    (U + Y, P) otherwise.  In general Y = Y'^m; the package needs m = 1,
+    that is a simple socle, and fails with the dimension vector of Y as
+    witness otherwise.
     The new pair keeps ``block_vertices``: Y sits at ``vertex``, and when
     Y = 0 the vertex is dropped.  Raises ``ValueError`` when no summand of
     the pair sits at ``vertex``."""
     A = pair.algebra
     verts = pair.block_vertices
-    if vertex not in (verts or ()):
+    if vertex not in verts:
         raise ValueError(f"vertex {vertex} carries no summand of the pair; "
                          f"summand vertices: {verts}")
     idx = verts.index(vertex)
@@ -431,7 +429,7 @@ def left_mutation(pair: SttPair, vertex: int) -> SttPair:
     # Y = coker f for f = (f_k): X -> U' = (+)_k U_k, whose column at v is
     # the columns of the f_k stacked in the order of the copies
     copies = _minimal_approximation(A, X, others)
-    T, _ = direct_sum(A, [others[k] for k, _ in copies])
+    T = direct_sum(A, [others[k] for k, _ in copies])
     Y = quotient_module(T, {v: Subspace.span(
         ([c for _, f in copies for c in f[v].col(col)]
          for col in range(X.dims[v - 1])), T.dims[v - 1], A.field)
@@ -447,7 +445,7 @@ def left_mutation(pair: SttPair, vertex: int) -> SttPair:
         proj = tuple(sorted(pair.projective_vertices + (candidates[0],)))
         return SttPair(A, others, proj, verts[:idx] + verts[idx + 1:])
     if not is_indecomposable(Y):
-        raise VerificationFailed("mutation cokernel is decomposable",
+        raise VerificationFailed("mutation cokernel has no simple socle",
                                  witness=Y.dims)
     return SttPair(A, others[:idx] + [Y] + others[idx:],
                    pair.projective_vertices, verts)

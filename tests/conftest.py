@@ -102,7 +102,7 @@ def ideal_module(ideal):
     """The ideal as one right module: the direct sum of its nonzero blocks,
     an oracle for the block-by-block checks of the package."""
     blocks = (ideal.block(v) for v in range(1, ideal.algebra.n + 1))
-    return direct_sum(ideal.algebra, [b for b in blocks if b is not None])[0]
+    return direct_sum(ideal.algebra, [b for b in blocks if b is not None])
 
 
 def pairs_isomorphic(p1, p2) -> bool:

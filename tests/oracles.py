@@ -1,0 +1,143 @@
+"""Second routes the tests compare the package against.
+
+No command runs them, so they live here rather than in ``preproj``: the
+package keeps one route per computation.  Each is either independent of
+the route it checks or a plainer form of it."""
+
+from preproj.coxeter import _identity, _mat_mul, simple_reflection_matrix
+from preproj.linalg import Matrix, mat_rank
+from preproj.repmod import (
+    GradedSpan,
+    _approximation_matrix,
+    _module,
+    hom_space,
+    minimal_projective_presentation,
+    module_from_subspace,
+)
+
+
+# ---------------------------------------------------------------------------
+# Weyl group
+# ---------------------------------------------------------------------------
+
+def all_reduced_words(group, w, _memo=None):
+    """Every reduced expression, via words(w) = U_i {i . words(s_i w)}."""
+    if _memo is None:
+        _memo = {}
+    if w.length == 0:
+        return {()}
+    if w.index in _memo:
+        return _memo[w.index]
+    words = set()
+    for i in range(1, group.n + 1):
+        v = group.left_mul(i, w)
+        if v.length < w.length:
+            for tail in all_reduced_words(group, v, _memo):
+                words.add((i,) + tail)
+    _memo[w.index] = words
+    return words
+
+
+def demazure_product(group, u, v):
+    """0-Hecke product: fold u * s_i = u s_i if the length grows, else u."""
+    cur = u
+    for i in group.word(v):
+        cand = group.right_mul(cur, i)
+        if cand.length > cur.length:
+            cur = cand
+    return cur
+
+
+def from_word(group, word):
+    """s_{i_1} ... s_{i_k} for any sequence (i_1, ..., i_k)."""
+    w = group.identity
+    for i in reversed(word):
+        w = group.left_mul(i, w)
+    return w
+
+
+def weyl_matrix(group, w):
+    """The contragredient matrix of w, the product of its sigma_i*."""
+    m = _identity(group.n)
+    for i in group.word(w):
+        m = _mat_mul(m, simple_reflection_matrix(group.cartan, i))
+    return m
+
+
+# ---------------------------------------------------------------------------
+# modules
+# ---------------------------------------------------------------------------
+
+def uniserial_module(algebra, i, d):
+    """The uniserial module with d composition factors S_i, d <= c_i: the
+    loop at i sends unit vector t to unit vector t + 1."""
+    assert 1 <= d <= algebra.quiver.symmetrizer[i]
+    one, zero = algebra.field.one, algebra.field.zero
+    dims = [d if v == i else 0 for v in range(1, algebra.n + 1)]
+    return _module(algebra, dims, lambda a: [
+        [one if a.is_loop and r == t + 1 else zero
+         for r in range(dims[a.source - 1])]
+        for t in range(dims[a.target - 1])])
+
+
+def simple_module(algebra, i):
+    return uniserial_module(algebra, i, 1)
+
+
+def syzygy(M):
+    """K = ker(P0 -> M), rebuilt as the image of P1 -> P0: the span of the
+    x_l g, x_l = (x_kl)_k, over the basis paths g of e_{v_l}Pi, in the
+    layout of P0."""
+    A = M.algebra
+    one = A.field.one
+    pres = minimal_projective_presentation(M)
+    return GradedSpan(A, dict(enumerate(pres.p0)), (
+        {k * A.dim + h: c for k, xk in enumerate(pres.x_elems)
+         for h, c in A.mul_coords(xk[l], {g: one}).items()}
+        for l, v in enumerate(pres.p1) for g in A.by_target[v]))
+
+
+def ext1_dim(M, N):
+    """dim Ext^1(M, N) = dim Hom(K, N) - rank(Hom(P0,N) -> Hom(K,N)), for
+    K the ``syzygy`` of M."""
+    if M.total_dim == 0 or N.total_dim == 0:
+        return 0
+    hk = hom_space(module_from_subspace(M.algebra, syzygy(M)), N)
+    phi, _ = _approximation_matrix(minimal_projective_presentation(M), N)
+    return len(hk) - mat_rank(phi)
+
+
+class RadicalUnavailable(Exception):
+    """The trace form is unreliable over this field; rerun over the
+    rationals."""
+
+
+def trace_form_indecomposable(M):
+    """End(M) local, read off the trace form (f, g) -> tr(fg) on End(M):
+    rank 1 exactly when End(M) / rad End(M) = K, whatever the socle.
+
+    Over F_p the radical of the trace form is rad End(M) only when no
+    nonzero idempotent has trace (its rank, at most dim M) divisible by p,
+    so the test refuses when p <= dim M."""
+    if M.total_dim == 0:
+        return False
+    field = M.algebra.field
+    p = field.characteristic
+    if p and p <= M.total_dim:
+        raise RadicalUnavailable(
+            f"p = {p} <= dim M = {M.total_dim}; rerun over the rationals")
+    ends = hom_space(M, M)
+    e = len(ends)
+    gram = Matrix.zeros(e, e, field)
+    for a in range(e):
+        for b in range(a, e):
+            tr = field.zero
+            for v in range(1, M.algebra.n + 1):
+                prod = ends[a][v].mul(ends[b][v])
+                for i in range(prod.nrows):
+                    tr = tr + prod.rows[i][i]
+            if p:
+                tr %= p
+            gram.rows[a][b] = tr
+            gram.rows[b][a] = tr
+    return mat_rank(gram) == 1

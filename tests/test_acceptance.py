@@ -6,18 +6,12 @@ a pytest failure marks the criterion failed.
 
 import random
 
+from oracles import all_reduced_words, demazure_product, ext1_dim
 from preproj.cartan import cartan_data
-from preproj.coxeter import (
-    all_reduced_words,
-    coxeter_order,
-    demazure_product,
-    enumerate_weyl,
-    sigma_order,
-)
+from preproj.coxeter import coxeter_order, enumerate_weyl, sigma_order
 from preproj.pathalg import build_algebra, verify_algebra
 from preproj.repmod import (
     auslander_reiten_translate,
-    ext1_dim,
     generalized_simple,
     hom_space,
     is_isomorphic,

@@ -473,6 +473,10 @@ _D4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
 _F4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1],
                   [0, 0, -1, 2]]}
 _AFF = {"cartan": [[2, -2], [-2, 2]]}
+# E6 in Bourbaki's labelling: the path 1-3-4-5-6, and 2-4
+_E6 = {"cartan": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0],
+                  [-1, 0, 2, -1, 0, 0], [0, -1, -1, 2, -1, 0],
+                  [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]}
 
 
 @pytest.mark.parametrize("command, raw, flags, digest", [
@@ -494,6 +498,10 @@ _AFF = {"cartan": [[2, -2], [-2, 2]]}
      "48cbb1dd4dbbf2cdb35de559f46669f851f33f7d647065c7eff61846a3309821"),
     ("verify", _B3, ["--field", "fp:101"],
      "dd563e4b212b749e968795b63ad1d39c0e5fc69481eef2afca4b445c0327f134"),
+    ("verify", _F4, [],
+     "63fc812eb0d41647af82aa4be2fe3965d574da9fa0712ac605d0f172784b93cf"),
+    ("stt", _E6, ["--json"],
+     "bed32e0cdb1ba36f0502a53a39123b483cb7695fafc1ede5a2409ca568743796"),
     ("weyl", _G2, ["--cap", "40"],
      "2c9aeab79b4c25d792b7b7d61add759227683a977fd3a4021b3d03827d79d577"),
     ("weyl", _G2, ["--cap", "40", "--json"],
@@ -511,7 +519,8 @@ _AFF = {"cartan": [[2, -2], [-2, 2]]}
     ("weyl", _AFF, ["--cap", "40", "--json"],
      "743c419207e688688305cfa16aa31d7b8235eb4ea6acc8699ddc2f6aa8f8765a"),
 ], ids=["stt-g2", "stt-b2-42", "stt-b3", "stt-c3", "stt-d4", "graph-g2",
-        "graph-b2-42", "verify-g2", "verify-b3-fp101", "weyl-g2",
+        "graph-b2-42", "verify-g2", "verify-b3-fp101", "verify-f4",
+        "stt-e6-json", "weyl-g2",
         "weyl-g2-json", "weyl-b3", "weyl-b3-json", "weyl-f4", "weyl-f4-json",
         "weyl-affine", "weyl-affine-json"])
 def test_golden_stdout(command, raw, flags, digest, capsys):

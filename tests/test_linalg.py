@@ -89,7 +89,7 @@ def test_rref_over_small_prime_fields(case):
             for coeffs in itertools.product(range(p), repeat=len(rows))}
     assert len(span) == p ** len(pivots)
     m = Matrix.from_rows(rows, ncols, F)
-    gram = m.mul(m.transpose())
+    gram = m.mul(Matrix.from_cols(m.rows, m.ncols, F))
     assert gram.rows == [[sum(a * b for a, b in zip(r1, r2)) % p for r2 in rows]
                          for r1 in rows]
     assert m.add(m).rows == [[2 * a % p for a in r] for r in rows]

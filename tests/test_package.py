@@ -60,3 +60,69 @@ def test_no_private_cross_module_imports():
                                  for alias in node.names
                                  if alias.name.startswith("_"))
     assert offenders == []
+
+
+def _definitions():
+    """name -> the top-level functions and classes and the methods of the
+    package that bear it."""
+    defs = {}
+    for path in sorted(Path(preproj.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs.setdefault(item.name, []).append(item)
+    return defs
+
+
+def _module_statements():
+    """The statements every import runs besides definitions and imports."""
+    for path in sorted(Path(preproj.__file__).parent.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import,
+                                     ast.ImportFrom, ast.Expr)):
+                yield node
+
+
+def _names_used(node):
+    """The names a definition refers to, as names or attributes; a class
+    refers to what its decorators, bases and non-method statements name."""
+    if isinstance(node, ast.ClassDef):
+        parts = node.decorator_list + node.bases + [
+            item for item in node.body if not isinstance(item, ast.FunctionDef)]
+    else:
+        parts = [node]
+    for part in parts:
+        for sub in ast.walk(part):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+
+# names reached from outside the package, with the reason
+EXTRA_ROOTS = {"groebner_words": "perfbench reads it"}
+
+
+def test_src_holds_only_what_a_command_runs():
+    """Every function, class and method of the package is reached from
+    ``cli.main``, a dunder method or a statement run on import, following
+    every name a reached definition uses: a route only tests call belongs
+    in the tests.  The graph is by name, so it over-approximates."""
+    defs = _definitions()
+    work = ["main", *EXTRA_ROOTS,
+            *(name for name in defs if name.startswith("__")),
+            *(name for node in _module_statements()
+              for name in _names_used(node))]
+    reached = set()
+    while work:
+        name = work.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        work.extend(used for node in defs[name] for used in _names_used(node))
+    unreached = sorted(set(defs) - reached)
+    assert unreached == [], "no command reaches " + ", ".join(unreached)

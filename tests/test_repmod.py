@@ -4,9 +4,18 @@ import inspect
 import pytest
 
 from conftest import brute_hom_dim
+from oracles import (
+    RadicalUnavailable,
+    ext1_dim,
+    from_word,
+    simple_module,
+    syzygy,
+    trace_form_indecomposable,
+    uniserial_module,
+)
 from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
-from preproj.errors import RadicalUnavailable, VerificationFailed
+from preproj.errors import VerificationFailed
 from preproj.fields import QQ, PrimeField
 from preproj.linalg import Matrix, Subspace, nullspace, solve_matrix
 from preproj.pathalg import build_algebra
@@ -17,14 +26,12 @@ from preproj.repmod import (
     _path_walk,
     auslander_reiten_translate,
     direct_sum,
-    ext1_dim,
     generalized_simple,
     hom_space,
     hom_to_tau_vanishes,
     in_fac,
     is_indecomposable,
     is_isomorphic,
-    is_tau_rigid,
     locally_free_rank,
     minimal_projective_presentation,
     module_from_subspace,
@@ -33,14 +40,18 @@ from preproj.repmod import (
     projective_module,
     quotient_module,
     radical_subspaces,
-    simple_module,
+    socle_subspaces,
     structure_series,
     submodule,
-    syzygy,
-    uniserial_module,
     zero_module,
 )
-from preproj.tautilt import IdealSemigroup, vertex_ideal
+from preproj.tautilt import (
+    IdealSemigroup,
+    _ascents,
+    left_mutation,
+    stt_pair,
+    vertex_ideal,
+)
 
 
 def test_generalized_simple_shapes(algebras):
@@ -139,7 +150,7 @@ def test_tau_basics(algebras):
     for name in ("eg1", "eg2"):
         A = algebras[name]
         for v in range(1, A.n + 1):
-            assert auslander_reiten_translate(projective_module(A, v)).is_zero
+            assert auslander_reiten_translate(projective_module(A, v)).total_dim == 0
     eg1 = algebras["eg1"]
     tE1 = auslander_reiten_translate(generalized_simple(eg1, 1))
     assert tE1.total_dim == 2
@@ -188,7 +199,7 @@ def test_ext1(algebras):
     P1 = projective_module(eg1, 1)
     assert ext1_dim(P1, E1) == 0
     assert ext1_dim(E1, E2) == ext1_dim(E2, E1)
-    pi, _ = direct_sum(eg1, [P1, projective_module(eg1, 2)])
+    pi = direct_sum(eg1, [P1, projective_module(eg1, 2)])
     assert ext1_dim(pi, pi) == 0
 
 
@@ -249,11 +260,12 @@ def test_dimension_identity(algebras):
 def test_tau_rigidity(algebras):
     eg1 = algebras["eg1"]
     for i in (1, 2):
-        assert is_tau_rigid(generalized_simple(eg1, i))
-        assert is_tau_rigid(projective_module(eg1, i))
-    both, _ = direct_sum(eg1, [generalized_simple(eg1, 1),
-                               generalized_simple(eg1, 2)])
-    assert not is_tau_rigid(both)
+        Ei, Pi = generalized_simple(eg1, i), projective_module(eg1, i)
+        assert hom_to_tau_vanishes(Ei, Ei)
+        assert hom_to_tau_vanishes(Pi, Pi)
+    both = direct_sum(eg1, [generalized_simple(eg1, 1),
+                            generalized_simple(eg1, 2)])
+    assert not hom_to_tau_vanishes(both, both)
     # oracle: Hom(E_1, tau E_2) is nonzero by direct intertwiner count
     tE2 = auslander_reiten_translate(generalized_simple(eg1, 2))
     assert brute_hom_dim(generalized_simple(eg1, 1), tE2) > 0
@@ -293,12 +305,12 @@ def test_hom_to_tau_on_the_modules_of_eg1(algebras):
     eg1 = algebras["eg1"]
     E1, E2 = generalized_simple(eg1, 1), generalized_simple(eg1, 2)
     mods = [E1, E2, projective_module(eg1, 1), projective_module(eg1, 2),
-            direct_sum(eg1, [E1, E2])[0], simple_module(eg1, 1),
+            direct_sum(eg1, [E1, E2]), simple_module(eg1, 1),
             zero_module(eg1)]
     for Y in mods:
         for X in mods:
             assert hom_to_tau_vanishes(Y, X) == _hom_to_tau_is_zero(Y, X)
-    assert not is_tau_rigid(mods[4])
+    assert not hom_to_tau_vanishes(mods[4], mods[4])
     assert not _hom_to_tau_is_zero(mods[4], mods[4])
 
 
@@ -398,7 +410,7 @@ def test_isomorphism_computes_no_series(semigroups):
 def test_indecomposability(algebras):
     eg1 = algebras["eg1"]
     assert is_indecomposable(generalized_simple(eg1, 1))
-    two, _ = direct_sum(eg1, [simple_module(eg1, 1), simple_module(eg1, 1)])
+    two = direct_sum(eg1, [simple_module(eg1, 1), simple_module(eg1, 1)])
     assert not is_indecomposable(two)
     assert not is_indecomposable(zero_module(eg1))
 
@@ -406,22 +418,24 @@ def test_indecomposability(algebras):
 def test_indecomposable_reduces_the_trace_mod_p():
     """Over F_7 the trace form of End(M) for M = S_2 + e_1Pi + e_2Pi, in a
     conjugated basis, has entries that are multiples of 7 before the
-    reduction; unreduced, the rank computation divides by one of them."""
+    reduction; unreduced, the rank computation of the trace-form oracle
+    divides by one of them.  Its socle is not simple either."""
     A = build_algebra(cartan_data([[2, -1], [-1, 2]], "minimal"),
                       field=PrimeField(7))
-    M, _ = direct_sum(A, [simple_module(A, 2), projective_module(A, 1),
-                          projective_module(A, 2)])
+    M = direct_sum(A, [simple_module(A, 2), projective_module(A, 1),
+                       projective_module(A, 2)])
     M = _conjugate(M, offset=1)
     assert M.dims == [2, 3]
+    assert trace_form_indecomposable(M) is False
     assert is_indecomposable(M) is False
 
 
 def test_radical_unavailable_small_prime():
     data = cartan_data([[2, -1], [-1, 2]], (2, 2))
     A = build_algebra(data, field=PrimeField(2))
-    M, _ = direct_sum(A, [simple_module(A, 1), simple_module(A, 1)])
+    M = direct_sum(A, [simple_module(A, 1), simple_module(A, 1)])
     with pytest.raises(RadicalUnavailable):
-        is_indecomposable(M)
+        trace_form_indecomposable(M)
 
 
 def _projective_over_block(ctx, w, v):
@@ -438,8 +452,9 @@ def _projective_over_block(ctx, w, v):
 
 
 def test_indecomposable_over_prime_field_agrees_or_refuses():
-    """A prime field answers as QQ does, or refuses: the trace of an
-    idempotent is its rank, which vanishes mod p once p <= dim M."""
+    """The trace-form oracle answers over a prime field as over QQ, or
+    refuses: the trace of an idempotent is its rank, which vanishes mod p
+    once p <= dim M."""
     entries = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     answers = {}
     for field in (QQ, PrimeField(3), PrimeField(5)):
@@ -452,7 +467,7 @@ def test_indecomposable_over_prime_field_agrees_or_refuses():
                 if Q.total_dim == 0:
                     continue
                 try:
-                    got = is_indecomposable(Q)
+                    got = trace_form_indecomposable(Q)
                 except RadicalUnavailable:
                     assert 0 < field.characteristic <= Q.total_dim
                     got = "refused"
@@ -462,6 +477,65 @@ def test_indecomposable_over_prime_field_agrees_or_refuses():
         assert got[3] in (got[0], "refused"), (word, v)
     # the witness: dim 3, a two-dimensional socle, End = K
     assert answers[((2, 1, 3), 2)] == {0: True, 3: "refused", 5: True}
+
+
+def test_the_socle_test_needs_a_simple_socle():
+    """The documented precondition of ``is_indecomposable``: an
+    indecomposable module with a socle that is not simple is reported
+    decomposable.  The witness is the A3 quotient e_2Pi / e_2I_w at
+    w = s_2 s_1 s_3, of dimension 3, with a two-dimensional socle and
+    End = K; it is no block, and the package never tests it."""
+    A = build_algebra(cartan_data([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+    W = enumerate_weyl(A.data.cartan)
+    Q = _projective_over_block(IdealSemigroup(A, W), from_word(W, (2, 1, 3)),
+                               2)
+    assert Q.total_dim == 3
+    assert sum(s.dim for s in socle_subspaces(Q).values()) == 2
+    assert len(hom_space(Q, Q)) == 1
+    assert trace_form_indecomposable(Q) is True
+    assert is_indecomposable(Q) is False
+
+
+@pytest.mark.parametrize("entries, sym", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal"),
+    ([[2, -1], [-3, 2]], (3, 1)),
+    ([[2, -1], [-2, 2]], (4, 2))], ids=["b3", "g2-31", "b2-42"])
+def test_socle_test_agrees_with_the_trace_form(entries, sym):
+    """On every block and every mutation cokernel, the simple-socle test
+    gives the verdict of the trace-form oracle.  Over QQ the oracle always
+    answers; over F_5 it refuses from dimension 5 on, so there the socle
+    test must also give the verdict of the same module over QQ, keyed by
+    (w, v) for a block and by the ascent (w, i) for a cokernel."""
+    verdicts = {}  # key -> {characteristic: (socle, trace form)}
+    for field in (QQ, PrimeField(5)):
+        A = build_algebra(cartan_data(entries, sym), field=field)
+        W = enumerate_weyl(A.data.cartan)
+        ctx = IdealSemigroup(A, W)
+        mods = {}
+        for w in W:
+            pair = stt_pair(ctx, w)
+            for v, blk in zip(pair.block_vertices, pair.summands):
+                mods["block", w.index, v] = blk
+        for w, v, i in _ascents(W):
+            mutated = left_mutation(stt_pair(ctx, w), i)
+            if i in mutated.block_vertices:
+                Y = mutated.summands[mutated.block_vertices.index(i)]
+                mods["cokernel", w.index, i] = Y
+        for key, M in mods.items():
+            try:
+                trace = trace_form_indecomposable(M)
+            except RadicalUnavailable:
+                trace = "refused"
+            verdicts.setdefault(key, {})[field.characteristic] = (
+                is_indecomposable(M), trace)
+    kinds = {key[0] for key in verdicts}
+    assert kinds == {"block", "cokernel"}
+    answered = 0
+    for key, got in verdicts.items():
+        assert got[0] == (True, True), key
+        assert got[5][0] is True and got[5][1] in (True, "refused"), key
+        answered += got[5][1] is True
+    assert answered > 0
 
 
 def test_memoized_values_match_a_fresh_module(algebras, weyl_groups,
@@ -577,7 +651,7 @@ def _per_vector_homs(M, N):
 def _blocks_and_taus(ctx):
     blocks = _distinct_blocks(ctx)
     taus = [auslander_reiten_translate(b) for b in blocks]
-    return blocks + [t for t in taus if not t.is_zero]
+    return blocks + [t for t in taus if t.total_dim]
 
 
 @pytest.mark.parametrize("entries, sym, field", [
@@ -785,11 +859,12 @@ def _left_tau(M):
     act = {}
     for a in A.quiver.arrows:
         lm = _left_action(A, l1_layout, a.source, a.target, a.index)
-        out = Matrix.zeros(dims[a.target - 1], dims[a.source - 1], field)
+        # the transpose of the action on the cokernel
+        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
         for col, lift in enumerate(lifts[a.source]):
             for r, c in enumerate(projs[a.target](lm.vec(lift))):
-                out.rows[r][col] = c
-        act[a.index] = out.transpose()
+                out.rows[col][r] = c
+        act[a.index] = out
     return ModuleRep(A, dims, act, validate=False)
 
 
@@ -811,11 +886,12 @@ def _left_nu(M):
     act = {}
     for a in A.quiver.arrows:
         lm = _left_action(A, l0_layout, a.source, a.target, a.index)
-        out = Matrix.zeros(dims[a.target - 1], dims[a.source - 1], field)
+        # the transpose of the action on the kernel
+        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
         for col, row in enumerate(kernels[a.source].rows):
             for r, c in enumerate(kernels[a.target].express(lm.vec(row))):
-                out.rows[r][col] = c
-        act[a.index] = out.transpose()
+                out.rows[col][r] = c
+        act[a.index] = out
     return ModuleRep(A, dims, act, validate=False)
 
 
@@ -837,7 +913,7 @@ def test_tau_and_nu_match_the_left_module_route(entries, sym, field):
     for got, want in pairs:
         assert got.dims == want.dims
         assert is_isomorphic(got, want)
-        nonzero += not got.is_zero
+        nonzero += got.total_dim > 0
     assert nonzero > len(blocks)
 
 

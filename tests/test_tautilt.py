@@ -13,9 +13,10 @@ from conftest import (
     pairs_isomorphic,
     weyl_orbit_sizes,
 )
+from oracles import demazure_product, from_word
 
 from preproj.cartan import cartan_data
-from preproj.coxeter import demazure_product, enumerate_weyl
+from preproj.coxeter import enumerate_weyl
 from preproj.errors import (
     NotDynkin,
     NotMutable,
@@ -150,8 +151,23 @@ def test_verify_stt(algebras, weyl_groups, semigroups):
     assert verify_stt(stt_pair(semigroups["eg1"], W.identity)) == []
     assert verify_stt(stt_pair(semigroups["eg1"], W.longest())) == []
     bad = SttPair(eg1, [generalized_simple(eg1, 1),
-                        generalized_simple(eg1, 2)], ())
+                        generalized_simple(eg1, 2)], (), (1, 2))
     assert any("tau" in r for r in verify_stt(bad))
+    # E_1 + E_2 as one summand: a socle of dimension 2
+    lumped = SttPair(eg1, [direct_sum(eg1, bad.summands)], (2,), (1,))
+    assert "summand 0 has no simple socle" in verify_stt(lumped)
+
+
+def test_left_mutation_names_a_cokernel_without_simple_socle(
+        weyl_groups, semigroups, monkeypatch):
+    """A cokernel that fails the socle test stops the mutation with its
+    dimension vector as witness."""
+    W, ctx = weyl_groups["eg1"], semigroups["eg1"]
+    monkeypatch.setattr(tautilt, "is_indecomposable", lambda M: False)
+    with pytest.raises(VerificationFailed,
+                       match="^mutation cokernel has no simple socle$") as err:
+        left_mutation(stt_pair(ctx, W.identity), 1)
+    assert err.value.witness == [0, 2]
 
 
 def test_left_mutation_examples(weyl_groups, semigroups):
@@ -166,7 +182,7 @@ def test_left_mutation_examples(weyl_groups, semigroups):
     got2 = left_mutation(stt_pair(sg2, W2.identity), 1)
     assert pairs_isomorphic(got2, stt_pair(sg2, W2.simple(1)))
     # eg1: mu at E_2 of (E_2, e_1 Pi) completes to (0, Pi)
-    w21 = W1.from_word((2, 1))
+    w21 = from_word(W1, (2, 1))
     pair21 = stt_pair(sg1, w21)
     done = left_mutation(pair21, pair21.block_vertices[0])
     assert done.summands == []
@@ -180,7 +196,7 @@ def test_mutated_pair_can_be_mutated_again(weyl_groups, semigroups):
     W, ctx = weyl_groups["a3"], semigroups["a3"]
     twice = left_mutation(left_mutation(stt_pair(ctx, W.identity), 1), 2)
     assert twice.block_vertices == (1, 2, 3)
-    assert pairs_isomorphic(twice, stt_pair(ctx, W.from_word((2, 1))))
+    assert pairs_isomorphic(twice, stt_pair(ctx, from_word(W, (2, 1))))
 
 
 def test_check_edge_rejects_wrong_targets(weyl_groups, semigroups):
@@ -189,13 +205,13 @@ def test_check_edge_rejects_wrong_targets(weyl_groups, semigroups):
     W, ctx = weyl_groups["a3"], semigroups["a3"]
     s1 = W.simple(1)
     for w, v, i in ((W.identity, W.simple(2), 1),
-                    (s1, W.from_word((1, 2)), 2),
-                    (s1, W.from_word((3, 1)), 2),
+                    (s1, from_word(W, (1, 2)), 2),
+                    (s1, from_word(W, (3, 1)), 2),
                     (s1, s1, 2),
-                    (s1, W.from_word((1, 2, 1)), 2)):
+                    (s1, from_word(W, (1, 2, 1)), 2)):
         with pytest.raises(VerificationFailed, match="left mutation"):
             tautilt._check_edge(ctx, w, v, i)
-    tautilt._check_edge(ctx, s1, W.from_word((2, 1)), 2)
+    tautilt._check_edge(ctx, s1, from_word(W, (2, 1)), 2)
 
 
 def test_check_edge_tests_only_the_exchanged_summand(weyl_groups, semigroups,
@@ -237,7 +253,7 @@ def test_left_mutation_rejects_a_vertex_without_summand(weyl_groups,
     """A vertex that carries no summand is refused, not read as the index
     of a summand."""
     W = weyl_groups["a3"]
-    pair = stt_pair(semigroups["a3"], W.from_word((1, 2, 3)))
+    pair = stt_pair(semigroups["a3"], from_word(W, (1, 2, 3)))
     assert pair.block_vertices == (2, 3)
     with pytest.raises(ValueError, match="vertex 1"):
         left_mutation(pair, 1)
@@ -312,13 +328,13 @@ def test_graph_connected(semigroups):
 
 def test_fac_strictly_decreases(semigroups):
     for name in ("eg1", "eg2"):
-        ctx = semigroups[name]
+        ctx, A = semigroups[name], semigroups[name].algebra
         mutation_graph(ctx)
         for w, v, _ in tautilt._ascents(ctx.weyl):
             old = stt_pair(ctx, w)
             new = stt_pair(ctx, v)
-            assert in_fac(old.summands, new.module())
-            assert not in_fac(new.summands, old.module())
+            assert in_fac(old.summands, direct_sum(A, new.summands))
+            assert not in_fac(new.summands, direct_sum(A, old.summands))
 
 
 def test_hom_Ii_Ei_and_local_freeness(algebras, semigroups):
