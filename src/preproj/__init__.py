@@ -18,7 +18,6 @@ from .coxeter import (
 from .fields import QQ, PrimeField
 from .pathalg import (
     build_algebra,
-    groebner_quotient,
     preprojective_relations,
     verify_algebra,
 )
@@ -33,7 +32,6 @@ from .repmod import (
     locally_free_rank,
     minimal_projective_presentation,
     nakayama,
-    projective_module,
     structure_series,
 )
 from .tautilt import (
@@ -45,7 +43,6 @@ from .tautilt import (
     mutation_graph,
     stt_pair,
     verify_stt,
-    vertex_ideal,
 )
 
 __version__ = "0.1.0"

@@ -341,13 +341,12 @@ def dynkin_components(c: CartanMatrix, d: Symmetrizer):
 
 @dataclass(frozen=True)
 class CartanData:
-    """Validated bundle (C, D, Ω) with the doubled quiver and Gram matrix."""
+    """Validated bundle (C, D, Ω) with the doubled quiver."""
 
     cartan: CartanMatrix
     symmetrizer: Symmetrizer
     orientation: Orientation
     quiver: DoubledQuiver
-    gram: tuple
 
     @property
     def n(self) -> int:
@@ -367,4 +366,4 @@ def cartan_data(entries, symmetrizer="minimal", orientation=None) -> CartanData:
     else:
         omega = orientation_from_pairs(c, orientation)
     q = double_quiver(c, d, omega)
-    return CartanData(c, d, omega, q, gram_matrix(c, d))
+    return CartanData(c, d, omega, q)

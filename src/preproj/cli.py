@@ -37,16 +37,16 @@ from .repmod import (
     is_isomorphic,
     locally_free_rank,
     nakayama_nu,
-    projective_module,
     structure_series,
 )
 from .tautilt import (
     IdealSemigroup,
     classification_report,
     exchange_graph,
+    extend_left,
+    full_ideal,
     graph_nodes,
     mutation_graph,
-    vertex_ideal,
 )
 
 @dataclass
@@ -174,8 +174,8 @@ def cmd_algebra(cfg: RunConfig):
     algebra = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
     verify_algebra(algebra)
     vertex_dims = algebra.vertex_dims()
-    layers = {v: structure_series(projective_module(algebra, v))
-              for v in range(1, algebra.n + 1)}
+    layers = {v: structure_series(P) for v, P in
+              enumerate(IdealSemigroup(algebra, None).projectives, 1)}
     payload = {
         "dim": algebra.dim,
         "vertex_dims": vertex_dims,
@@ -293,8 +293,11 @@ def _homological_identities(ctx):
     """At each vertex i: E_i = nu(E_sigma(i)), dim E_i + dim E_sigma(i) +
     sum_j |c_ji| dim e_j Pi = 2 dim e_i Pi, dim Hom(e_j Pi, E_i) = delta_ij
     c_i; on each block of I_i, Hom(e_v I_i, E_i) = 0 and e_v I_i locally
-    free; tau(e_i I_i) = E_i."""
+    free; tau(e_i I_i) = E_i.  I_i = Pi (1 - e_i) Pi is the left step
+    ``extend_left(i, Pi)``, so its blocks are those of ``ctx.generator(i)``
+    and no Weyl group is needed."""
     A, projectives = ctx.algebra, ctx.projectives
+    full = full_ideal(ctx.table)
     c, d = A.data.cartan, A.quiver.symmetrizer
     dims = [P.total_dim for P in projectives]
     for i in range(1, A.n + 1):
@@ -314,7 +317,7 @@ def _homological_identities(ctx):
             if found != want:
                 raise VerificationFailed(f"pair ({i}, {j}): dim Hom(e_{j}Pi, "
                                          f"E_{i}) = {found}, not {want}")
-        Ii = vertex_ideal(ctx.table, {i})
+        Ii = extend_left(i, full)
         for v in range(1, A.n + 1):
             blk = Ii.block(v)
             if blk is None:

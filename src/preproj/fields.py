@@ -65,15 +65,23 @@ class Rationals:
 QQ = Rationals()
 
 
+# Miller-Rabin to the prime bases 2, ..., 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)); larger p are refused.
+# The bases up to 37 alone pass the composite 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin, exact for p < ``_MR_BOUND``."""
+    if p < 2 or p in _MR_BASES:
+        return p in _MR_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return not any(
+        x != 1 and all(pow(x, 2 ** r, p) != p - 1 for r in range(s))
+        for x in (pow(b, d, p) for b in _MR_BASES))
 
 
 class PrimeField:
@@ -84,6 +92,8 @@ class PrimeField:
     def __init__(self, p: int):
         if isinstance(p, bool) or not isinstance(p, int):
             raise ValidationError(f"p must be an integer, got {p!r}")
+        if p >= _MR_BOUND:
+            raise ValidationError(f"p must be below {_MR_BOUND}, got {p}")
         if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
         self.p = self.characteristic = p

@@ -91,27 +91,8 @@ class Matrix:
             return [x % p for x in out]
         return out
 
-    def add(self, other: "Matrix") -> "Matrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        p = self.field.characteristic
-        if p:
-            rows = [[(a + b) % p for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.rows, other.rows)]
-        else:
-            rows = [[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.rows, other.rows)]
-        return Matrix(rows, self.nrows, self.ncols, self.field)
-
-    def scale(self, c) -> "Matrix":
-        p = self.field.characteristic
-        if p:
-            rows = [[c * a % p for a in r] for r in self.rows]
-        else:
-            rows = [[c * a for a in r] for r in self.rows]
-        return Matrix(rows, self.nrows, self.ncols, self.field)
-
     def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
+        return not any(map(any, self.rows))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .cartan import CartanData, DoubledQuiver, gram_matrix
+from .cartan import CartanData, DoubledQuiver
 from .errors import CapExceeded, VerificationFailed
 from .fields import QQ
 
@@ -103,8 +103,6 @@ def el_str(quiver: DoubledQuiver, elem: dict) -> str:
 class RelationSet:
     """Generators of the two-sided ideal: nilpotency, commutativity, mesh."""
 
-    quiver: DoubledQuiver
-    field: object
     nilpotency: list        # one per vertex
     commutativity: list     # one per (i, j) in doubled orientation and g
     mesh: list              # one per vertex (zero element at isolated vertices)
@@ -154,7 +152,7 @@ def preprojective_relations(quiver: DoubledQuiver, field=QQ) -> RelationSet:
                     m = mon_mul(quiver, m, loop_power(quiver, i, fji - 1 - f))
                     el_add_term(rel, m, sgn, p)
         mesh.append(rel)
-    return RelationSet(quiver, field, nil, comm, mesh)
+    return RelationSet(nil, comm, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -470,30 +468,18 @@ def _enumerate_normal_monomials(quiver, completion, max_degree, max_basis):
     return basis
 
 
-def groebner_quotient(relations: RelationSet, field=None, max_degree: int = 64,
-                      max_basis: int = 20000,
-                      cartan_data: CartanData = None) -> FiniteDimAlgebra:
-    """Complete the relations to a reduced Groebner basis and build the
-    quotient on its normal monomials.  Succeeds iff that set is finite
-    within the caps; raises CapExceeded otherwise."""
-    field = field or relations.field
-    quiver = relations.quiver
+def build_algebra(data: CartanData, field=QQ, max_degree: int = 64,
+                  max_basis: int = 20000) -> FiniteDimAlgebra:
+    """Pi(C, D): complete the relations (P1)-(P3) to a reduced Groebner
+    basis and build the quotient on its normal monomials.  Succeeds iff
+    that set is finite within the caps; raises CapExceeded otherwise."""
+    quiver = data.quiver
+    relations = preprojective_relations(quiver, field)
     comp = _Completion(quiver, field, max_degree, max_basis)
     comp.complete(list(relations.all_nonzero()))
     comp = comp.reduced_basis()
     basis = _enumerate_normal_monomials(quiver, comp, max_degree, max_basis)
-    if cartan_data is None:
-        cartan_data = CartanData(
-            quiver.cartan, quiver.symmetrizer, quiver.orientation, quiver,
-            gram_matrix(quiver.cartan, quiver.symmetrizer))
-    return FiniteDimAlgebra(cartan_data, field, comp, basis, relations)
-
-
-def build_algebra(data: CartanData, field=QQ, max_degree: int = 64,
-                  max_basis: int = 20000) -> FiniteDimAlgebra:
-    """Relations plus quotient in one step."""
-    rels = preprojective_relations(data.quiver, field)
-    return groebner_quotient(rels, field, max_degree, max_basis, data)
+    return FiniteDimAlgebra(data, field, comp, basis, relations)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ every module on per-vertex echelon spaces (``module_from_subspace``,
 generalized simple modules, so a block and its module share one echelon
 form.
 
-Presentations and ``hom_space`` act by every path of e_u Pi through one
-walk of the basis tree (``_path_walk``), one product per path and none
-under a zero product, on a unit column or on the generator images of every
-basis map at once; the walk results live only for the call.
+Presentations and ``hom_space`` multiply only by ``Matrix.mul``.  They act
+by every path of e_u Pi through one walk of the basis tree (``_path_walk``),
+one product per path and none under a zero product, on a matrix: a
+generator's unit column, or the generator images of every basis map at
+once.  A basis map at v is then one product with the presentation's
+section.  The walk results live only for the call.
 
 tau and nu come from one map.  For the minimal presentation P1 -> P0 -> M,
 psi*: nu P1 -> nu P0 is the dual of Hom(P0, Pi) -> Hom(P1, Pi),
@@ -109,20 +111,25 @@ class ModuleRep:
     def act_sum(self, terms, source: int, target: int) -> Matrix:
         """Right action of sum c * word over the (word, c) of ``terms``,
         nonempty paths from ``source`` to ``target``: M_target -> M_source."""
-        total = Matrix.zeros(self.dims[source - 1], self.dims[target - 1],
-                             self.algebra.field)
+        field = self.algebra.field
+        nrows, ncols = self.dims[source - 1], self.dims[target - 1]
+        rows = [[field.zero] * ncols for _ in range(nrows)]
         for word, c in terms:
-            total = total.add(self.act_word(word).scale(c))
-        return total
+            rows = [[a + c * b for a, b in zip(row, r)]
+                    for row, r in zip(rows, self.act_word(word).rows)]
+        p = field.characteristic
+        if p:
+            rows = [[a % p for a in row] for row in rows]
+        return Matrix(rows, nrows, ncols, field)
 
     def __repr__(self):
         return f"Module(dims={tuple(self.dims)})"
 
 
-def _path_walk(mod: ModuleRep, u: int, x, step):
+def _path_walk(mod: ModuleRep, u: int, x: Matrix):
     """{g: x g} for every basis path g = h a of e_u Pi, h its prefix (an
-    earlier basis path): x g = ``step(mod.act[a], x h)``, where ``step`` is
-    ``Matrix.vec`` for a vector x of M_u and ``Matrix.mul`` for a matrix.
+    earlier basis path): x g = ``mod.act[a].mul(x h)``, for a matrix x
+    whose columns lie in M_u (one column for a single vector).
 
     A zero x h gives x h a = 0, so the walk computes the zero at each
     vertex once and gives it to every path under a zero product."""
@@ -137,8 +144,8 @@ def _path_walk(mod: ModuleRep, u: int, x, step):
         elif v in zeros and out[pre[0]] is zeros.get(A.source[pre[0]]):
             out[g] = zeros[v]
         else:
-            y = out[g] = step(mod.act[pre[1]], out[pre[0]])
-            if not any(map(any, y.rows if isinstance(y, Matrix) else (y,))):
+            y = out[g] = mod.act[pre[1]].mul(out[pre[0]])
+            if y.is_zero():
                 out[g] = zeros.setdefault(v, y)
     return out
 
@@ -186,13 +193,6 @@ def _on_echelon_spaces(algebra: FiniteDimAlgebra, spaces, images) -> ModuleRep:
 
 def zero_module(algebra: FiniteDimAlgebra) -> ModuleRep:
     return _module(algebra, [0] * algebra.n, lambda a: [])
-
-
-def projective_module(algebra: FiniteDimAlgebra, v: int) -> ModuleRep:
-    """e_v Pi on its monomial basis (paths with target v)."""
-    one = algebra.field.one
-    return module_from_subspace(algebra, GradedSpan(
-        algebra, {0: v}, ({g: one} for g in algebra.by_target[v])))
 
 
 class GradedSpan:
@@ -328,15 +328,16 @@ def submodule(parent: ModuleRep, spaces) -> ModuleRep:
 def radical_subspaces(mod: ModuleRep):
     """rad M = M J as per-vertex subspaces: the span of the columns of the
     arrow matrices, the images of a basis."""
-    return _arrow_images(mod, lambda a: zip(*mod.act[a.index].rows))
+    return _arrow_images(mod.algebra, mod.dims,
+                         lambda a: zip(*mod.act[a.index].rows))
 
 
-def _arrow_images(mod: ModuleRep, images):
-    """The per-vertex subspaces spanned at s(a) by the vectors ``images(a)``
-    of M_{s(a)}, over the arrows a."""
-    field = mod.algebra.field
-    out = {v: Subspace(d, field) for v, d in enumerate(mod.dims, 1)}
-    for a in mod.algebra.quiver.arrows:
+def _arrow_images(algebra: FiniteDimAlgebra, dims, images):
+    """The per-vertex subspaces of the spaces of dimensions ``dims`` spanned
+    at s(a) by the vectors ``images(a)``, over the arrows a."""
+    field = algebra.field
+    out = {v: Subspace(d, field) for v, d in enumerate(dims, 1)}
+    for a in algebra.quiver.arrows:
         for x in images(a):
             out[a.source].add(x)
     return out
@@ -346,18 +347,11 @@ def socle_subspaces(mod: ModuleRep):
     """soc M = annihilator of the arrow ideal, per vertex."""
     field = mod.algebra.field
     out = {}
-    for v in range(1, mod.algebra.n + 1):
-        rows = []
-        for a in mod.algebra.quiver.arrows:
-            if a.target == v:
-                rows.extend(mod.act[a.index].rows)
-        if rows:
-            stacked = Matrix.from_rows(rows, mod.dims[v - 1], field)
-            out[v] = Subspace.span(nullspace(stacked), mod.dims[v - 1], field)
-        else:
-            out[v] = Subspace.span(
-                Matrix.identity(mod.dims[v - 1], field).rows,
-                mod.dims[v - 1], field)
+    for v, d in enumerate(mod.dims, 1):
+        stacked = Matrix.from_rows(
+            [row for a in mod.algebra.quiver.arrows if a.target == v
+             for row in mod.act[a.index].rows], d, field)
+        out[v] = Subspace.span(nullspace(stacked), d, field)
     return out
 
 
@@ -375,8 +369,8 @@ def structure_series(mod: ModuleRep) -> list:
             raise VerificationFailed("radical series does not terminate")
         prev = dims
         rows = {v: s.rows for v, s in current.items()}  # rad^k M
-        current = _arrow_images(mod, lambda a: map(mod.act[a.index].vec,
-                                                   rows[a.target]))
+        current = _arrow_images(mod.algebra, mod.dims, lambda a: map(
+            mod.act[a.index].vec, rows[a.target]))
     return layers
 
 
@@ -422,13 +416,14 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
         generators.extend((v, c) for c in range(mod.dims[v - 1])
                           if c not in pivots)
     p0 = [v for v, _ in generators]
-    images = [_path_walk(mod, u, [field.one if r == c else field.zero
-                                  for r in range(mod.dims[u - 1])], Matrix.vec)
-              for u, c in generators]
+    images = [_path_walk(mod, u, Matrix(
+        [[field.one if r == c else field.zero] for r in range(mod.dims[u - 1])],
+        mod.dims[u - 1], 1, field)) for u, c in generators]
     section = {}
     kernel = GradedSpan(A, dict(enumerate(p0)))
     for v, keys in kernel.keys.items():
-        cols = [images[k][g] for k, g in (divmod(key, A.dim) for key in keys)]
+        cols = [images[k][g].col(0)
+                for k, g in (divmod(key, A.dim) for key in keys)]
         cover = Matrix.from_cols(cols, mod.dims[v - 1], field)
         s = solve_matrix(cover, Matrix.identity(mod.dims[v - 1], field))
         if s is None:
@@ -436,10 +431,8 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
         section[v] = s
         for vec in nullspace(cover):
             kernel.spaces[v].add(vec)
-    kj = {v: Subspace(len(keys), field) for v, keys in kernel.keys.items()}
-    for a in A.quiver.arrows:
-        for image in kernel.arrow_images(a):
-            kj[a.source].add(image)
+    kj = _arrow_images(A, [len(keys) for keys in kernel.keys.values()],
+                       kernel.arrow_images)
     p1 = []
     x_elems = []  # [l][k]
     for v, space in kernel.spaces.items():
@@ -464,10 +457,9 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
 # Hom
 # ---------------------------------------------------------------------------
 
-def _approximation_matrix(pres: Presentation, N: ModuleRep):
+def _approximation_matrix(pres: Presentation, N: ModuleRep) -> Matrix:
     """The map (+)_k N e_{u_k} -> (+)_l N e_{v_l}, (n_k) -> (sum_k n_k x_{kl})."""
     basis = N.algebra.basis
-    src_dims = [N.dims[u - 1] for u in pres.p0]
     rows = []
     for l, v in enumerate(pres.p1):
         # x_kl lies in rad P0 (the cover is minimal): no trivial path
@@ -476,7 +468,8 @@ def _approximation_matrix(pres: Presentation, N: ModuleRep):
                   for u, xk in zip(pres.p0, pres.x_elems)]
         rows.extend([c for blk in blocks for c in blk[r]]
                     for r in range(N.dims[v - 1]))
-    return Matrix(rows, len(rows), sum(src_dims), N.algebra.field), src_dims
+    return Matrix(rows, len(rows), sum(N.dims[u - 1] for u in pres.p0),
+                  N.algebra.field)
 
 
 def hom_space(M: ModuleRep, N: ModuleRep) -> list:
@@ -484,46 +477,37 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
     M: a list of maps, each a dict vertex v -> Matrix (dim N_v x dim M_v).
 
     A kernel vector of the approximation matrix gives the images n_k in
-    N e_{u_k} of the generators of P0, and its map sends the P0 coordinate
-    (k, g) at vertex v to n_k g.  All basis maps are built in one pass: one
-    walk of the basis tree of e_{u_k} Pi, started at the matrix whose
-    columns are the n_k of every kernel vector, gives the images of every
-    coordinate (k, g) at one product each.  Column m of the maps at v is
-    then the sum of those images over the nonzero entries of column m of
-    the section P0_v <- M_v."""
+    N e_{u_k} of the generators of P0, and its map h sends the P0
+    coordinate (k, g) at vertex v to n_k g.  One walk of the basis tree of
+    e_{u_k} Pi, started at the matrix whose columns are the n_k of every
+    kernel vector, gives the images of every coordinate (k, g) under every
+    map, one product per path.  Then h at v is one product: the images of
+    the P0 coordinates at v under h, times the section P0_v <- M_v."""
     if M.total_dim == 0 or N.total_dim == 0:
         return []
     pres = minimal_projective_presentation(M)
-    phi, src_dims = _approximation_matrix(pres, N)
-    kernel = nullspace(phi)
+    kernel = nullspace(_approximation_matrix(pres, N))
     if not kernel:
         return []
     A = N.algebra
     field = A.field
     walks = []  # generator k -> path g -> the n_k g of all kernel vectors
     pos = 0
-    for u, d in zip(pres.p0, src_dims):
+    for u in pres.p0:
+        d = N.dims[u - 1]
         nk = Matrix([[vec[pos + r] for vec in kernel] for r in range(d)],
                     d, len(kernel), field)
-        walks.append(_path_walk(N, u, nk, Matrix.mul))
+        walks.append(_path_walk(N, u, nk))
         pos += d
-    p = field.characteristic
-    maps = [{v: Matrix.zeros(N.dims[v - 1], M.dims[v - 1], field)
-             for v in range(1, A.n + 1)} for _ in kernel]
-    for v in range(1, A.n + 1):
+    maps = [{} for _ in kernel]
+    for v, keys in pres.p0_keys.items():
         # P0 coordinate (k, g) at v -> the rows of its dim N_v x e images
         cols = [walks[k][g].rows
-                for k, g in (divmod(key, A.dim) for key in pres.p0_keys[v])]
-        out = [h[v].rows for h in maps]
-        for m in range(M.dims[v - 1]):
-            terms = [(cols[q], row[m]) for q, row in
-                     enumerate(pres.section[v].rows) if row[m]]
-            for r in range(N.dims[v - 1]):
-                acc = [field.zero] * len(kernel)
-                for rows, c in terms:
-                    acc = [a + c * b for a, b in zip(acc, rows[r])]
-                for h, a in zip(out, acc):
-                    h[r][m] = a % p if p else a
+                for k, g in (divmod(key, A.dim) for key in keys)]
+        d = N.dims[v - 1]
+        for e, h in enumerate(maps):
+            images = [[rows[r][e] for rows in cols] for r in range(d)]
+            h[v] = Matrix(images, d, len(cols), field).mul(pres.section[v])
     return maps
 
 
@@ -670,7 +654,7 @@ def hom_to_tau_vanishes(Y: ModuleRep, X: ModuleRep) -> bool:
         return True
     if not X.algebra.dynkin:
         raise NotDynkin("tau requires the finite-dimensional case")
-    phi, _ = _approximation_matrix(minimal_projective_presentation(X), Y)
+    phi = _approximation_matrix(minimal_projective_presentation(X), Y)
     return mat_rank(phi) == phi.nrows
 
 

@@ -153,20 +153,6 @@ def full_ideal(table: BlockTable) -> Ideal:
     return Ideal(table, blocks)
 
 
-def vertex_ideal(table: BlockTable, vertices) -> Ideal:
-    """Pi (1 - sum_{i in S} e_i) Pi: block v is the span of the products
-    p q of basis paths with p in e_v Pi e_j and j not in S."""
-    S = set(vertices)
-    algebra = table.algebra
-    blocks = tuple(
-        table.span(v, (algebra.mul_basis(p, q)
-                       for p in algebra.by_target[v]
-                       if algebra.source[p] not in S
-                       for q in algebra.by_target[algebra.source[p]]))
-        for v in range(1, algebra.n + 1))
-    return Ideal(table, blocks)
-
-
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """IJ block by block: e_v(IJ) = (e_vI)J is spanned by the products of
     the rows of e_vI with the rows of J, each row of e_vIe_u meeting only

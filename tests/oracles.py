@@ -14,6 +14,7 @@ from preproj.repmod import (
     minimal_projective_presentation,
     module_from_subspace,
 )
+from preproj.tautilt import Ideal
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,13 @@ def weyl_matrix(group, w):
 # modules
 # ---------------------------------------------------------------------------
 
+def projective_module(algebra, v):
+    """e_v Pi on its monomial basis (paths with target v)."""
+    one = algebra.field.one
+    return module_from_subspace(algebra, GradedSpan(
+        algebra, {0: v}, ({g: one} for g in algebra.by_target[v])))
+
+
 def uniserial_module(algebra, i, d):
     """The uniserial module with d composition factors S_i, d <= c_i: the
     loop at i sends unit vector t to unit vector t + 1."""
@@ -103,7 +111,7 @@ def ext1_dim(M, N):
     if M.total_dim == 0 or N.total_dim == 0:
         return 0
     hk = hom_space(module_from_subspace(M.algebra, syzygy(M)), N)
-    phi, _ = _approximation_matrix(minimal_projective_presentation(M), N)
+    phi = _approximation_matrix(minimal_projective_presentation(M), N)
     return len(hk) - mat_rank(phi)
 
 
@@ -141,3 +149,21 @@ def trace_form_indecomposable(M):
             gram.rows[a][b] = tr
             gram.rows[b][a] = tr
     return mat_rank(gram) == 1
+
+
+# ---------------------------------------------------------------------------
+# ideals
+# ---------------------------------------------------------------------------
+
+def vertex_ideal(table, vertices):
+    """Pi (1 - sum_{i in S} e_i) Pi: block v is the span of the products
+    p q of basis paths with p in e_v Pi e_j and j not in S."""
+    S = set(vertices)
+    algebra = table.algebra
+    blocks = tuple(
+        table.span(v, (algebra.mul_basis(p, q)
+                       for p in algebra.by_target[v]
+                       if algebra.source[p] not in S
+                       for q in algebra.by_target[algebra.source[p]]))
+        for v in range(1, algebra.n + 1))
+    return Ideal(table, blocks)

@@ -6,7 +6,13 @@ a pytest failure marks the criterion failed.
 
 import random
 
-from oracles import all_reduced_words, demazure_product, ext1_dim
+from oracles import (
+    all_reduced_words,
+    demazure_product,
+    ext1_dim,
+    projective_module,
+    vertex_ideal,
+)
 from preproj.cartan import cartan_data
 from preproj.coxeter import coxeter_order, enumerate_weyl, sigma_order
 from preproj.pathalg import build_algebra, verify_algebra
@@ -16,7 +22,6 @@ from preproj.repmod import (
     hom_space,
     is_isomorphic,
     nakayama_nu,
-    projective_module,
     structure_series,
 )
 from preproj.tautilt import (
@@ -30,7 +35,6 @@ from preproj.tautilt import (
     mutation_graph,
     stt_pair,
     verify_stt,
-    vertex_ideal,
 )
 
 from conftest import (

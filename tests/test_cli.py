@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 from conftest import weyl_orbit_sizes
+from oracles import vertex_ideal
 
 import preproj
 import preproj.cli as cli
 from preproj.cli import config_from_dict, load_config, main, run_command
 from preproj.errors import NotDynkin, ParseError, ValidationError
 from preproj.fields import PrimeField
-from preproj.tautilt import vertex_ideal
 
 EG1 = {"cartan": [[2, -1], [-1, 2]], "symmetrizer": [2, 2]}
 EG2 = {"cartan": [[2, -1], [-2, 2]], "symmetrizer": [2, 1]}
@@ -274,6 +274,18 @@ def test_main_check(capsys):
 def test_main_bad_input(capsys):
     assert main(["check", "--config", '{"cartan": [[2,-1],[0,2]]}']) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_large_prime_field_loads_at_once(capsys):
+    """A 60-bit prime passes the config check at once; a p past the range
+    where primality is decided exactly is an input error."""
+    a2 = {"cartan": [[2, -1], [-1, 2]]}
+    big = {**a2, "field": {"type": "prime", "p": 10 ** 18 + 3}}
+    assert main(["check", "--config", json.dumps(big)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--config", json.dumps(a2),
+                 "--field", f"fp:{2 ** 89 - 1}"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad field spec")
 
 
 def test_main_field_flag(capsys):

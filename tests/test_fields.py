@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,23 @@ def test_prime_validation():
     for bad in (7.0, "7", True, [7]):
         with pytest.raises(ValidationError):
             PrimeField(bad)
+
+
+def test_large_primes_are_decided_at_once():
+    """Miller-Rabin decides a 61-bit prime and a product of two 30-bit
+    primes at once, and a p past its exact range is refused."""
+    start = time.perf_counter()
+    for p in (2 ** 61 - 1, 10 ** 18 + 3):
+        assert PrimeField(p).characteristic == p
+    with pytest.raises(ValidationError, match="not prime"):
+        PrimeField(1000000007 * 998244353)
+    # the smallest composite that passes every prime base up to 37
+    with pytest.raises(ValidationError, match="not prime"):
+        PrimeField(318665857834031151167461)
+    assert time.perf_counter() - start < 0.5
+    # 2^89 - 1 is prime, and past the bound 3.3 * 10^24
+    with pytest.raises(ValidationError, match="must be below"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_field_from_spec():

@@ -92,8 +92,6 @@ def test_rref_over_small_prime_fields(case):
     gram = m.mul(Matrix.from_cols(m.rows, m.ncols, F))
     assert gram.rows == [[sum(a * b for a, b in zip(r1, r2)) % p for r2 in rows]
                          for r1 in rows]
-    assert m.add(m).rows == [[2 * a % p for a in r] for r in rows]
-    assert m.scale(F.from_int(-1)).rows == [[-a % p for a in r] for r in rows]
     kernel = nullspace(m)
     assert len(kernel) == ncols - len(pivots)
     for v in kernel:

@@ -126,3 +126,14 @@ def test_src_holds_only_what_a_command_runs():
         work.extend(used for node in defs[name] for used in _names_used(node))
     unreached = sorted(set(defs) - reached)
     assert unreached == [], "no command reaches " + ", ".join(unreached)
+
+
+def test_oracles_are_not_in_src():
+    """No top-level name of ``tests/oracles.py`` is defined in the package:
+    a second route kept as a test oracle does not come back next to the
+    route it checks."""
+    oracles = Path(__file__).with_name("oracles.py")
+    names = {node.name for node in ast.parse(oracles.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert names
+    assert sorted(names & set(_definitions())) == []

@@ -1,4 +1,5 @@
 import pytest
+from oracles import projective_module
 
 from preproj.cartan import cartan_data
 from preproj.errors import CapExceeded, VerificationFailed
@@ -6,14 +7,13 @@ from preproj.fields import QQ, PrimeField
 from preproj.pathalg import (
     arrow_mon,
     build_algebra,
-    groebner_quotient,
     loop_power,
     mon_mul,
     mon_str,
     preprojective_relations,
     verify_algebra,
 )
-from preproj.repmod import projective_module, structure_series
+from preproj.repmod import structure_series
 
 EG1 = cartan_data([[2, -1], [-1, 2]], (2, 2))
 EG2 = cartan_data([[2, -1], [-2, 2]], (2, 1))
@@ -228,9 +228,9 @@ def test_affine_cap_exceeded():
 
 
 def test_multi_arrow_quotient_runs():
-    rels = preprojective_relations(cartan_data([[2, -2], [-2, 2]]).quiver, QQ)
     with pytest.raises(CapExceeded):
-        groebner_quotient(rels, QQ, max_degree=6, max_basis=100)
+        build_algebra(cartan_data([[2, -2], [-2, 2]]), QQ, max_degree=6,
+                      max_basis=100)
 
 
 @pytest.mark.parametrize("data", [

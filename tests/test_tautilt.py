@@ -13,7 +13,12 @@ from conftest import (
     pairs_isomorphic,
     weyl_orbit_sizes,
 )
-from oracles import demazure_product, from_word
+from oracles import (
+    demazure_product,
+    from_word,
+    projective_module,
+    vertex_ideal,
+)
 
 from preproj.cartan import cartan_data
 from preproj.coxeter import enumerate_weyl
@@ -35,7 +40,6 @@ from preproj.repmod import (
     is_isomorphic,
     locally_free_rank,
     minimal_projective_presentation,
-    projective_module,
 )
 import preproj.repmod as repmod
 import preproj.tautilt as tautilt
@@ -46,6 +50,7 @@ from preproj.tautilt import (
     _minimal_approximation,
     classification_report,
     exchange_graph,
+    extend_left,
     extend_right,
     full_ideal,
     graph_nodes,
@@ -54,7 +59,6 @@ from preproj.tautilt import (
     mutation_graph,
     stt_pair,
     verify_stt,
-    vertex_ideal,
 )
 
 
@@ -70,6 +74,37 @@ def test_vertex_ideal_shapes(algebras, semigroups):
     a3 = algebras["a3"]
     I13 = vertex_ideal(semigroups["a3"].table, {1, 3})
     assert I13.dim < a3.dim
+
+
+_ROUTE_SPECS = {
+    "b3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], "minimal"),
+    "c3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], "minimal"),
+    "d4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+           "minimal"),
+    "g2-62": ([[2, -1], [-3, 2]], (6, 2)),
+    "b2-42": ([[2, -1], [-2, 2]], (4, 2)),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+@pytest.mark.parametrize("name", sorted(_ROUTE_SPECS))
+def test_vertex_ideal_oracle_matches_the_left_step(name, field):
+    """The products p q of ``vertex_ideal`` and the engine's left step
+    I_i Pi give the same I_i, which is ``generator(i)``; with S empty the
+    oracle gives Pi.  Its e_vPi are the context's projectives, read off
+    ``projective_module`` by dims and action matrices."""
+    A = build_algebra(cartan_data(*_ROUTE_SPECS[name]), field=field)
+    ctx = IdealSemigroup(A, enumerate_weyl(A.data.cartan))
+    full = full_ideal(ctx.table)
+    assert vertex_ideal(ctx.table, ()) == full
+    for i in range(1, A.n + 1):
+        assert (vertex_ideal(ctx.table, {i}) == extend_left(i, full)
+                == ctx.generator(i))
+    for v, P in enumerate(ctx.projectives, 1):
+        oracle = projective_module(A, v)
+        assert oracle.dims == P.dims
+        assert all(oracle.act[a.index].rows == P.act[a.index].rows
+                   for a in A.quiver.arrows)
 
 
 def test_ideal_idempotent_and_braid(algebras, semigroups):
