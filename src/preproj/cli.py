@@ -62,6 +62,20 @@ class RunConfig:
     show_basis: bool = False
 
 
+def _known_keys(prefix: str, raw: dict, allowed) -> None:
+    for key in raw:
+        if key not in allowed:
+            raise ValidationError(f"{prefix}{key}: unknown key")
+
+
+def _field(spec):
+    """``field_from_spec`` with its failures named ``field``."""
+    try:
+        return field_from_spec(spec)
+    except ValidationError as exc:
+        raise ValidationError(f"field: {exc}") from exc
+
+
 def _int_key(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{key}: must be an integer, got {value!r}")
@@ -72,6 +86,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     """Validate a JSON config; defaults: minimal symmetrizer, rationals."""
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
+    _known_keys("", raw, ("cartan", "symmetrizer", "orientation", "field",
+                          "caps", "weyl_cap", "seed"))
     if "cartan" not in raw:
         raise ValidationError("cartan: missing")
     try:
@@ -91,18 +107,17 @@ def config_from_dict(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cartan: {exc}") from exc
     spec = raw.get("field")
-    if isinstance(spec, dict) and "p" in spec:
-        _int_key("field.p", spec["p"])
-    try:
-        fld = field_from_spec(spec)
-    except ValidationError as exc:
-        raise ValidationError(f"field: {exc}") from exc
+    if isinstance(spec, dict):
+        allowed = {"prime": ("type", "p"), "rational": ("type",)}
+        if spec.get("type") in allowed:
+            _known_keys("field.", spec, allowed[spec["type"]])
+        if "p" in spec:
+            _int_key("field.p", spec["p"])
+    fld = _field(spec)
     caps = raw.get("caps", {})
     if not isinstance(caps, dict):
         raise ValidationError(f"caps: must be an object, got {caps!r}")
-    for key in caps:
-        if key not in ("weyl", "max_degree", "max_basis"):
-            raise ValidationError(f"caps.{key}: unknown key")
+    _known_keys("caps.", caps, ("weyl", "max_degree", "max_basis"))
     limits = {"caps.weyl" if "weyl" in caps else "weyl_cap":
               caps.get("weyl", raw.get("weyl_cap", RunConfig.weyl_cap)),
               "caps.max_degree": caps.get("max_degree", RunConfig.max_degree),
@@ -420,7 +435,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.field is not None:
-            cfg.field = field_from_spec(args.field)
+            cfg.field = _field(args.field)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.cap is not None:

@@ -130,9 +130,10 @@ def field_from_spec(spec) -> Rationals | PrimeField:
             return QQ
         if spec.startswith("fp:"):
             try:
-                return PrimeField(int(spec[3:]))
+                p = int(spec[3:])
             except ValueError as exc:
                 raise ValidationError(f"bad field spec {spec!r}") from exc
+            return PrimeField(p)
         raise ValidationError(f"bad field spec {spec!r}")
     if isinstance(spec, dict):
         kind = spec.get("type")

@@ -5,8 +5,9 @@ Matrices carry their shape explicitly so zero-dimensional vertex spaces
 ``Subspace`` keeps a span in reduced row echelon form, which makes
 membership exact and its rows canonical; it is the one Gauss-Jordan
 elimination of the package, and ``rref``, ``nullspace`` and
-``solve_matrix`` go through it.  A graded span (an ideal block, a module
-on paths) is one ``Subspace`` per vertex, see ``repmod.GradedSpan``.
+``solve_matrix`` go through it.  A submodule (an ideal block in e_vPi,
+tau M in nu P1) is one ``Subspace`` per vertex, see
+``repmod.module_from_subspace``.
 
 Scalars are ``int`` (``Fraction`` after a non-unit QQ pivot).  Over F_p
 every kernel reads ``p = field.characteristic`` once and reduces what it

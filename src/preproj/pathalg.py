@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .cartan import CartanData, DoubledQuiver
 from .errors import CapExceeded, VerificationFailed
 from .fields import QQ
+from .linalg import Matrix
 
 Mon = tuple  # (source_vertex, tuple_of_arrow_indices)
 
@@ -337,6 +338,15 @@ class FiniteDimAlgebra:
                           for v in range(1, self.n + 1)}
         self.by_source = {v: [i for i in range(self.dim) if self.source[i] == v]
                           for v in range(1, self.n + 1)}
+        # paths[u][v]: the basis of e_u Pi e_v in basis order; pos[g]: the
+        # place of path g in its piece
+        self.paths = {u: {v: [] for v in range(1, self.n + 1)}
+                      for u in range(1, self.n + 1)}
+        self.pos = []
+        for g in range(self.dim):
+            piece = self.paths[self.target[g]][self.source[g]]
+            self.pos.append(len(piece))
+            piece.append(g)
         self._mul_table = {}
         self.dynkin = cartan_data.dynkin
         self.relations = relations
@@ -352,6 +362,40 @@ class FiniteDimAlgebra:
         arrows = self.quiver.arrows
         return [(self.index[(arrows[w[-1]].target, w[:-1])], w[-1]) if w
                 else None for _, w in self.basis]
+
+    @functools.cached_property
+    def right_action(self):
+        """u -> arrow index -> the Matrix of x -> x a on e_u Pi, from the
+        paths of e_u Pi e_{t(a)} to those of e_u Pi e_{s(a)}: the action
+        of the regular module e_u Pi."""
+        return self._arrow_tables(left=False)
+
+    @functools.cached_property
+    def left_action(self):
+        """u -> arrow index -> the Matrix of x -> a x on Pi e_u, from the
+        paths of e_{s(a)} Pi e_u to those of e_{t(a)} Pi e_u."""
+        return self._arrow_tables(left=True)
+
+    def _arrow_tables(self, left):
+        """u -> arrow index -> the Matrix whose column j is the product,
+        from ``mul_coords``, of the arrow with the j-th path it acts on."""
+        one, zero = self.field.one, self.field.zero
+        tables = {u: {} for u in range(1, self.n + 1)}
+        for u, table in tables.items():
+            for a in self.quiver.arrows:
+                x = self.arrow_coords[a.index]
+                if left:
+                    start, end = self.paths[a.source][u], self.paths[a.target][u]
+                else:
+                    start, end = self.paths[u][a.target], self.paths[u][a.source]
+                cols = [[zero] * len(end) for _ in start]
+                for g, col in zip(start, cols):
+                    prod = (self.mul_coords(x, {g: one}) if left
+                            else self.mul_coords({g: one}, x))
+                    for h, c in prod.items():
+                        col[self.pos[h]] = c
+                table[a.index] = Matrix.from_cols(cols, len(end), self.field)
+        return tables
 
     # -- element plumbing ---------------------------------------------------
 
@@ -416,14 +460,11 @@ class FiniteDimAlgebra:
 
     def dims_matrix(self):
         """dim e_i Pi e_j = # basis paths with target i, source j."""
-        out = [[0] * self.n for _ in range(self.n)]
-        for k in range(self.dim):
-            out[self.target[k] - 1][self.source[k] - 1] += 1
-        return out
+        return [[len(p) for p in row.values()] for row in self.paths.values()]
 
     def vertex_dims(self):
         """dim e_i Pi for each i."""
-        return [len(self.by_target[v]) for v in range(1, self.n + 1)]
+        return [sum(map(len, row.values())) for row in self.paths.values()]
 
     def __repr__(self):
         return f"Pi(dim={self.dim}, n={self.n}, field={self.field!r})"

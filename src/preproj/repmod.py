@@ -15,16 +15,15 @@ M_{source(a)}; the matrix ``act[a]`` realizes that map in column convention.
 Hom computations run through minimal presentations (Hom out of projectives
 is free), which keeps every linear solve small.
 
-A right-closed span of paths (a block e_vI, a projective e_vPi) is a
-``GradedSpan``: sparse elements of a free module (+)_k e_{u_k}Pi,
-echelonized once, one ``Subspace`` per vertex; its keys are the one layout
-of that free module.  A presentation lays P0 out as a span over all
-generator copies whose space at v is the cover's kernel, and keeps only its
-keys (``p0_keys``) and the x_kl read off that kernel.  One builder makes
-every module on per-vertex echelon spaces (``module_from_subspace``,
-``submodule``, with one arrow-stability error) and the quotient, zero and
-generalized simple modules, so a block and its module share one echelon
-form.
+The arrows act on Pi through the algebra's two tables: e_vPi is the
+regular module acting by ``right_action[v]`` (``regular_module``), and
+D(Pi e_u) acts by the transpose of ``left_action[u]``.  A free module
+(+)_k e_{u_k}Pi has the coordinates (k, g) at v, g over the paths of
+e_{u_k}Pi e_v (``_layout``), and x a is one ``Matrix.mul`` per copy.
+``module_from_subspace`` is the one builder of submodules, on per-vertex
+echelon spaces (a block e_vI in e_vPi, tau M in nu P1), so a block and its
+module share one echelon form.  A presentation keeps only its P0 layout
+and the x_kl read off the kernel of its cover.
 
 Presentations and ``hom_space`` multiply only by ``Matrix.mul``.  They act
 by every path of e_u Pi through one walk of the basis tree (``_path_walk``),
@@ -36,7 +35,9 @@ section.  The walk results live only for the call.
 tau and nu come from one map.  For the minimal presentation P1 -> P0 -> M,
 psi*: nu P1 -> nu P0 is the dual of Hom(P0, Pi) -> Hom(P1, Pi),
 g -> (g x_kl)_l.  Then nu M = D Hom(M, Pi) = coker psi* and
-tau M = D Tr M = ker psi*, built by ``quotient_module`` and ``submodule``.
+tau M = D Tr M = ker psi*, built by ``quotient_module`` and
+``module_from_subspace``; psi at v is the approximation matrix of the
+presentation on e_vPi.
 tau-rigidity builds no tau: Hom(Y, tau X) = 0 iff Hom(P0, Y) -> Hom(P1, Y)
 is onto for the presentation of X (Adachi-Iyama-Reiten (AIR), "tau-tilting
 theory", Compos. Math. 150 (2014), Prop. 2.4).  A map out of M is fixed by
@@ -47,7 +48,7 @@ The relation check runs where untrusted data enters: the public
 ``ModuleRep(...)`` constructor checks that every relation of Pi acts by
 zero.  The constructors that build a module from already-checked algebra
 data (``module_from_subspace``, ``generalized_simple``, ``direct_sum``,
-``quotient_module``, ``submodule``, tau and nu) skip it; the tests call
+``quotient_module``, ``regular_module``, tau and nu) skip it; the tests call
 ``_validate`` on their output as an oracle.
 """
 
@@ -178,96 +179,32 @@ def _module(algebra: FiniteDimAlgebra, dims, columns) -> ModuleRep:
         for a in algebra.quiver.arrows}, validate=False)
 
 
-def _on_echelon_spaces(algebra: FiniteDimAlgebra, spaces, images) -> ModuleRep:
-    """The module on the per-vertex echelon ``spaces``: the arrow a sends
-    echelon row j at t(a) to the coordinates, over the echelon rows at
-    s(a), of the j-th vector of ``images(a)``."""
-    def columns(a):
-        cols = list(map(spaces[a.source].express, images(a)))
-        if None in cols:
-            raise VerificationFailed("subspaces are not arrow-stable")
-        return cols
-    return _module(algebra, [spaces[v].dim for v in range(1, algebra.n + 1)],
-                   columns)
+def regular_module(algebra: FiniteDimAlgebra, v: int) -> ModuleRep:
+    """e_v Pi on its paths, acting by ``algebra.right_action[v]``."""
+    return ModuleRep(algebra, [len(p) for p in algebra.paths[v].values()],
+                     algebra.right_action[v], validate=False)
 
 
 def zero_module(algebra: FiniteDimAlgebra) -> ModuleRep:
     return _module(algebra, [0] * algebra.n, lambda a: [])
 
 
-class GradedSpan:
-    """A graded span in a free module (+)_k e_{u_k}Pi, ``copies`` = {k: u_k},
-    as one echelon ``Subspace`` per source vertex.
-
-    The key k * dim Pi + g stands for the basis path g in copy k; a span
-    inside e_vPi is the one copy {0: v}, keyed by the path.  At vertex v the
-    coordinates are the paths of e_{u_k}Pi e_v in key order, ``keys[v]``.
-    The echelon form of a graded span is the union of those of its pieces,
-    so ``rows()`` is canonical."""
-
-    def __init__(self, algebra: FiniteDimAlgebra, copies, vectors=()):
-        self.algebra = algebra
-        dim = algebra.dim
-        self.keys = {v: [] for v in range(1, algebra.n + 1)}
-        for k in sorted(copies):
-            for g in algebra.by_target[copies[k]]:
-                self.keys[algebra.source[g]].append(k * dim + g)
-        self.index = {v: {key: i for i, key in enumerate(keys)}
-                       for v, keys in self.keys.items()}
-        self.spaces = {v: Subspace(len(keys), algebra.field)
-                       for v, keys in self.keys.items()}
-        for x in vectors:
-            self.add(x)
-
-    def add(self, x) -> bool:
-        """Add the sparse element ``x``, whose paths share one source v;
-        True if the span grew."""
-        if not x:
-            return False
-        A = self.algebra
-        v = A.source[next(iter(x)) % A.dim]
-        index = self.index[v]
-        vec = [A.field.zero] * len(index)
-        for key, c in x.items():
-            vec[index[key]] = c
-        return self.spaces[v].add(vec)
-
-    def rows(self):
-        """The echelon rows vertex by vertex, as nested tuples: equal spans
-        give equal values."""
-        return tuple(tuple(map(tuple, s.rows)) for s in self.spaces.values())
-
-    def vectors(self):
-        """The echelon rows as sparse elements, vertex by vertex."""
-        return [{key: c for key, c in zip(self.keys[v], row) if c}
-                for v, s in self.spaces.items() for row in s.rows]
-
-    def arrow_images(self, a):
-        """x a for each echelon row x at t(a), dense in the coordinates at
-        s(a)."""
-        A = self.algebra
-        dim = A.dim
-        keys, index = self.keys[a.target], self.index[a.source]
-        arrow = A.arrow_coords[a.index]
-        for row in self.spaces[a.target].rows:
-            copies = {}  # k -> the copy-k part of the row, as algebra coords
-            for key, c in zip(keys, row):
-                if c:
-                    k, g = divmod(key, dim)
-                    copies.setdefault(k, {})[g] = c
-            image = [A.field.zero] * len(index)
-            for k, x in copies.items():
-                for g, c in A.mul_coords(x, arrow).items():
-                    image[index[k * dim + g]] = c
-            yield image
-
-
-def module_from_subspace(algebra: FiniteDimAlgebra,
-                         span: GradedSpan) -> ModuleRep:
-    """Module structure on a right-closed ``GradedSpan``: the space at v is
-    ``span.spaces[v]``, and the arrow a sends each echelon row x at t(a) to
-    x a, read off ``span.arrow_images(a)``."""
-    return _on_echelon_spaces(algebra, span.spaces, span.arrow_images)
+def module_from_subspace(parent: ModuleRep, spaces) -> ModuleRep:
+    """The submodule of ``parent`` on the per-vertex echelon subspaces
+    ``spaces[v]``, in their echelon bases: the arrow a sends echelon row j
+    at t(a) to the coordinates, over the echelon rows at s(a), of its
+    image under ``parent.act[a]``.  The one builder of submodules: a block
+    e_vI in e_vPi, tau M in nu P1."""
+    def columns(a):
+        act = parent.act[a.index]
+        cols = [spaces[a.source].express(act.vec(x))
+                for x in spaces[a.target].rows]
+        if None in cols:
+            raise VerificationFailed("subspaces are not arrow-stable")
+        return cols
+    algebra = parent.algebra
+    return _module(algebra, [spaces[v].dim for v in range(1, algebra.n + 1)],
+                   columns)
 
 
 def generalized_simple(algebra: FiniteDimAlgebra, i: int) -> ModuleRep:
@@ -312,13 +249,6 @@ def quotient_module(parent: ModuleRep, sub_spaces) -> ModuleRep:
     return _module(parent.algebra, dims, lambda a: [
         projs[a.source](parent.act[a.index].vec(lift))
         for lift in lifts[a.target]])
-
-
-def submodule(parent: ModuleRep, spaces) -> ModuleRep:
-    """The submodule on the per-vertex subspaces ``spaces[v]``, in their
-    echelon bases; the counterpart of ``quotient_module``."""
-    return _on_echelon_spaces(parent.algebra, spaces, lambda a: map(
-        parent.act[a.index].vec, spaces[a.target].rows))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +308,28 @@ def structure_series(mod: ModuleRep) -> list:
 # minimal projective presentations
 # ---------------------------------------------------------------------------
 
+def _layout(A: FiniteDimAlgebra, vertices):
+    """The coordinates (k, g) at each vertex v of the free module
+    (+)_k e_{u_k}Pi, u_k = ``vertices[k]``: g over the paths of
+    e_{u_k}Pi e_v, copy by copy."""
+    return {v: [(k, g) for k, u in enumerate(vertices) for g in A.paths[u][v]]
+            for v in range(1, A.n + 1)}
+
+
+def _times_arrow(A: FiniteDimAlgebra, vertices, a, rows):
+    """x a for the vectors x of ``rows`` in (+)_k e_{u_k}Pi e_{t(a)},
+    u_k = ``vertices[k]``: copy k of the images is one ``Matrix.mul`` of
+    ``A.right_action[u_k][a]`` with the copy-k segments of the rows."""
+    images, start = [], 0
+    for u in vertices:
+        d = len(A.paths[u][a.target])
+        segment = Matrix.from_cols([x[start:start + d] for x in rows], d,
+                                   A.field)
+        images.extend(A.right_action[u][a.index].mul(segment).rows)
+        start += d
+    return zip(*images)
+
+
 @dataclass
 class Presentation:
     """P1 --X--> P0 --> M -> 0 with both covers minimal.
@@ -388,8 +340,8 @@ class Presentation:
     p0: list                 # vertices u_k
     generators: list         # (u_k, c_k): generator k maps to the unit
                              # vector of the top column c_k of M e_{u_k}
-    p0_keys: dict            # vertex v -> the P0 coordinates k * dim Pi + g
-                             # at v, the ``GradedSpan`` keys of P0
+    p0_layout: dict          # vertex v -> the P0 coordinates (k, g) at v,
+                             # g a path of e_{u_k} Pi e_v
     section: dict            # vertex v -> Matrix (dim P0_v x dim M_v)
     p1: list                 # vertices v_l
     x_elems: list            # [k][l] algebra coords in e_{u_k} Pi e_{v_l}
@@ -401,12 +353,11 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
 
     Generator k of P0 = (+)_k e_{u_k} Pi maps to the unit vector of the top
     column c_k of M e_{u_k}, and the P0 coordinate (k, g) to that vector
-    acted on by g.  P0 is laid out as one ``GradedSpan`` over every copy,
-    whose space at v is the kernel of the cover there, so the span is
-    K = ker(P0 -> M), not kept: the generators of P1 are its echelon rows
-    whose pivots are not pivots of K J, the span of its ``arrow_images``.
-    (Reading K-coordinates at K's pivot columns preserves order, so these
-    are the top rows of K.)"""
+    acted on by g.  Its echelon spaces K_v = ker(P0_v -> M_v) make up the
+    syzygy K, not kept: the generators of P1 are the echelon rows of K
+    whose pivots are not pivots of K J, the span of the x a (one
+    ``Matrix.mul`` per arrow and copy).  (Reading K-coordinates at K's
+    pivot columns preserves order, so these are the top rows of K.)"""
     A = mod.algebra
     field = A.field
     rad = radical_subspaces(mod)
@@ -419,38 +370,35 @@ def minimal_projective_presentation(mod: ModuleRep) -> Presentation:
     images = [_path_walk(mod, u, Matrix(
         [[field.one if r == c else field.zero] for r in range(mod.dims[u - 1])],
         mod.dims[u - 1], 1, field)) for u, c in generators]
-    section = {}
-    kernel = GradedSpan(A, dict(enumerate(p0)))
-    for v, keys in kernel.keys.items():
-        cols = [images[k][g].col(0)
-                for k, g in (divmod(key, A.dim) for key in keys)]
-        cover = Matrix.from_cols(cols, mod.dims[v - 1], field)
+    layout = _layout(A, p0)
+    section, kernel = {}, {}
+    for v, coords in layout.items():
+        cover = Matrix.from_cols([images[k][g].col(0) for k, g in coords],
+                                 mod.dims[v - 1], field)
         s = solve_matrix(cover, Matrix.identity(mod.dims[v - 1], field))
         if s is None:
             raise VerificationFailed("projective cover is not surjective")
         section[v] = s
-        for vec in nullspace(cover):
-            kernel.spaces[v].add(vec)
-    kj = _arrow_images(A, [len(keys) for keys in kernel.keys.values()],
-                       kernel.arrow_images)
+        kernel[v] = Subspace.span(nullspace(cover), len(coords), field)
+    kj = _arrow_images(A, [len(coords) for coords in layout.values()],
+                       lambda a: _times_arrow(A, p0, a, kernel[a.target].rows))
     p1 = []
     x_elems = []  # [l][k]
-    for v, space in kernel.spaces.items():
+    for v, space in kernel.items():
         pivots = set(kj[v].pivots)
         for row, pivot in zip(space.rows, space.pivots):
             if pivot in pivots:
                 continue
             p1.append(v)
             col = [{} for _ in p0]
-            for key, x in zip(kernel.keys[v], row):
+            for (k, g), x in zip(layout[v], row):
                 if x:
-                    k, g = divmod(key, A.dim)
                     col[k][g] = x
             x_elems.append(col)
     # transpose: x_elems[k][l]
     x_matrix = [[x_elems[l][k] for l in range(len(p1))]
                 for k in range(len(p0))]
-    return Presentation(p0, generators, kernel.keys, section, p1, x_matrix)
+    return Presentation(p0, generators, layout, section, p1, x_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +437,7 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
     kernel = nullspace(_approximation_matrix(pres, N))
     if not kernel:
         return []
-    A = N.algebra
-    field = A.field
+    field = N.algebra.field
     walks = []  # generator k -> path g -> the n_k g of all kernel vectors
     pos = 0
     for u in pres.p0:
@@ -500,10 +447,9 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
         walks.append(_path_walk(N, u, nk))
         pos += d
     maps = [{} for _ in kernel]
-    for v, keys in pres.p0_keys.items():
+    for v, coords in pres.p0_layout.items():
         # P0 coordinate (k, g) at v -> the rows of its dim N_v x e images
-        cols = [walks[k][g].rows
-                for k, g in (divmod(key, A.dim) for key in keys)]
+        cols = [walks[k][g].rows for k, g in coords]
         d = N.dims[v - 1]
         for e, h in enumerate(maps):
             images = [[rows[r][e] for rows in cols] for r in range(d)]
@@ -515,57 +461,25 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list:
 # Auslander-Reiten translate and Nakayama functor
 # ---------------------------------------------------------------------------
 
-def _dual_layout(A: FiniteDimAlgebra, vertices):
-    """The paths (k, g) of (+)_k Pi e_{u_k}, u_k = ``vertices[k]``, grouped
-    by the target of g: the coordinates of the dual module at each vertex."""
-    layout = {v: [] for v in range(1, A.n + 1)}
-    for k, u in enumerate(vertices):
-        for g in A.by_source[u]:
-            layout[A.target[g]].append((k, g))
-    return layout
+def _dual_free(A: FiniteDimAlgebra, vertices) -> ModuleRep:
+    """The right module D((+)_k Pi e_{u_k}), u_k = ``vertices[k]``: the
+    direct sum of the D(Pi e_u), on which the arrow a acts by the
+    transpose of ``A.left_action[u][a]``, from vertex t(a) to vertex s(a).
+    At v its coordinates are the paths of e_v Pi e_{u_k}, copy by copy."""
+    return direct_sum(A, [
+        _module(A, [len(A.paths[v][u]) for v in range(1, A.n + 1)],
+                lambda a: A.left_action[u][a.index].rows)
+        for u in vertices])
 
 
-def _dual_free(A: FiniteDimAlgebra, layout) -> ModuleRep:
-    """The right module D((+)_k Pi e_{u_k}) on the dual basis of ``layout``.
-
-    Left multiplication by the arrow a maps the vertex-s(a) paths of the
-    left module to its vertex-t(a) paths; a acts on the dual by the
-    transpose, from vertex t(a) to vertex s(a)."""
-    field = A.field
-    dims = [len(layout[v]) for v in range(1, A.n + 1)]
-    act = {}
-    for a in A.quiver.arrows:
-        pos = {pair: i for i, pair in enumerate(layout[a.target])}
-        out = Matrix.zeros(dims[a.source - 1], dims[a.target - 1], field)
-        for r, (k, g) in enumerate(layout[a.source]):
-            prod = A.mul_coords(A.arrow_coords[a.index], {g: field.one})
-            for g2, c in prod.items():
-                out.rows[r][pos[(k, g2)]] = c
-        act[a.index] = out
-    return ModuleRep(A, dims, act, validate=False)
-
-
-def _dual_map(M: ModuleRep):
-    """psi*: nu P1 -> nu P0 for the minimal presentation P1 -> P0 -> M, the
-    dual of Hom(P0, Pi) -> Hom(P1, Pi), g -> (g x_kl)_l, where
-    Hom(P0, Pi) = (+)_k Pi e_{u_k}.  Returns the layouts of nu P0 and
-    nu P1 and, per vertex v, the matrix of psi*_v: nu P1_v -> nu P0_v."""
-    A = M.algebra
-    field = A.field
-    pres = minimal_projective_presentation(M)
-    layout0 = _dual_layout(A, pres.p0)
-    layout1 = _dual_layout(A, pres.p1)
-    psi = {}
-    for v in range(1, A.n + 1):
-        pos = {pair: i for i, pair in enumerate(layout1[v])}
-        out = Matrix.zeros(len(layout0[v]), len(layout1[v]), field)
-        for r, (k, g) in enumerate(layout0[v]):
-            for l, x in enumerate(pres.x_elems[k]):
-                if x:
-                    for g2, c in A.mul_coords({g: field.one}, x).items():
-                        out.rows[r][pos[(l, g2)]] = c
-        psi[v] = out
-    return layout0, layout1, psi
+def _dual_map(A: FiniteDimAlgebra, pres: Presentation):
+    """psi: Hom(P0, Pi) -> Hom(P1, Pi), g -> (g x_kl)_l, for the minimal
+    presentation P1 -> P0 -> M: at vertex v the approximation matrix of
+    the presentation on e_v Pi, as Hom(P0, e_v Pi) = (+)_k e_v Pi e_{u_k}.
+    Its transpose is psi*_v: nu P1_v -> nu P0_v in the coordinates of
+    ``_dual_free``."""
+    return {v: _approximation_matrix(pres, regular_module(A, v))
+            for v in range(1, A.n + 1)}
 
 
 @_memoized("tau")
@@ -577,10 +491,11 @@ def auslander_reiten_translate(M: ModuleRep) -> ModuleRep:
         raise NotDynkin("tau requires the finite-dimensional selfinjective case")
     if M.total_dim == 0 or not minimal_projective_presentation(M).p1:
         return zero_module(A)
-    _, layout1, psi = _dual_map(M)
-    kernels = {v: Subspace.span(nullspace(m), m.ncols, A.field)
-               for v, m in psi.items()}
-    return submodule(_dual_free(A, layout1), kernels)
+    pres = minimal_projective_presentation(M)
+    kernels = {v: Subspace.span(nullspace(Matrix.from_cols(
+        m.rows, m.ncols, A.field)), m.nrows, A.field)
+        for v, m in _dual_map(A, pres).items()}
+    return module_from_subspace(_dual_free(A, pres.p1), kernels)
 
 
 def nakayama_nu(M: ModuleRep) -> ModuleRep:
@@ -590,11 +505,10 @@ def nakayama_nu(M: ModuleRep) -> ModuleRep:
         raise NotDynkin("nu requires the finite-dimensional selfinjective case")
     if M.total_dim == 0:
         return zero_module(A)
-    layout0, _, psi = _dual_map(M)
-    images = {v: Subspace.span((m.col(j) for j in range(m.ncols)), m.nrows,
-                               A.field)
-              for v, m in psi.items()}
-    return quotient_module(_dual_free(A, layout0), images)
+    pres = minimal_projective_presentation(M)
+    images = {v: Subspace.span(m.rows, m.ncols, A.field)
+              for v, m in _dual_map(A, pres).items()}
+    return quotient_module(_dual_free(A, pres.p0), images)
 
 
 def nakayama(projectives) -> tuple:

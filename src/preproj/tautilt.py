@@ -9,14 +9,15 @@ refers to it, so dropping the context frees its blocks, their modules and
 everything memoized on them.
 
 An ideal is the n-tuple of the ids of its blocks e_vI, which
-``BlockTable`` interns once per context as graded spans in e_vPi (one
-echelon form per vertex, shared with the block's module), so equality is
-exact and canonical and every ideal operation works inside one e_vPi.
-I_w is memoized per Weyl element and built by the descent rule of
-``IdealSemigroup.of_element``, which runs one left extension per distinct
-block, while ``ideal_product`` multiplies block rows and serves as the
-independent route for the idempotent checks I_i I_i = I_i of
-``classification_report``.
+``BlockTable`` interns once per context as submodules of e_vPi (one
+echelon ``Subspace`` per vertex, shared with the block's module), so
+equality is exact and canonical and every ideal operation works inside one
+e_vPi.  The left and right steps close a block under one matrix of the
+algebra's action tables.  I_w is memoized per Weyl element and built by
+the descent rule of ``IdealSemigroup.of_element``, which runs one left
+extension per distinct block, while ``ideal_product`` multiplies sparse
+block rows and serves as the independent route for the idempotent checks
+I_i I_i = I_i of ``classification_report``.
 
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
 distinct nonzero blocks among its 384 x 4 pairs (w, v).  ``Ideal.block``
@@ -49,10 +50,9 @@ from dataclasses import dataclass
 
 from .coxeter import WeylElement, WeylGroup
 from .errors import NotDynkin, NotMutable, ReportFailure, VerificationFailed
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 from .pathalg import FiniteDimAlgebra
 from .repmod import (
-    GradedSpan,
     ModuleRep,
     direct_sum,
     hom_space,
@@ -65,6 +65,7 @@ from .repmod import (
     module_from_subspace,
     nakayama,
     quotient_module,
+    regular_module,
 )
 
 # the most ascents that mutation_graph reproduces by left mutation
@@ -75,45 +76,67 @@ class BlockTable:
     """The distinct blocks e_vI of the ideals of one context, and the
     memoized steps between them.
 
-    Block ``b`` is e_vI for v = ``vertex[b]``, the ``GradedSpan``
-    ``spans[b]`` inside e_vPi, whose per-vertex echelon forms its module
-    ``modules[b]`` uses as its own.  A two-sided ideal is the direct sum of
-    its blocks and a block the sum of its graded pieces, so the rows are
-    canonical: equal blocks get one id and an ideal is the n-tuple of its
-    block ids.  ``vectors[b]`` are the rows as sparse algebra coordinates,
-    each in one e_vPie_u, which the steps below use."""
+    Block ``b`` is e_vI for v = ``vertex[b]``, a submodule of e_vPi stored
+    as one echelon ``Subspace`` per vertex u, ``spaces[b][u]``, in the
+    paths of e_vPi e_u; its module ``modules[b]`` is the submodule of e_vPi
+    on those spaces.  A two-sided ideal is the direct sum of its blocks and
+    a block the sum of its pieces, so the rows are canonical: equal blocks
+    get one id and an ideal is the n-tuple of its block ids.  Blocks share
+    their interned pieces, so no ``Subspace`` here is ever mutated.
+    ``full[v - 1]`` is the block e_vPi, whose module is the regular module,
+    acting by ``algebra.right_action[v]``."""
 
     def __init__(self, algebra: FiniteDimAlgebra):
         self.algebra = algebra
         self.vertex = []    # block id -> v
-        self.spans = []     # block id -> GradedSpan of e_vI
-        self.vectors = []   # block id -> its echelon rows, sparse
-        self.modules = []   # block id -> ModuleRep, built on first use
+        self.spaces = []    # block id -> u -> Subspace of e_vI e_u
+        self.modules = []   # block id -> ModuleRep; e_vPi at once, the
+                            # others on first use
         self.right = {}     # (block id, i) -> block id
-        self._ids = {}      # (v, span rows) -> block id
+        self._ids = {}      # (v, echelon rows) -> block id
+        one = algebra.field.one
+        self.full = tuple(self.span(v, ({g: one} for g in algebra.by_target[v]))
+                          for v in range(1, algebra.n + 1))
+        for v, b in enumerate(self.full, 1):
+            self.modules[b] = regular_module(algebra, v)
 
     def span(self, v: int, vectors) -> int:
-        """The id of the block spanned by sparse elements of e_vPi."""
-        return self.intern(v, GradedSpan(self.algebra, {0: v}, vectors))
+        """The id of the block spanned by sparse elements of e_vPi, each in
+        one e_vPi e_u, written densely in its paths through ``pos``."""
+        A = self.algebra
+        spaces = {u: Subspace(len(paths), A.field)
+                  for u, paths in A.paths[v].items()}
+        for x in filter(None, vectors):
+            space = spaces[A.source[next(iter(x))]]
+            vec = [A.field.zero] * space.ambient
+            for g, c in x.items():
+                vec[A.pos[g]] = c
+            space.add(vec)
+        return self.intern(v, spaces)
 
-    def intern(self, v: int, span: GradedSpan) -> int:
-        key = (v, span.rows())
+    def intern(self, v: int, spaces) -> int:
+        key = (v, tuple(tuple(map(tuple, s.rows)) for s in spaces.values()))
         b = self._ids.get(key)
         if b is None:
-            b = self._ids[key] = len(self.spans)
+            b = self._ids[key] = len(self.spaces)
             self.vertex.append(v)
-            self.spans.append(span)
-            self.vectors.append(span.vectors())
+            self.spaces.append(spaces)
             self.modules.append(None)
         return b
 
     def module(self, b: int):
         """The right module of block ``b``, or None when the block is zero."""
         mod = self.modules[b]
-        if mod is None and self.vectors[b]:
-            mod = self.modules[b] = module_from_subspace(self.algebra,
-                                                         self.spans[b])
+        if mod is None and any(s.dim for s in self.spaces[b].values()):
+            mod = self.modules[b] = module_from_subspace(
+                self.modules[self.full[self.vertex[b] - 1]], self.spaces[b])
         return mod
+
+    def sparse_rows(self, b: int):
+        """The echelon rows of block ``b`` as sparse algebra coordinates."""
+        paths = self.algebra.paths[self.vertex[b]]
+        return [{g: c for g, c in zip(paths[u], row) if c}
+                for u, s in self.spaces[b].items() for row in s.rows]
 
 
 class Ideal:
@@ -127,7 +150,8 @@ class Ideal:
 
     @property
     def dim(self) -> int:
-        return sum(len(self.table.vectors[b]) for b in self.blocks)
+        return sum(s.dim for b in self.blocks
+                   for s in self.table.spaces[b].values())
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.table is other.table
@@ -146,28 +170,36 @@ class Ideal:
 
 
 def full_ideal(table: BlockTable) -> Ideal:
-    algebra = table.algebra
-    one = algebra.field.one
-    blocks = tuple(table.span(v, ({g: one} for g in algebra.by_target[v]))
-                   for v in range(1, algebra.n + 1))
-    return Ideal(table, blocks)
+    return Ideal(table, table.full)
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """IJ block by block: e_v(IJ) = (e_vI)J is spanned by the products of
     the rows of e_vI with the rows of J, each row of e_vIe_u meeting only
-    the rows of e_uJ."""
+    the rows of e_uJ.  Sparse rows multiplied by ``mul_coords``: a route
+    independent of the closures of the steps."""
     A = I.algebra
     table = I.table
     blocks = []
     for b in I.blocks:
         prods = []
-        for x in table.vectors[b]:
+        for x in table.sparse_rows(b):
             u = A.source[next(iter(x))]
             prods.extend(A.mul_coords(x, y)
-                         for y in table.vectors[J.blocks[u - 1]])
+                         for y in table.sparse_rows(J.blocks[u - 1]))
         blocks.append(table.span(table.vertex[b], prods))
     return Ideal(table, tuple(blocks))
+
+
+def _closure(matrix: Matrix, vectors) -> Subspace:
+    """The span of the ``vectors``, closed under the square ``matrix``."""
+    space = Subspace(matrix.nrows, matrix.field)
+    work = [x for x in vectors if space.add(x)]
+    while work:
+        y = matrix.vec(work.pop())
+        if space.add(y):
+            work.append(y)
+    return space
 
 
 def extend_left(i: int, J: Ideal) -> Ideal:
@@ -175,24 +207,21 @@ def extend_left(i: int, J: Ideal) -> Ideal:
     other blocks are those of J.
 
     A path into i from another vertex is eps_i^k a q with a a non-loop
-    arrow into i, and q J lies in e_{s(a)} J, so block i is spanned by the
-    eps_i^k a y with y in e_{s(a)} J.  The relations are homogeneous in the
-    number of non-loop arrows, so the basis paths p of e_i Pi e_j with one
-    non-loop arrow span the eps_i^k a eps_j^m, and block i is the span of
-    p x over the neighbours j of i and the rows x of e_j J.  That span is
-    already a right module, as e_j J is."""
-    algebra = J.algebra
+    arrow into i, and q J lies in e_{s(a)} J, so at each vertex u the new
+    block i is the left eps_i-closure of the a x, over the non-loop arrows
+    a into i and the rows x of e_{s(a)} J e_u: ``left_action[u]`` maps
+    e_{s(a)} Pi e_u to e_i Pi e_u, and its loop matrix e_i Pi e_u to
+    itself.  That span is already a right module, as e_{s(a)} J is."""
+    A = J.algebra
     table = J.table
-    arrows = algebra.quiver.arrows
-    one = algebra.field.one
-    prods = []
-    for p in algebra.by_target[i]:
-        j = algebra.source[p]
-        if j != i and sum(not arrows[a].is_loop
-                          for a in algebra.basis[p][1]) == 1:
-            prods.extend(algebra.mul_coords({p: one}, x)
-                         for x in table.vectors[J.blocks[j - 1]])
-    return _with_block(J, i, table.span(i, prods))
+    loop = A.quiver.loop(i).index
+    spaces = {}
+    for u, act in A.left_action.items():
+        spaces[u] = _closure(act[loop], (
+            act[a.index].vec(x) for a in A.quiver.arrows
+            if a.target == i and not a.is_loop
+            for x in table.spaces[J.blocks[a.source - 1]][u].rows))
+    return _with_block(J, i, table.intern(i, spaces))
 
 
 def _with_block(J: Ideal, i: int, b: int) -> Ideal:
@@ -201,31 +230,30 @@ def _with_block(J: Ideal, i: int, b: int) -> Ideal:
 
 
 def extend_right(J: Ideal, i: int) -> Ideal:
-    """J I_i = J (1 - e_i) Pi, block by block: e_v(J I_i) is the right
-    closure of the rows of e_v J with source != i, under multiplication by
-    arrows inside e_v Pi.  Memoized on (block, i)."""
+    """J I_i = J (1 - e_i) Pi, block by block (``_right_step``).  Memoized
+    on (block, i)."""
     table = J.table
     return Ideal(table, tuple(_right_step(table, b, i) for b in J.blocks))
 
 
 def _right_step(table: BlockTable, b: int, i: int) -> int:
+    """e_vJ (1 - e_i) Pi for the block b = e_vJ.  Its piece at u != i is
+    that of b, as J is a right ideal.  A path out of i to another vertex is
+    q a eps_i^k with a a non-loop arrow out of i, and e_vJ q lies in
+    e_vJ e_{t(a)}, so the piece at i is the eps_i-closure of the x a, over
+    those arrows a and the rows x of the piece at t(a), under
+    ``right_action[v]``."""
     out = table.right.get((b, i))
     if out is None:
         A = table.algebra
         v = table.vertex[b]
-        arrows = A.arrow_coords
-        work = [x for x in table.vectors[b] if A.source[next(iter(x))] != i]
-        span = GradedSpan(A, {0: v}, work)
-        while work:
-            x = work.pop()
-            u = A.source[next(iter(x))]
-            for a in A.quiver.arrows:
-                if a.target != u:
-                    continue
-                prod = A.mul_coords(x, arrows[a.index])
-                if span.add(prod):
-                    work.append(prod)
-        out = table.right[b, i] = table.intern(v, span)
+        act = A.right_action[v]
+        spaces = dict(table.spaces[b])
+        spaces[i] = _closure(act[A.quiver.loop(i).index], (
+            act[a.index].vec(x) for a in A.quiver.arrows
+            if a.source == i and not a.is_loop
+            for x in spaces[a.target].rows))
+        out = table.right[b, i] = table.intern(v, spaces)
     return out
 
 
@@ -244,8 +272,7 @@ class IdealSemigroup:
     def projectives(self):
         """e_v Pi for v = 1..n, the blocks of the full ideal: one module per
         vertex, shared by sigma, the namer and the caller."""
-        full = full_ideal(self.table)
-        return [full.block(v) for v in range(1, self.algebra.n + 1)]
+        return [self.table.module(b) for b in self.table.full]
 
     @functools.cached_property
     def sigma(self):

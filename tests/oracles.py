@@ -5,11 +5,11 @@ package keeps one route per computation.  Each is either independent of
 the route it checks or a plainer form of it."""
 
 from preproj.coxeter import _identity, _mat_mul, simple_reflection_matrix
-from preproj.linalg import Matrix, mat_rank
+from preproj.linalg import Matrix, Subspace, mat_rank
 from preproj.repmod import (
-    GradedSpan,
     _approximation_matrix,
     _module,
+    direct_sum,
     hom_space,
     minimal_projective_presentation,
     module_from_subspace,
@@ -70,10 +70,19 @@ def weyl_matrix(group, w):
 # ---------------------------------------------------------------------------
 
 def projective_module(algebra, v):
-    """e_v Pi on its monomial basis (paths with target v)."""
-    one = algebra.field.one
-    return module_from_subspace(algebra, GradedSpan(
-        algebra, {0: v}, ({g: one} for g in algebra.by_target[v])))
+    """e_v Pi on its monomial basis (paths with target v): the arrow a
+    sends the path g at t(a) to the coordinates of g a from
+    ``mul_coords``, read off by path rather than through the action
+    tables."""
+    field = algebra.field
+    paths = algebra.paths[v]
+
+    def columns(a):
+        arrow = algebra.arrow_coords[a.index]
+        return [[prod.get(h, field.zero) for h in paths[a.source]]
+                for prod in (algebra.mul_coords({g: field.one}, arrow)
+                             for g in paths[a.target])]
+    return _module(algebra, [len(paths[u]) for u in paths], columns)
 
 
 def uniserial_module(algebra, i, d):
@@ -93,16 +102,24 @@ def simple_module(algebra, i):
 
 
 def syzygy(M):
-    """K = ker(P0 -> M), rebuilt as the image of P1 -> P0: the span of the
-    x_l g, x_l = (x_kl)_k, over the basis paths g of e_{v_l}Pi, in the
-    layout of P0."""
+    """K = ker(P0 -> M), rebuilt as the image of P1 -> P0: the submodule of
+    P0 = (+)_k e_{u_k}Pi spanned by the x_l g, x_l = (x_kl)_k, over the
+    basis paths g of e_{v_l}Pi; P0 at w has the coordinates (k, h), h a
+    path of e_{u_k}Pi e_w, copy by copy."""
     A = M.algebra
-    one = A.field.one
+    field = A.field
     pres = minimal_projective_presentation(M)
-    return GradedSpan(A, dict(enumerate(pres.p0)), (
-        {k * A.dim + h: c for k, xk in enumerate(pres.x_elems)
-         for h, c in A.mul_coords(xk[l], {g: one}).items()}
-        for l, v in enumerate(pres.p1) for g in A.by_target[v]))
+    P0 = direct_sum(A, [projective_module(A, u) for u in pres.p0])
+    coords = {w: [(k, h) for k, u in enumerate(pres.p0)
+                  for h in A.paths[u][w]] for w in range(1, A.n + 1)}
+    spaces = {w: Subspace(len(c), field) for w, c in coords.items()}
+    for l, v in enumerate(pres.p1):
+        for g in A.by_target[v]:
+            w = A.source[g]
+            image = {(k, h): c for k, xk in enumerate(pres.x_elems)
+                     for h, c in A.mul_coords(xk[l], {g: field.one}).items()}
+            spaces[w].add([image.get(pair, field.zero) for pair in coords[w]])
+    return module_from_subspace(P0, spaces)
 
 
 def ext1_dim(M, N):
@@ -110,7 +127,7 @@ def ext1_dim(M, N):
     K the ``syzygy`` of M."""
     if M.total_dim == 0 or N.total_dim == 0:
         return 0
-    hk = hom_space(module_from_subspace(M.algebra, syzygy(M)), N)
+    hk = hom_space(syzygy(M), N)
     phi = _approximation_matrix(minimal_projective_presentation(M), N)
     return len(hk) - mat_rank(phi)
 
@@ -167,3 +184,46 @@ def vertex_ideal(table, vertices):
                        for q in algebra.by_target[algebra.source[p]]))
         for v in range(1, algebra.n + 1))
     return Ideal(table, blocks)
+
+
+def generic_right_step(table, b, i):
+    """e_vJ (1 - e_i) Pi for the block b = e_vJ: the rows of b at the
+    vertices other than i, closed under right multiplication by every
+    arrow, on sparse coordinates."""
+    A = table.algebra
+    v = table.vertex[b]
+    spaces = {u: Subspace(len(paths), A.field)
+              for u, paths in A.paths[v].items()}
+
+    def add(x):
+        u = A.source[next(iter(x))]
+        return spaces[u].add([x.get(g, A.field.zero) for g in A.paths[v][u]])
+
+    work = [x for x in table.sparse_rows(b)
+            if A.source[next(iter(x))] != i and add(x)]
+    while work:
+        x = work.pop()
+        for a in A.quiver.arrows:
+            if a.target == A.source[next(iter(x))]:
+                prod = A.mul_coords(x, A.arrow_coords[a.index])
+                if prod and add(prod):
+                    work.append(prod)
+    return table.intern(v, spaces)
+
+
+def path_extend_left(i, J):
+    """I_i J with block i the span of the p x over the basis paths p of
+    e_i Pi e_j, j != i, with one non-loop arrow and the rows x of e_j J:
+    the relations are homogeneous in the number of non-loop arrows, so
+    these p span the eps_i^k a eps_j^m."""
+    A = J.algebra
+    table = J.table
+    arrows = A.quiver.arrows
+    prods = []
+    for p in A.by_target[i]:
+        j = A.source[p]
+        if j != i and sum(not arrows[a].is_loop for a in A.basis[p][1]) == 1:
+            prods.extend(A.mul_coords({p: A.field.one}, x)
+                         for x in table.sparse_rows(J.blocks[j - 1]))
+    return Ideal(table, J.blocks[:i - 1] + (table.span(i, prods),)
+                 + J.blocks[i:])

@@ -285,7 +285,25 @@ def test_large_prime_field_loads_at_once(capsys):
     capsys.readouterr()
     assert main(["check", "--config", json.dumps(a2),
                  "--field", f"fp:{2 ** 89 - 1}"]) == 2
-    assert capsys.readouterr().err.startswith("error: bad field spec")
+    assert capsys.readouterr().err.startswith("error: field: p must be below")
+
+
+@pytest.mark.parametrize("p, line", [
+    (6, "error: field: 6 is not prime"),
+    ("x", "error: field: bad field spec 'fp:x'"),
+])
+def test_field_flag_and_config_give_one_error(p, line, capsys):
+    """``--field fp:<p>`` and the same p in a config exit 2 with the same
+    line, which says why p is refused."""
+    a2 = {"cartan": [[2, -1], [-1, 2]]}
+    assert main(["check", "--config", json.dumps(a2),
+                 "--field", f"fp:{p}"]) == 2
+    flag = capsys.readouterr().err
+    assert flag.startswith(line), flag
+    spec = {"type": "prime", "p": p} if isinstance(p, int) else f"fp:{p}"
+    assert main(["check", "--config",
+                 json.dumps({**a2, "field": spec})]) == 2
+    assert capsys.readouterr().err == flag
 
 
 def test_main_field_flag(capsys):
@@ -385,30 +403,39 @@ def test_stt_builds_each_block_once(monkeypatch, capsys):
 
 
 def test_verify_builds_each_projective_once(monkeypatch, capsys):
-    """B3 ``verify`` builds each e_vPi once: the Nakayama permutation, the
+    """B3 ``verify`` builds each e_vPi once, as the regular module acting by
+    the algebra's own ``right_action[v]``: the Nakayama permutation, the
     homological identities and the block names all read the projectives
-    of the one context."""
+    of the one context, and no ``module_from_subspace`` call rebuilds a
+    full block."""
+    import preproj.cli as cli
     import preproj.repmod as repmod
     import preproj.tautilt as tautilt
     b3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
-    builds = {}
+    contexts, full_builds = [], []
     build = repmod.module_from_subspace
+    make_context = cli.IdealSemigroup
 
-    def counting(algebra, span):
-        vectors = span.vectors()
-        support = {g for x in vectors for g in x}
-        for v in range(1, algebra.n + 1):
-            # independent vectors spanning all of e_vPi
-            if (support == set(algebra.by_target[v])
-                    and len(vectors) == len(support)):
-                builds[v] = builds.get(v, 0) + 1
-        return build(algebra, span)
+    def recording_context(*args):
+        contexts.append(make_context(*args))
+        return contexts[-1]
 
+    def counting(parent, spaces):
+        if [s.dim for s in spaces.values()] == parent.dims:  # all of parent
+            full_builds.append(parent)
+        return build(parent, spaces)
+
+    monkeypatch.setattr(cli, "IdealSemigroup", recording_context)
     monkeypatch.setattr(repmod, "module_from_subspace", counting)
     monkeypatch.setattr(tautilt, "module_from_subspace", counting)
     assert main(["verify", "--config", json.dumps({"cartan": b3})]) == 0
     assert "48 support tau-tilting modules" in capsys.readouterr().out
-    assert builds == {1: 1, 2: 1, 3: 1}
+    (ctx,) = contexts
+    A = ctx.algebra
+    assert all(ctx.projectives[v - 1].act is A.right_action[v]
+               for v in range(1, A.n + 1))
+    assert not any(parent is P for parent in full_builds
+                   for P in ctx.projectives)
 
 
 @pytest.mark.parametrize("name, value, line", [
@@ -464,6 +491,8 @@ def test_verify_checks_hold_under_python_O(name, value, line):
     ({"cartan": [2]}, "cartan"),
     ({"cartan": "A2"}, "cartan"),
     ({"orientation": [[1, 2], [1, 1]]}, "orientation"),
+    ({"symetrizer": [2, 2]}, "symetrizer"),
+    ({"field": {"type": "rational", "p": 5}}, "field.p"),
 ])
 def test_main_bad_config_key_exits_2(extra, key, capsys):
     raw = {"cartan": [[2, -1], [-1, 2]], **extra}

@@ -94,6 +94,16 @@ def test_field_from_spec():
             field_from_spec(bad)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("fp:6", "6 is not prime"), ("fp:x", "bad field spec 'fp:x'")])
+def test_field_spec_says_why_p_is_refused(spec, message):
+    """Only a p that is not an integer is a bad spec; an integer that is
+    not a usable prime gets ``PrimeField``'s own reason."""
+    with pytest.raises(ValidationError) as err:
+        field_from_spec(spec)
+    assert str(err.value) == message
+
+
 def test_fp_element_int_compare():
     """from_int takes integers only, like QQ.from_int."""
     F = PrimeField(5)

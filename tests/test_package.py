@@ -62,6 +62,21 @@ def test_no_private_cross_module_imports():
     assert offenders == []
 
 
+def test_arrow_coords_are_read_only_in_pathalg():
+    """Every other layer reads the arrows from the algebra's action tables
+    ``right_action`` and ``left_action``: no module of the package but
+    ``pathalg`` reads ``arrow_coords``."""
+    offenders = []
+    for path in sorted(Path(preproj.__file__).parent.rglob("*.py")):
+        if path.name != "pathalg.py":
+            offenders.extend(
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Attribute)
+                and node.attr == "arrow_coords")
+    assert offenders == []
+
+
 def _definitions():
     """name -> the top-level functions and classes and the methods of the
     package that bear it."""

@@ -252,3 +252,38 @@ def test_basis_paths_are_closed_under_prefixes(data):
         h = A.index[(arrows[word[-1]].target, word[:-1])]
         assert h < g and A.target[h] == A.target[g]
         assert A.prefixes[g] == (h, word[-1])
+
+
+@pytest.mark.parametrize("data, field", [
+    (EG1, QQ), (EG2, QQ), (G2, QQ), (B4, QQ), (G2, PrimeField(5))],
+    ids=["eg1", "eg2", "g2", "b4", "g2-f5"])
+def test_action_tables_match_mul_coords(data, field):
+    """For every basis path g and every arrow a, the column of g in
+    ``right_action`` is g a and in ``left_action`` a g, as ``mul_coords``
+    gives them, read by path; a product the tables omit is zero."""
+    A = build_algebra(data, field=field)
+    one, zero = field.one, field.zero
+    for g in range(A.dim):
+        u, v = A.target[g], A.source[g]
+        for a in A.quiver.arrows:
+            arrow = A.arrow_coords[a.index]
+            right = A.mul_coords({g: one}, arrow)
+            if a.target == v:
+                assert A.right_action[u][a.index].col(A.pos[g]) == \
+                    [right.get(h, zero) for h in A.paths[u][a.source]]
+            else:
+                assert right == {}
+            left = A.mul_coords(arrow, {g: one})
+            if a.source == u:
+                assert A.left_action[v][a.index].col(A.pos[g]) == \
+                    [left.get(h, zero) for h in A.paths[a.target][v]]
+            else:
+                assert left == {}
+    for u in range(1, A.n + 1):
+        for a in A.quiver.arrows:
+            m = A.right_action[u][a.index]
+            assert (m.nrows, m.ncols) == (len(A.paths[u][a.source]),
+                                          len(A.paths[u][a.target]))
+            m = A.left_action[u][a.index]
+            assert (m.nrows, m.ncols) == (len(A.paths[a.target][u]),
+                                          len(A.paths[a.source][u]))

@@ -22,7 +22,6 @@ from preproj.fields import QQ, PrimeField
 from preproj.linalg import Matrix, Subspace, nullspace, solve_matrix
 from preproj.pathalg import build_algebra
 from preproj.repmod import (
-    GradedSpan,
     ModuleRep,
     _approximation_matrix,
     _path_walk,
@@ -43,7 +42,6 @@ from preproj.repmod import (
     radical_subspaces,
     socle_subspaces,
     structure_series,
-    submodule,
     zero_module,
 )
 from preproj.tautilt import (
@@ -138,12 +136,15 @@ def test_presentations(algebras):
 
 
 def test_presentations_keep_no_syzygy(algebras):
-    """The memoized presentation holds the x_kl, not the span of K."""
+    """The memoized presentation holds the x_kl, not the syzygy K: no
+    field is a module or a subspace, or a dict of them."""
     M = generalized_simple(algebras["eg2"], 1)
     pres = minimal_projective_presentation(M)
-    assert pres.p1 and syzygy(M).vectors()
-    assert not any(isinstance(getattr(pres, f.name), GradedSpan)
-                   for f in dataclasses.fields(pres))
+    assert pres.p1 and syzygy(M).total_dim
+    values = [getattr(pres, f.name) for f in dataclasses.fields(pres)]
+    values += [x for value in values if isinstance(value, dict)
+               for x in value.values()]
+    assert not any(isinstance(x, (ModuleRep, Subspace)) for x in values)
 
 
 def test_tau_basics(algebras):
@@ -439,16 +440,10 @@ def test_radical_unavailable_small_prime():
 
 
 def _projective_over_block(ctx, w, v):
-    """e_v Pi / e_v I_w as a quotient of the projective e_v Pi, built on
-    the span of the paths; the block's span lies in the same e_v Pi."""
-    A = ctx.algebra
-    paths = GradedSpan(A, {0: v}, ({g: A.field.one} for g in A.by_target[v]))
-    P = module_from_subspace(A, paths)
-    blk = ctx.table.spans[ctx.of_element(w).blocks[v - 1]]
-    return quotient_module(P, {
-        u: Subspace.span(map(paths.spaces[u].express, blk.spaces[u].rows),
-                         P.dims[u - 1], A.field)
-        for u in range(1, A.n + 1)})
+    """e_v Pi / e_v I_w as a quotient of the projective e_v Pi on its
+    paths, the coordinates of the block's spaces."""
+    P = projective_module(ctx.algebra, v)
+    return quotient_module(P, ctx.table.spaces[ctx.of_element(w).blocks[v - 1]])
 
 
 def test_indecomposable_over_prime_field_agrees_or_refuses():
@@ -573,8 +568,11 @@ def test_submodule_roundtrip(algebras):
     """rad e_1 Pi, the span of the nontrivial paths into 1."""
     eg1 = algebras["eg1"]
     P1 = projective_module(eg1, 1)
-    R = module_from_subspace(eg1, GradedSpan(eg1, {0: 1}, [
-        {g: eg1.field.one} for g in eg1.by_target[1] if eg1.basis[g][1]]))
+    one, zero = eg1.field.one, eg1.field.zero
+    R = module_from_subspace(P1, {u: Subspace.span(
+        ([one if h == g else zero for h in paths]
+         for g in paths if eg1.basis[g][1]), len(paths), eg1.field)
+        for u, paths in eg1.paths[1].items()})
     assert R.total_dim == P1.total_dim - 1
     assert [sum(l) for l in structure_series(R)] == [2, 1]
 
@@ -584,14 +582,14 @@ def test_submodule_needs_arrow_stable_spaces(algebras):
     map it to M e_2."""
     eg1 = algebras["eg1"]
     P1 = projective_module(eg1, 1)
-    R = submodule(P1, radical_subspaces(P1))
+    R = module_from_subspace(P1, radical_subspaces(P1))
     assert R.dims == [P1.dims[0] - 1, P1.dims[1]]
     R._validate()
     spaces = {1: Subspace.span(Matrix.identity(P1.dims[0], eg1.field).rows,
                                P1.dims[0], eg1.field),
               2: Subspace(P1.dims[1], eg1.field)}
     with pytest.raises(VerificationFailed, match="not arrow-stable"):
-        submodule(P1, spaces)
+        module_from_subspace(P1, spaces)
 
 
 def _a2_action(A, nonloop, eps1_rows=1):
@@ -639,7 +637,7 @@ def _per_vector_homs(M, N):
         out = {}
         for v in range(1, A.n + 1):
             cols = []
-            for k, g in (divmod(key, A.dim) for key in pres.p0_keys[v]):
+            for k, g in pres.p0_layout[v]:
                 word = A.basis[g][1]
                 nk = splits[k]
                 cols.append(N.act_word(word).vec(nk) if word else list(nk))
@@ -687,21 +685,28 @@ def test_one_pass_hom_maps_match_the_per_vector_route(entries, sym, field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
 def test_p0_is_one_graded_span_and_echelon_modules_share_one_check(
         entries, sym, field):
-    """The P0 coordinates of every presentation at v are the keys at v of
-    the ``GradedSpan`` over all generator copies, and ``submodule`` and
-    ``module_from_subspace`` reject the span of e_v, which is not
-    arrow-stable, with the same error."""
+    """The P0 coordinates of every presentation at v are the pairs (k, g)
+    over the generator copies k and the paths g of e_{u_k}Pi e_v, and
+    ``module_from_subspace`` rejects the span of e_v, which is not
+    arrow-stable, with the same error in the context's e_vPi and in the
+    oracle's."""
     A = build_algebra(cartan_data(entries, sym), field=field)
-    for M in _blocks_and_taus(IdealSemigroup(A, enumerate_weyl(A.data.cartan))):
+    ctx = IdealSemigroup(A, enumerate_weyl(A.data.cartan))
+    for M in _blocks_and_taus(ctx):
         pres = minimal_projective_presentation(M)
-        keys = GradedSpan(A, dict(enumerate(pres.p0))).keys
-        assert all(pres.p0_keys[v] == keys[v] for v in range(1, A.n + 1))
+        assert all(pres.p0_layout[v] == [
+            (k, g) for k, u in enumerate(pres.p0) for g in A.by_target[u]
+            if A.source[g] == v] for v in range(1, A.n + 1))
+    one, zero = A.field.one, A.field.zero
     for v in range(1, A.n + 1):
         e_v = next(g for g in A.by_target[v] if not A.basis[g][1])
-        span = GradedSpan(A, {0: v}, [{e_v: A.field.one}])
+        spaces = {u: Subspace(len(paths), A.field)
+                  for u, paths in A.paths[v].items()}
+        spaces[v].add([one if g == e_v else zero for g in A.paths[v][v]])
         errors = []
-        for build in (lambda: module_from_subspace(A, span),
-                      lambda: submodule(projective_module(A, v), span.spaces)):
+        for build in (
+                lambda: module_from_subspace(ctx.projectives[v - 1], spaces),
+                lambda: module_from_subspace(projective_module(A, v), spaces)):
             with pytest.raises(VerificationFailed, match="not arrow-stable") \
                     as err:
                 build()
@@ -734,7 +739,7 @@ def _dense_submodule(parent, vectors_by_vertex):
     spaces = {v: Subspace.span(vectors_by_vertex[v], parent.dims[v - 1],
                                A.field)
               for v in range(1, A.n + 1)}
-    return submodule(parent, spaces), spaces
+    return module_from_subspace(parent, spaces), spaces
 
 
 def _top(mod):
@@ -792,7 +797,7 @@ def test_syzygies_match_the_dense_p0_route(entries, sym, field):
         pres = minimal_projective_presentation(M)
         p0, p1, x_elems, K = _dense_presentation(M)
         assert (pres.p0, pres.p1, pres.x_elems) == (p0, p1, x_elems)
-        rebuilt = module_from_subspace(A, syzygy(M))
+        rebuilt = syzygy(M)
         assert rebuilt.dims == K.dims
         assert all(rebuilt.act[a].rows == K.act[a].rows for a in K.act)
         copies = max(copies, len(p0))
@@ -933,7 +938,7 @@ def test_modules_built_without_the_relation_check_satisfy_the_relations(
         mods.append(nakayama_nu(generalized_simple(A, i)))
         mods.extend(uniserial_module(A, i, d)
                     for d in range(1, A.quiver.symmetrizer[i] + 1))
-    mods.extend([module_from_subspace(A, syzygy(M)) for M in mods])
+    mods.extend([syzygy(M) for M in mods])
     for M in mods:
         M._validate()
 

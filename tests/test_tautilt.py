@@ -16,6 +16,8 @@ from conftest import (
 from oracles import (
     demazure_product,
     from_word,
+    generic_right_step,
+    path_extend_left,
     projective_module,
     vertex_ideal,
 )
@@ -523,8 +525,8 @@ def test_b3_qq_scalars_are_exact(algebras, weyl_groups, semigroups):
     ideal = semigroups["b3"].of_element(w)
     assert 0 < ideal.dim < A.dim
     assert exact(x for b in ideal.blocks
-                 for piece in ideal.table.spans[b].rows()
-                 for row in piece for x in row)
+                 for piece in ideal.table.spaces[b].values()
+                 for row in piece.rows for x in row)
     for v in range(1, A.n + 1):
         blk = ideal.block(v)
         if blk is not None:
@@ -554,8 +556,8 @@ def test_b3_fp_scalars_are_reduced_ints(weyl_groups):
     ideal = IdealSemigroup(A, W).of_element(w)
     assert 0 < ideal.dim < A.dim
     assert reduced(x for b in ideal.blocks
-                   for piece in ideal.table.spans[b].rows()
-                   for row in piece for x in row)
+                   for piece in ideal.table.spaces[b].values()
+                   for row in piece.rows for x in row)
     blocks = [ideal.block(v) for v in range(1, A.n + 1)]
     blocks = [b for b in blocks if b is not None]
     assert blocks
@@ -595,14 +597,14 @@ def test_blocks_shared_across_weyl_elements(name, expected, algebras,
         ideal = ctx.of_element(w)
         for v in range(1, A.n + 1):
             b = ideal.blocks[v - 1]
-            rows = ideal.table.spans[b].rows()
+            rows = _rows(ideal.table, b)
             blk = ideal.block(v)
-            if not ideal.table.vectors[b]:
+            if not ideal.table.sparse_rows(b):
                 assert blk is None
                 continue
             # the graded echelon rows are the echelon rows in e_vPi
             dense = [tuple(x.get(g, A.field.zero) for g in A.by_target[v])
-                     for x in ideal.table.vectors[b]]
+                     for x in ideal.table.sparse_rows(b)]
             echelon = Subspace.span(dense, len(A.by_target[v]), A.field)
             assert sorted(map(tuple, echelon.rows)) == sorted(dense)
             assert by_rows.setdefault((v, rows), blk) is blk
@@ -610,12 +612,18 @@ def test_blocks_shared_across_weyl_elements(name, expected, algebras,
     assert len(distinct) == len(by_rows) == expected
 
 
+def _rows(table, b):
+    """The echelon rows of block ``b``, vertex by vertex, as nested
+    tuples."""
+    return tuple(tuple(map(tuple, s.rows)) for s in table.spaces[b].values())
+
+
 @pytest.mark.parametrize("name", ["a3", "b3", "eg2"])
 def test_block_module_shares_the_table_span(name, algebras, weyl_groups,
                                             semigroups):
-    """Each block is echelonized once: its module is built on the table
-    span's per-vertex echelon bases, and the span of reordered or
-    redundant generators gets the same block id."""
+    """Each block is echelonized once: its module is the submodule of
+    e_vPi on the table's per-vertex echelon bases, and the span of
+    reordered or redundant generators gets the same block id."""
     A, W, ctx = algebras[name], weyl_groups[name], semigroups[name]
     table = ctx.table
     two = A.field.from_int(2)
@@ -625,20 +633,22 @@ def test_block_module_shares_the_table_span(name, algebras, weyl_groups,
             b = ideal.blocks[v - 1]
             blk = ideal.block(v)
             if blk is not None:
-                span = table.spans[b]
-                assert blk.dims == [s.dim for s in span.spaces.values()]
+                spaces = table.spaces[b]
+                assert blk.dims == [s.dim for s in spaces.values()]
                 for a in A.quiver.arrows:
-                    express = span.spaces[a.source].express
-                    assert [express(x) for x in span.arrow_images(a)] == \
+                    act = A.right_action[v][a.index]
+                    express = spaces[a.source].express
+                    assert [express(act.vec(x))
+                            for x in spaces[a.target].rows] == \
                         [blk.act[a.index].col(j)
                          for j in range(blk.dims[a.target - 1])]
-            gens = table.vectors[b]
+            gens = table.sparse_rows(b)
             redundant = ([{g: two * c for g, c in x.items()}
                           for x in reversed(gens)] + gens
                          + [A.mul_coords(x, y) for x in gens for y in gens])
             assert table.span(v, redundant) == b
             assert table.span(v, gens[1:] + gens[:1]) == b
-    assert len(table.spans) == len(table._ids)
+    assert len(table.spaces) == len(table._ids)
 
 
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -858,7 +868,7 @@ def test_semigroup_memos_are_bounded(monkeypatch):
             if v.length > u.length:
                 assert extend_right(ctx.of_element(u), i) == \
                     ctx.of_element(v)
-    assert 0 < len(table.right) <= len(table.spans) * A.n
+    assert 0 < len(table.right) <= len(table.spaces) * A.n
 
 
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
@@ -914,7 +924,7 @@ def test_ideals_on_a_ball_match_the_full_group(algebras, semigroups):
     ctx = IdealSemigroup(A, ball)
 
     def spans(sg, w):
-        return [sg.table.spans[b].rows() for b in sg.of_element(w).blocks]
+        return [_rows(sg.table, b) for b in sg.of_element(w).blocks]
 
     for w in ball:
         assert spans(ctx, w) == spans(full, full.weyl.elements[w.weight]), \
@@ -1004,9 +1014,33 @@ def test_mutation_graph_checks_every_edge_off_the_sample(algebras,
     for w in W:
         ctx.of_element(w)
     ideal = ctx.of_element(x)
-    other = next(b for b in range(len(ctx.table.spans))
+    other = next(b for b in range(len(ctx.table.spaces))
                  if b != ideal.blocks[0])
     ctx._cache[x.index] = tautilt._with_block(ideal, 1, other)
     with pytest.raises(VerificationFailed,
                        match="changes a block other than"):
         mutation_graph(ctx)
+
+
+@pytest.mark.parametrize("entries, sym", [
+    (B3, "minimal"), (C3, "minimal"), (D4, "minimal"), (G2, (6, 2)),
+    (B2, (4, 2))], ids=["b3", "c3", "d4", "g2-62", "b2-42"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+def test_steps_match_the_generic_closures(entries, sym, field):
+    """The left step at every i of every I_w gives the ideal of the route
+    through the basis paths with one non-loop arrow, and the right step at
+    every i of every block gives the block of the closure under every
+    arrow: the eps_i-closures of the steps span the same spaces."""
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    ctx = IdealSemigroup(A, enumerate_weyl(A.data.cartan))
+    table = ctx.table
+    for w in ctx.weyl:
+        ideal = ctx.of_element(w)
+        for i in range(1, A.n + 1):
+            assert extend_left(i, ideal) == path_extend_left(i, ideal)
+    blocks = len(table.spaces)
+    assert blocks > A.n
+    for b in range(blocks):
+        for i in range(1, A.n + 1):
+            assert (tautilt._right_step(table, b, i)
+                    == generic_right_step(table, b, i)), (b, i)
