@@ -10,11 +10,7 @@ from .cartan import (
     is_dynkin,
     validate_cartan,
 )
-from .coxeter import (
-    coxeter_order,
-    enumerate_weyl,
-    simple_reflection_matrix,
-)
+from .coxeter import coxeter_order, enumerate_weyl
 from .fields import QQ, PrimeField
 from .pathalg import (
     build_algebra,

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 from .cartan import CartanData, cartan_data, dynkin_components
 from .coxeter import coxeter_order, enumerate_weyl, sigma_order
@@ -37,6 +37,7 @@ from .repmod import (
     is_isomorphic,
     locally_free_rank,
     nakayama_nu,
+    regular_module,
     structure_series,
 )
 from .tautilt import (
@@ -151,9 +152,10 @@ def load_config(source: str) -> RunConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def _emit(cfg, payload: dict, text_lines) -> str:
+def _emit(cfg, payload: dict, text_lines):
+    """The payload under ``--json``, for ``main`` to write; else the text."""
     if cfg.json_out:
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
     return "\n".join(text_lines)
 
 
@@ -189,8 +191,8 @@ def cmd_algebra(cfg: RunConfig):
     algebra = build_algebra(cfg.data, cfg.field, cfg.max_degree, cfg.max_basis)
     verify_algebra(algebra)
     vertex_dims = algebra.vertex_dims()
-    layers = {v: structure_series(P) for v, P in
-              enumerate(IdealSemigroup(algebra, None).projectives, 1)}
+    layers = {v: structure_series(regular_module(algebra, v))
+              for v in range(1, algebra.n + 1)}
     payload = {
         "dim": algebra.dim,
         "vertex_dims": vertex_dims,
@@ -275,7 +277,7 @@ def cmd_mutation_graph(cfg: RunConfig):
         return 0, graph.to_dot()
     payload = graph.to_json_dict()
     if cfg.json_out:
-        return 0, json.dumps(payload, indent=2, sort_keys=True)
+        return 0, payload
     lines = [f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"]
     for (a, b, i) in graph.edges:
         la = "+".join(graph.nodes[a].summands) or "0"
@@ -406,7 +408,8 @@ COMMANDS = {"check": cmd_check, "algebra": cmd_algebra, "weyl": cmd_weyl,
 
 
 def run_command(cfg: RunConfig, command: str):
-    """Dispatch; returns (exit_code, output)."""
+    """Dispatch; returns (exit_code, output): text, or under ``--json`` the
+    payload dict of a command that has one."""
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     return COMMANDS[command](cfg)
@@ -430,6 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write_json(payload: dict) -> None:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, to
+    the ``sys.stdout`` of the moment, written in batches of encoder chunks
+    so the whole document is never one string."""
+    out = sys.stdout
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    for batch in iter(lambda: "".join(islice(chunks, 1 << 16)), ""):
+        out.write(batch)
+    out.write("\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -450,7 +464,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, ValidationError, CartanError,
                                      NotDynkin)) else 1
-    print(output)
+    if isinstance(output, dict):
+        _write_json(output)
+    else:
+        print(output)
     return code
 
 

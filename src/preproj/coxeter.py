@@ -1,7 +1,9 @@
 """The Weyl group W(C) as the orbit of rho = (1, ..., 1).
 
 An element is its weight w(rho) in fundamental-weight coordinates, faithful
-as rho is regular; lam_i < 0 exactly when i is a left descent.  The BFS
+as rho is regular; lam_i < 0 exactly when i is a left descent.  The
+generator sigma_i* acts on a weight by ``_step``, lam -> lam - lam_i alpha_i,
+and the layer builds no matrices: ``sigma_order`` too steps rho.  The BFS
 records every s_i w, so ``left_mul`` is a lookup and ``right_mul`` reads a
 table filled from these steps.  ``word`` reads the lex-least reduced word off
 the weight, a smallest left descent at a time: a tuple of generator indices
@@ -18,17 +20,6 @@ from .cartan import CartanMatrix, find_symmetrizer, is_dynkin
 from .errors import CapExceeded
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _step(lam, col, i):
     """s_i lam = lam - lam_i alpha_i, for ``col`` = alpha_i = column i of C."""
     li = lam[i]
@@ -40,21 +31,6 @@ def _cartan_columns(c: CartanMatrix):
             for i in range(1, c.n + 1)]
 
 
-def simple_reflection_matrix(c: CartanMatrix, i: int):
-    """Matrix of sigma_i* : alpha_i* -> alpha_i* - sum_j c_ji alpha_j*."""
-    n = c.n
-    assert 1 <= i <= n
-    cols = []
-    for l in range(1, n + 1):
-        if l != i:
-            cols.append(tuple(1 if r == l else 0 for r in range(1, n + 1)))
-        else:
-            cols.append(tuple((1 if r == i else 0) - c[r, i]
-                              for r in range(1, n + 1)))
-    # stored row-major
-    return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-
-
 def coxeter_order(c: CartanMatrix, i: int, j: int):
     """Order of s_i s_j: 2, 3, 4, 6 for c_ij c_ji = 0, 1, 2, 3; inf beyond."""
     assert i != j
@@ -64,14 +40,14 @@ def coxeter_order(c: CartanMatrix, i: int, j: int):
 
 def sigma_order(c: CartanMatrix, i: int, j: int):
     """The least m <= 6 with (sigma_i* sigma_j*)^m = 1, else None: 6 is the
-    largest finite m_ij."""
-    prod = _mat_mul(simple_reflection_matrix(c, i),
-                    simple_reflection_matrix(c, j))
-    power, one = prod, _identity(c.n)
+    largest finite m_ij.  W acts freely on the orbit of the regular weight
+    rho, so the order of sigma_i* sigma_j* is its order on rho."""
+    cols = _cartan_columns(c)
+    rho = lam = (1,) * c.n
     for m in range(1, 7):
-        if power == one:
+        lam = _step(_step(lam, cols[j - 1], j - 1), cols[i - 1], i - 1)
+        if lam == rho:
             return m
-        power = _mat_mul(power, prod)
     return None
 
 

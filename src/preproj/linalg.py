@@ -3,11 +3,13 @@
 Matrices carry their shape explicitly so zero-dimensional vertex spaces
 (which occur constantly in module computations) never get ambiguous.
 ``Subspace`` keeps a span in reduced row echelon form, which makes
-membership exact and its rows canonical; it is the one Gauss-Jordan
-elimination of the package, and ``rref``, ``nullspace`` and
-``solve_matrix`` go through it.  A submodule (an ideal block in e_vPi,
-tau M in nu P1) is one ``Subspace`` per vertex, see
-``repmod.module_from_subspace``.
+membership exact and its rows canonical.  ``Subspace.reduce`` is the one
+elimination of the package: ``add`` reduces through it, then clears the
+new pivot column in the old rows; ``rref``, ``nullspace`` and
+``solve_matrix`` go through ``add``; and ``express`` reads the
+coefficients off the pivot columns once ``reduce`` leaves nothing.  A
+submodule (an ideal block in e_vPi, tau M in nu P1) is one ``Subspace``
+per vertex, see ``repmod.module_from_subspace``.
 
 Scalars are ``int`` (``Fraction`` after a non-unit QQ pivot).  Over F_p
 every kernel reads ``p = field.characteristic`` once and reduces what it
@@ -208,18 +210,11 @@ class Subspace:
         return True
 
     def express(self, vec):
-        """Coefficients of vec over the echelon rows, or None."""
-        v = list(vec)
-        coeffs = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            coeffs.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        p = self.field.characteristic
-        if any(a % p for a in v) if p else any(v):
+        """Coefficients of vec over the echelon rows, or None: the rows are
+        reduced, so row j's coefficient is vec at its pivot."""
+        if any(self.reduce(vec)):
             return None
-        return coeffs
+        return [vec[pc] for pc in self.pivots]
 
     def quotient(self):
         """Projection onto a complement: (proj(vec)->coords, dim, lifts)."""

@@ -4,7 +4,6 @@ No command runs them, so they live here rather than in ``preproj``: the
 package keeps one route per computation.  Each is either independent of
 the route it checks or a plainer form of it."""
 
-from preproj.coxeter import _identity, _mat_mul, simple_reflection_matrix
 from preproj.linalg import Matrix, Subspace, mat_rank
 from preproj.repmod import (
     _approximation_matrix,
@@ -55,6 +54,32 @@ def from_word(group, word):
     for i in reversed(word):
         w = group.left_mul(i, w)
     return w
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n))
+
+
+def _identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def simple_reflection_matrix(c, i):
+    """Matrix of sigma_i* : alpha_i* -> alpha_i* - sum_j c_ji alpha_j*."""
+    n = c.n
+    assert 1 <= i <= n
+    cols = []
+    for l in range(1, n + 1):
+        if l != i:
+            cols.append(tuple(1 if r == l else 0 for r in range(1, n + 1)))
+        else:
+            cols.append(tuple((1 if r == i else 0) - c[r, i]
+                              for r in range(1, n + 1)))
+    # stored row-major
+    return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
 
 
 def weyl_matrix(group, w):

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -71,9 +73,8 @@ def test_cmd_algebra_json():
     cfg = load_config(json.dumps(EG2))
     cfg.json_out = True
     cfg.show_basis = True
-    code, out = run_command(cfg, "algebra")
+    code, payload = run_command(cfg, "algebra")
     assert code == 0
-    payload = json.loads(out)
     assert payload["dim"] == 10
     assert payload["vertex_dims"] == [6, 4]
     assert len(payload["basis"]) == 10
@@ -84,9 +85,8 @@ def test_cmd_algebra_json():
 def test_cmd_weyl():
     cfg = load_config(json.dumps(EG1))
     cfg.json_out = True
-    code, out = run_command(cfg, "weyl")
+    code, payload = run_command(cfg, "weyl")
     assert code == 0
-    payload = json.loads(out)
     assert payload["order"] == 6
     assert payload["longest_length"] == 3
     assert {"word": "121", "length": 3} in payload["elements"]
@@ -164,11 +164,31 @@ def test_cmd_mutation_graph_outputs():
     assert out.count("->") == 8
     cfg.dot = False
     cfg.json_out = True
-    code, out = run_command(cfg, "mutation-graph")
-    payload = json.loads(out)
+    code, payload = run_command(cfg, "mutation-graph")
+    assert code == 0
     assert len(payload["nodes"]) == 8
     assert len(payload["edges"]) == 8
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_json_is_written_in_batches_to_the_current_stdout():
+    """``main`` writes a ``--json`` payload to the ``sys.stdout`` of the
+    moment, as ``json.dumps(indent=2, sort_keys=True)`` plus a newline,
+    in more than one write once it outgrows a batch of encoder chunks."""
+    payload = {"b": list(range(70_000)), "a": {"y": None, "x": "z"}}
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    buf = Recorder()
+    with contextlib.redirect_stdout(buf):
+        cli._write_json(payload)
+    assert buf.getvalue() == json.dumps(payload, indent=2,
+                                        sort_keys=True) + "\n"
+    assert len(writes) > 2
 
 
 def test_cmd_verify_eg1(capsys):

@@ -3,18 +3,19 @@ import math
 import random
 
 import pytest
-from oracles import all_reduced_words, demazure_product, from_word, weyl_matrix
-
-from preproj.cartan import validate_cartan
-from preproj.coxeter import (
+from oracles import (
     _identity,
     _mat_mul,
-    coxeter_order,
-    enumerate_weyl,
-    sigma_order,
+    all_reduced_words,
+    demazure_product,
+    from_word,
     simple_reflection_matrix,
-    weyl_order,
+    weyl_matrix,
 )
+
+from preproj.cartan import validate_cartan
+from preproj.coxeter import (coxeter_order, enumerate_weyl, sigma_order,
+                             weyl_order)
 from preproj.errors import CapExceeded
 
 A2 = validate_cartan([[2, -1], [-1, 2]])
@@ -74,6 +75,36 @@ def test_orders_are_exact_on_matrices():
                     continue
                 m = coxeter_order(c, i, j)
                 assert sigma_order(c, i, j) == (None if m is math.inf else m)
+
+
+C2_AFFINE = validate_cartan([[2, -1, 0], [-2, 2, -2], [0, -1, 2]])
+
+
+def _matrix_order(m, bound=12):
+    """The least k <= bound with m^k = 1, else None."""
+    one, power = _identity(len(m)), m
+    for k in range(1, bound + 1):
+        if power == one:
+            return k
+        power = _mat_mul(power, m)
+    return None
+
+
+@pytest.mark.parametrize("c", [F4, E6, C2_AFFINE,
+                               validate_cartan([[2, -3], [-3, 2]]),
+                               validate_cartan([[2, -4], [-1, 2]])],
+                         ids=["f4", "e6", "c2-affine", "hyperbolic-33",
+                              "affine-41"])
+def test_sigma_order_matches_the_matrix_oracle(c):
+    """``sigma_order``, which steps rho, is the order of the matrix
+    sigma_i* sigma_j* on every ordered pair; None where that order is
+    infinite (c_ij c_ji >= 4: affine or hyperbolic rank 2)."""
+    for i, j in itertools.permutations(range(1, c.n + 1), 2):
+        prod = _mat_mul(simple_reflection_matrix(c, i),
+                        simple_reflection_matrix(c, j))
+        want = _matrix_order(prod)
+        assert sigma_order(c, i, j) == want
+        assert (want is None) == (c[i, j] * c[j, i] >= 4)
 
 
 def test_enumeration_counts():

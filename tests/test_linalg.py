@@ -99,6 +99,40 @@ def test_rref_over_small_prime_fields(case):
         assert not any(m.vec(v))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),
+                                   PrimeField(101)],
+                         ids=["qq", "f2", "f3", "f101"])
+def test_express_recombines_the_rows(field):
+    """``express`` gives coefficients that recombine the echelon rows into
+    a vector of the span, and None for a vector off it.  Over QQ the
+    spanning rows have non-unit pivots, so the echelon rows carry
+    ``Fraction`` entries."""
+    p = field.characteristic
+    rng = random.Random(p)
+    rows = [[2, 1, 0, 1, 3], [0, 3, 1, 5, 0], [1, 0, 0, 2, 1]]
+    if p:
+        rows = [[x % p for x in r] for r in rows]
+    space = Subspace.span(rows, 5, field)
+    assert space.dim == 3
+    if not p:
+        assert any(type(x) is Fraction for r in space.rows for x in r)
+    for _ in range(20):
+        mix = [rng.randint(-5, 5) for _ in space.rows]
+        vec = [sum(c * r[j] for c, r in zip(mix, space.rows))
+               for j in range(5)]
+        if p:
+            vec = [x % p for x in vec]
+        coeffs = space.express(vec)
+        assert coeffs is not None and len(coeffs) == space.dim
+        again = [sum(c * r[j] for c, r in zip(coeffs, space.rows))
+                 for j in range(5)]
+        assert ([x % p for x in again] if p else again) == vec
+        off = list(vec)
+        free = next(j for j in range(5) if j not in space.pivots)
+        off[free] = (off[free] + 1) % p if p else off[free] + 1
+        assert space.express(off) is None
+
+
 def _row_sum_vec(m, v):
     """Oracle for ``Matrix.vec``: every row summed over every entry of v."""
     p = m.field.characteristic
