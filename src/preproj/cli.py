@@ -42,12 +42,13 @@ from .repmod import (
 )
 from .tautilt import (
     IdealSemigroup,
+    ModuleNamer,
     classification_report,
     exchange_graph,
     extend_left,
     full_ideal,
-    graph_nodes,
     mutation_graph,
+    pair_blocks,
 )
 
 @dataclass
@@ -250,12 +251,19 @@ def _dynkin_semigroup(cfg: RunConfig) -> IdealSemigroup:
 
 
 def _stt_rows(cfg: RunConfig) -> list:
-    """The pairs; the ideal layer is freed on return, before any output."""
+    """The pairs by block id, a block's module built only for a rank test;
+    the ideal layer is freed on return, before any output."""
     semigroup = _dynkin_semigroup(cfg)
-    return [{"word": ws, "summands": node.summands, "dims": node.dims,
-             "projective": node.projective}
-            for ws, node in zip(semigroup.weyl.word_strings(),
-                                graph_nodes(semigroup))]
+    namer, table = ModuleNamer(semigroup), semigroup.table
+    rows = []
+    for ws, w in zip(semigroup.weyl.word_strings(), semigroup.weyl):
+        blocks, proj = pair_blocks(semigroup, w)
+        rows.append({
+            "word": ws,
+            "summands": [namer.name_block(v, w, b) for v, b in blocks.items()],
+            "dims": [sum(table.dims(b)) for b in blocks.values()],
+            "projective": sorted(f"e{j}P" for j in proj)})
+    return rows
 
 
 def cmd_stt(cfg: RunConfig):
@@ -405,6 +413,10 @@ def cmd_verify(cfg: RunConfig):
 COMMANDS = {"check": cmd_check, "algebra": cmd_algebra, "weyl": cmd_weyl,
             "stt": cmd_stt, "mutation-graph": cmd_mutation_graph,
             "verify": cmd_verify}
+# output flag -> (what it selects, the commands that read it)
+OUTPUT_FLAGS = {"json": ("JSON", set(COMMANDS) - {"verify"}),
+                "dot": ("DOT", {"mutation-graph"}),
+                "basis": ("basis", {"algebra"})}
 
 
 def run_command(cfg: RunConfig, command: str):
@@ -447,6 +459,10 @@ def _write_json(payload: dict) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, (kind, readers) in OUTPUT_FLAGS.items():
+            if getattr(args, flag) and args.command not in readers:
+                raise ValidationError(
+                    f"--{flag}: {args.command} has no {kind} output")
         cfg = load_config(args.config)
         if args.field is not None:
             cfg.field = _field(args.field)

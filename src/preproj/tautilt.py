@@ -20,14 +20,14 @@ block rows and serves as the independent route for the idempotent checks
 I_i I_i = I_i of ``classification_report``.
 
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
-distinct nonzero blocks among its 384 x 4 pairs (w, v).  ``Ideal.block``
-builds the module of each block once, so everything memoized on a module
-(its presentation, series, indecomposability, locally free rank) and its
-display name are computed once per distinct block, and the classification
-report tests Hom(M_a, tau M_b) = 0 once per ordered pair of blocks, on the
+distinct nonzero blocks among its 384 x 4 pairs (w, v).  A pair is read by
+block id (``pair_blocks``) and its dimensions off the echelon spaces;
+``BlockTable.module`` builds a block's module on first use, for
+``stt_pair``, a rank test of ``ModuleNamer`` or ``graph_nodes``.  So
+everything memoized on a module (presentation, series, indecomposability,
+locally free rank) is computed once per distinct block, and the report
+tests Hom(M_a, tau M_b) = 0 once per ordered pair of blocks, on the
 presentation of M_b (Adachi-Iyama-Reiten, Prop. 2.4), building no tau.
-Isomorphic blocks are the same block, so ``ModuleNamer`` names them by
-identity and rank tests, without an isomorphism search.
 
 Left mutation finds the minimal left approximation in one sweep over the
 basis maps X -> U_k, compared by their values on the generators of X, and
@@ -53,7 +53,6 @@ from .errors import NotDynkin, NotMutable, ReportFailure, VerificationFailed
 from .linalg import Matrix, Subspace
 from .pathalg import FiniteDimAlgebra
 from .repmod import (
-    ModuleRep,
     direct_sum,
     hom_space,
     hom_to_tau_vanishes,
@@ -124,10 +123,14 @@ class BlockTable:
             self.modules.append(None)
         return b
 
+    def dims(self, b: int) -> list:
+        """The dimension vector of block ``b``: dim e_vI e_u for u = 1..n."""
+        return [s.dim for s in self.spaces[b].values()]
+
     def module(self, b: int):
         """The right module of block ``b``, or None when the block is zero."""
         mod = self.modules[b]
-        if mod is None and any(s.dim for s in self.spaces[b].values()):
+        if mod is None and any(self.dims(b)):
             mod = self.modules[b] = module_from_subspace(
                 self.modules[self.full[self.vertex[b] - 1]], self.spaces[b])
         return mod
@@ -150,8 +153,7 @@ class Ideal:
 
     @property
     def dim(self) -> int:
-        return sum(s.dim for b in self.blocks
-                   for s in self.table.spaces[b].values())
+        return sum(sum(self.table.dims(b)) for b in self.blocks)
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.table is other.table
@@ -314,39 +316,43 @@ class IdealSemigroup:
 class ModuleNamer:
     """Stable display names: e{i}P, E{i}, e{i}I{i}, then e{v}Iw<word>.
 
-    Isomorphic blocks are one object.  Pi is selfinjective, so an
+    Isomorphic blocks are one block.  Pi is selfinjective, so an
     isomorphism between blocks e_vI_w and e_uI_x (submodules of e_vPi and
     e_uPi) matches their simple socles, which forces u = v, and extends to
     left multiplication by some x in e_vPi e_v.  That maps e_vI_w into
     itself, so e_uI_x lies in e_vI_w, and equal dimensions make the two
     blocks equal.  Hence a block is e{v}P iff it *is* e_vI_e and e{v}I{v} iff
-    it *is* e_vI_v (one table per context), and it is E{i} iff its locally
-    free rank is delta_i: dimension vector c_i delta_i and eps_i one Jordan
-    block, which is E_i up to a change of basis.
+    it *is* e_vI_v (one table per context), and it is E{j} iff its locally
+    free rank is delta_j: dimension vector c_j delta_j and eps_j one Jordan
+    block, which is E_j up to a change of basis.  Only a block with that
+    dimension vector has its module built, for the rank test.
 
     A namer refers to its context but the context never to a namer, so the
     two form no reference cycle; each caller that names blocks makes one."""
 
     def __init__(self, semigroup: IdealSemigroup):
         self.semigroup = semigroup
-        self._names = {}  # block module -> name
+        self._names = {}  # block id -> name
 
-    def name_block(self, vertex: int, w: WeylElement, mod: ModuleRep) -> str:
-        """Name of the block ``mod = I_w.block(vertex)``, memoized per
+    def name_block(self, vertex: int, w: WeylElement, b: int) -> str:
+        """Name of the block ``b = I_w.blocks[vertex - 1]``, memoized per
         block."""
-        name = self._names.get(mod)
+        name = self._names.get(b)
         if name is None:
-            name = self._names[mod] = self._name(vertex, w, mod)
+            name = self._names[b] = self._name(vertex, w, b)
         return name
 
-    def _name(self, vertex: int, w: WeylElement, mod: ModuleRep) -> str:
+    def _name(self, vertex: int, w: WeylElement, b: int) -> str:
         sg = self.semigroup
-        if mod is sg.projectives[vertex - 1]:
+        table = sg.table
+        if b == table.full[vertex - 1]:
             return f"e{vertex}P"
-        rank = locally_free_rank(mod)
-        if rank is not None and sum(rank) == 1:
-            return f"E{rank.index(1) + 1}"
-        if mod is sg.generator(vertex).block(vertex):
+        dims = table.dims(b)
+        j = next(u for u, d in enumerate(dims, 1) if d)
+        if (sum(dims) == dims[j - 1] == sg.algebra.quiver.symmetrizer[j]
+                and locally_free_rank(table.module(b)) is not None):
+            return f"E{j}"
+        if b == sg.generator(vertex).blocks[vertex - 1]:
             return f"e{vertex}I{vertex}"
         return f"e{vertex}Iw{sg.weyl.word_str(w)}"
 
@@ -365,31 +371,24 @@ class SttPair:
     projective_vertices: tuple     # j with e_j Pi a summand of P
     block_vertices: tuple          # the vertex v of each summand e_vI
 
-    def module_dims(self):
-        out = [0] * self.algebra.n
-        for s in self.summands:
-            out = [a + b for a, b in zip(out, s.dims)]
-        return out
+
+def pair_blocks(semigroup: IdealSemigroup, w: WeylElement):
+    """(I_w, P_w) by block id: {v: id of e_vI_w} over the nonzero blocks,
+    and the vertices of P_w = (+)_{e_i I_w = 0} e_{sigma(i)} Pi."""
+    if not semigroup.algebra.dynkin:
+        raise NotDynkin("support tau-tilting pairs require Dynkin type")
+    blocks = {v: b for v, b in enumerate(semigroup.of_element(w).blocks, 1)
+              if any(semigroup.table.dims(b))}
+    return blocks, tuple(sorted(j for v, j in enumerate(semigroup.sigma, 1)
+                                if v not in blocks))
 
 
 def stt_pair(semigroup: IdealSemigroup, w: WeylElement) -> SttPair:
-    """(I_w, P_w) with P_w = (+)_{e_i I_w = 0} e_{sigma(i)} Pi."""
-    algebra = semigroup.algebra
-    if not algebra.dynkin:
-        raise NotDynkin("support tau-tilting pairs require Dynkin type")
-    ideal = semigroup.of_element(w)
-    summands = []
-    verts = []
-    proj = []
-    for i in range(1, algebra.n + 1):
-        blk = ideal.block(i)
-        if blk is None:
-            proj.append(semigroup.sigma[i - 1])
-        else:
-            summands.append(blk)
-            verts.append(i)
-    return SttPair(algebra, summands, tuple(sorted(proj)),
-                   block_vertices=tuple(verts))
+    """(I_w, P_w) on the modules of the blocks of ``pair_blocks``."""
+    blocks, proj = pair_blocks(semigroup, w)
+    return SttPair(semigroup.algebra,
+                   [semigroup.table.module(b) for b in blocks.values()], proj,
+                   block_vertices=tuple(blocks))
 
 
 def verify_stt(pair: SttPair, rigid=None):
@@ -401,9 +400,8 @@ def verify_stt(pair: SttPair, rigid=None):
     A = pair.algebra
     if len(pair.summands) + len(pair.projective_vertices) != A.n:
         reasons.append("|M| + |P| != n")
-    dims = pair.module_dims()
     for j in pair.projective_vertices:
-        if dims[j - 1]:
+        if any(s.dims[j - 1] for s in pair.summands):
             reasons.append(f"Hom(e{j}P, M) != 0")
     rigid = {} if rigid is None else rigid
     for a, s in enumerate(pair.summands):
@@ -578,16 +576,17 @@ def mutation_graph(semigroup: IdealSemigroup) -> None:
 
 
 def graph_nodes(semigroup: IdealSemigroup):
-    """The ``GraphNode`` of each (I_w, P_w), in enumeration order."""
+    """The ``GraphNode`` of each (I_w, P_w), in enumeration order; the rank
+    vectors build the module of every block."""
     namer = ModuleNamer(semigroup)
+    table = semigroup.table
     for w in semigroup.weyl:
-        pair = stt_pair(semigroup, w)
+        blocks, proj = pair_blocks(semigroup, w)
         yield GraphNode(
-            [namer.name_block(v, w, s) for v, s
-             in zip(pair.block_vertices, pair.summands)],
-            [s.total_dim for s in pair.summands],
-            [locally_free_rank(s) for s in pair.summands],
-            sorted(f"e{j}P" for j in pair.projective_vertices))
+            [namer.name_block(v, w, b) for v, b in blocks.items()],
+            [sum(table.dims(b)) for b in blocks.values()],
+            [locally_free_rank(table.module(b)) for b in blocks.values()],
+            sorted(f"e{j}P" for j in proj))
 
 
 def exchange_graph(semigroup: IdealSemigroup) -> MutationGraph:
@@ -671,8 +670,9 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
         reasons = verify_stt(pair, rigid)
         if reasons:
             failures.append(f"pair at {weyl.word_str(w) or 'e'}: {reasons}")
+        blocks = semigroup.of_element(w).blocks
         for v, s in zip(pair.block_vertices, pair.summands):
-            name = namer.name_block(v, w, s)
+            name = namer.name_block(v, w, blocks[v - 1])
             if name not in seen:
                 seen[name] = (name, s.total_dim, locally_free_rank(s))
     tau_rigid = sorted(seen.values())

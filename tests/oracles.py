@@ -10,6 +10,7 @@ from preproj.repmod import (
     _module,
     direct_sum,
     hom_space,
+    locally_free_rank,
     minimal_projective_presentation,
     module_from_subspace,
 )
@@ -252,3 +253,31 @@ def path_extend_left(i, J):
                          for x in table.sparse_rows(J.blocks[j - 1]))
     return Ideal(table, J.blocks[:i - 1] + (table.span(i, prods),)
                  + J.blocks[i:])
+
+
+class ModuleKeyedNamer:
+    """Display names keyed by block module: e{v}P when the module is the
+    projective, E{j} when its locally free rank is delta_j, e{v}I{v} when
+    it is the block of I_v, else e{v}Iw<word> for the first w it is named
+    at.  It takes the rank of every block it meets."""
+
+    def __init__(self, semigroup):
+        self.semigroup = semigroup
+        self._names = {}  # block module -> name
+
+    def name_block(self, vertex, w, mod):
+        name = self._names.get(mod)
+        if name is None:
+            name = self._names[mod] = self._name(vertex, w, mod)
+        return name
+
+    def _name(self, vertex, w, mod):
+        sg = self.semigroup
+        if mod is sg.projectives[vertex - 1]:
+            return f"e{vertex}P"
+        rank = locally_free_rank(mod)
+        if rank is not None and sum(rank) == 1:
+            return f"E{rank.index(1) + 1}"
+        if mod is sg.generator(vertex).block(vertex):
+            return f"e{vertex}I{vertex}"
+        return f"e{vertex}Iw{sg.weyl.word_str(w)}"

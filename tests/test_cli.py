@@ -15,7 +15,13 @@ from oracles import vertex_ideal
 
 import preproj
 import preproj.cli as cli
-from preproj.cli import config_from_dict, load_config, main, run_command
+from preproj.cli import (
+    COMMANDS,
+    config_from_dict,
+    load_config,
+    main,
+    run_command,
+)
 from preproj.errors import NotDynkin, ParseError, ValidationError
 from preproj.fields import PrimeField
 
@@ -400,12 +406,10 @@ def test_homological_identities_run_on_the_blocks_of_I_i(monkeypatch,
                 for blk in blocks if blk is not None] == [True] * 3
 
 
-def test_stt_builds_each_block_once(monkeypatch, capsys):
-    """B3 ``stt`` builds at most one module per distinct nonzero block,
-    sum_i (|W omega_i| - 1) of them, plus the n projectives."""
+def _module_builds(monkeypatch, command):
+    """The ``module_from_subspace`` calls of one B3 ``command``."""
     import preproj.repmod as repmod
     import preproj.tautilt as tautilt
-    b3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
     calls = []
     build = repmod.module_from_subspace
 
@@ -415,11 +419,32 @@ def test_stt_builds_each_block_once(monkeypatch, capsys):
 
     monkeypatch.setattr(repmod, "module_from_subspace", counting)
     monkeypatch.setattr(tautilt, "module_from_subspace", counting)
-    assert main(["stt", "--config", json.dumps({"cartan": b3})]) == 0
+    assert main([command, "--config", json.dumps(_B3)]) == 0
+    return len(calls)
+
+
+def test_stt_builds_each_block_once(monkeypatch, capsys):
+    """B3 ``stt`` reads its pairs by block id and builds a block module only
+    for the rank test of a block with dimension vector c_j delta_j: at
+    most n = 3 of its 20 distinct nonzero blocks."""
+    calls = _module_builds(monkeypatch, "stt")
     assert "48 support tau-tilting pairs" in capsys.readouterr().out
+    assert 0 < calls <= len(_B3["cartan"])
+
+
+@pytest.mark.parametrize("command, line", [
+    ("mutation-graph", "48 nodes, 72 edges"),
+    ("verify", "48 support tau-tilting modules = |W| = 48")])
+def test_block_modules_are_built_once(monkeypatch, capsys, command, line):
+    """B3 ``mutation-graph`` and ``verify`` build at most one module per
+    distinct nonzero block, sum_i (|W omega_i| - 1) of them, plus the n
+    projectives."""
+    calls = _module_builds(monkeypatch, command)
+    assert line in capsys.readouterr().out
+    b3 = _B3["cartan"]
     bound = sum(s - 1 for s in weyl_orbit_sizes(b3)) + len(b3)
     assert bound == 26
-    assert 0 < len(calls) <= bound
+    assert 0 < calls <= bound
 
 
 def test_verify_builds_each_projective_once(monkeypatch, capsys):
@@ -519,6 +544,24 @@ def test_main_bad_config_key_exits_2(extra, key, capsys):
     assert main(["check", "--config", json.dumps(raw)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}:"), err
+
+
+@pytest.mark.parametrize("flag, kind, readers", [
+    ("--json", "JSON", {"check", "algebra", "weyl", "stt", "mutation-graph"}),
+    ("--dot", "DOT", {"mutation-graph"}),
+    ("--basis", "basis", {"algebra"})])
+def test_output_flag_a_command_ignores_exits_2(flag, kind, readers, capsys):
+    """A command refuses an output flag it does not read, with exit 2 and
+    nothing on stdout; the commands that read the flag accept it."""
+    for command in COMMANDS:
+        code = main([command, "--config", json.dumps(EG1), flag])
+        out, err = capsys.readouterr()
+        if command in readers:
+            assert (code, err) == (0, ""), command
+            assert out
+        else:
+            assert (code, out) == (2, ""), command
+            assert err == f"error: {flag}: {command} has no {kind} output\n"
 
 
 # Outputs recorded from the package before ideals were stored as blocks;

@@ -4,6 +4,7 @@ from oracles import projective_module
 from preproj.cartan import cartan_data
 from preproj.errors import CapExceeded, VerificationFailed
 from preproj.fields import QQ, PrimeField
+from preproj.linalg import rref
 from preproj.pathalg import (
     arrow_mon,
     build_algebra,
@@ -14,6 +15,7 @@ from preproj.pathalg import (
     verify_algebra,
 )
 from preproj.repmod import structure_series
+from preproj.tautilt import IdealSemigroup
 
 EG1 = cartan_data([[2, -1], [-1, 2]], (2, 2))
 EG2 = cartan_data([[2, -1], [-2, 2]], (2, 1))
@@ -287,3 +289,36 @@ def test_action_tables_match_mul_coords(data, field):
             m = A.left_action[u][a.index]
             assert (m.nrows, m.ncols) == (len(A.paths[a.target][u]),
                                           len(A.paths[a.source][u]))
+
+
+_CLOSED_FORM_SPECS = {
+    "b4": (B4.cartan.entries, "minimal"),
+    "c4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+           "minimal"),
+    "d5": ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+            [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], "minimal"),
+    "g2-31": ([[2, -1], [-3, 2]], (3, 1)),
+    "g2-62": ([[2, -1], [-3, 2]], (6, 2)),
+    "b2-42": ([[2, -1], [-2, 2]], (4, 2)),
+    "a2-22": ([[2, -1], [-1, 2]], (2, 2)),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_SPECS))
+def test_piece_dims_have_a_closed_form(name, field):
+    """dim e_vPi e_u = d_u ((C^-1)_uv + (C^-1)_{u sigma(v)}), with sigma the
+    Nakayama permutation and C^-1 over the rationals, whatever the field
+    of Pi."""
+    entries, sym = _CLOSED_FORM_SPECS[name]
+    A = build_algebra(cartan_data(entries, sym), field=field)
+    n = A.n
+    rows, _ = rref([list(r) + [int(i == j) for j in range(n)]
+                    for i, r in enumerate(entries)], 2 * n, QQ)
+    inv = [r[n:] for r in rows]
+    sigma = IdealSemigroup(A, None).sigma
+    d = A.quiver.symmetrizer
+    for v in range(1, n + 1):
+        for u in range(1, n + 1):
+            want = d[u] * (inv[u - 1][v - 1] + inv[u - 1][sigma[v - 1] - 1])
+            assert len(A.paths[v][u]) == want, (v, u)

@@ -14,6 +14,7 @@ from conftest import (
     weyl_orbit_sizes,
 )
 from oracles import (
+    ModuleKeyedNamer,
     demazure_product,
     from_word,
     generic_right_step,
@@ -59,6 +60,7 @@ from preproj.tautilt import (
     ideal_product,
     left_mutation,
     mutation_graph,
+    pair_blocks,
     stt_pair,
     verify_stt,
 )
@@ -169,10 +171,14 @@ def test_stt_pairs_eg1(weyl_groups, semigroups):
     namer = ModuleNamer(ctx)
     got = {}
     for w in W:
+        blocks, proj = pair_blocks(ctx, w)
+        names = tuple(namer.name_block(v, w, b) for v, b in blocks.items())
+        got["".join(map(str, W.word(w)))] = (names, proj)
         pair = stt_pair(ctx, w)
-        names = tuple(namer.name_block(v, w, s)
-                      for v, s in zip(pair.block_vertices, pair.summands))
-        got["".join(map(str, W.word(w)))] = (names, pair.projective_vertices)
+        assert pair.block_vertices == tuple(blocks)
+        assert pair.projective_vertices == proj
+        assert all(s is ctx.table.module(b)
+                   for s, b in zip(pair.summands, blocks.values()))
     assert got == {
         "": (("e1P", "e2P"), ()),
         "1": (("E2", "e2P"), ()),
@@ -747,17 +753,42 @@ def test_block_names_match_first_isomorphic_candidate(entries, sym):
                      if vertex_ideal(ctx.table, {i}).block(i) is not None])
     seen = set()
     for w in W:
-        ideal = ctx.of_element(w)
-        for v in vertices:
-            blk = ideal.block(v)
-            if blk is None or id(blk) in seen:
+        for v, b in enumerate(ctx.of_element(w).blocks, 1):
+            blk = ctx.table.module(b)
+            if blk is None or b in seen:
                 continue
-            seen.add(id(blk))
+            seen.add(b)
             want = next((name for name, cand in candidates
                          if is_isomorphic(blk, cand)),
                         f"e{v}Iw{''.join(map(str, W.word(w)))}")
-            assert namer.name_block(v, w, blk) == want
+            assert namer.name_block(v, w, b) == want
     assert len(seen) == sum(s - 1 for s in weyl_orbit_sizes(entries))
+
+
+_NAMER_SPECS = {**_ROUTE_SPECS, "a2-22": ([[2, -1], [-1, 2]], (2, 2))}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+@pytest.mark.parametrize("name", sorted(_NAMER_SPECS))
+def test_block_names_match_the_module_namer(name, field):
+    """``ModuleNamer`` reads block ids and builds a block module only for
+    the rank test of a dimension vector c_j delta_j; at every (w, v), in
+    enumeration order, it gives the name of ``ModuleKeyedNamer``, which
+    keys by block module and takes the rank of every block."""
+    A = build_algebra(cartan_data(*_NAMER_SPECS[name]), field=field)
+    W = enumerate_weyl(A.data.cartan)
+    ctx = IdealSemigroup(A, W)
+    namer, oracle = ModuleNamer(ctx), ModuleKeyedNamer(ctx)
+    named = 0
+    for w in W:
+        ideal = ctx.of_element(w)
+        for v, b in enumerate(ideal.blocks, 1):
+            blk = ideal.block(v)
+            if blk is not None:
+                assert (namer.name_block(v, w, b)
+                        == oracle.name_block(v, w, blk)), (name, v, w)
+                named += 1
+    assert named == sum(len(pair_blocks(ctx, w)[0]) for w in W)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
