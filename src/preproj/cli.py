@@ -42,13 +42,12 @@ from .repmod import (
 )
 from .tautilt import (
     IdealSemigroup,
-    ModuleNamer,
     classification_report,
     exchange_graph,
     extend_left,
     full_ideal,
+    graph_nodes,
     mutation_graph,
-    pair_blocks,
 )
 
 @dataclass
@@ -250,42 +249,29 @@ def _dynkin_semigroup(cfg: RunConfig) -> IdealSemigroup:
     return IdealSemigroup(algebra, group)
 
 
-def _stt_rows(cfg: RunConfig) -> list:
-    """The pairs by block id, a block's module built only for a rank test;
-    the ideal layer is freed on return, before any output."""
-    semigroup = _dynkin_semigroup(cfg)
-    namer, table = ModuleNamer(semigroup), semigroup.table
-    rows = []
-    for ws, w in zip(semigroup.weyl.word_strings(), semigroup.weyl):
-        blocks, proj = pair_blocks(semigroup, w)
-        rows.append({
-            "word": ws,
-            "summands": [namer.name_block(v, w, b) for v, b in blocks.items()],
-            "dims": [sum(table.dims(b)) for b in blocks.values()],
-            "projective": sorted(f"e{j}P" for j in proj)})
-    return rows
-
-
 def cmd_stt(cfg: RunConfig):
-    pairs = _stt_rows(cfg)
-    payload = {"count": len(pairs), "pairs": pairs}
+    semigroup = _dynkin_semigroup(cfg)
+    pairs = [{"word": ws, "summands": node.summands, "dims": node.dims,
+              "projective": node.projective}
+             for ws, node in zip(semigroup.weyl.word_strings(),
+                                 graph_nodes(semigroup))]
+    del semigroup  # the ideal layer is freed before any output
     if cfg.json_out:
-        return 0, _emit(cfg, payload, ())
+        return 0, {"count": len(pairs), "pairs": pairs}
     lines = [f"{len(pairs)} support tau-tilting pairs"]
     for p in pairs:
         m = "+".join(p["summands"]) or "0"
         pp = "+".join(p["projective"]) or "0"
         lines.append(f"  w={p['word'] or 'e'}: M = {m}, P = {pp}")
-    return 0, _emit(cfg, payload, lines)
+    return 0, "\n".join(lines)
 
 
 def cmd_mutation_graph(cfg: RunConfig):
     graph = exchange_graph(_dynkin_semigroup(cfg))
     if cfg.dot:
         return 0, graph.to_dot()
-    payload = graph.to_json_dict()
     if cfg.json_out:
-        return 0, payload
+        return 0, graph.to_json_dict()
     lines = [f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"]
     for (a, b, i) in graph.edges:
         la = "+".join(graph.nodes[a].summands) or "0"

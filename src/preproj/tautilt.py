@@ -21,9 +21,9 @@ I_i I_i = I_i of ``classification_report``.
 
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
 distinct nonzero blocks among its 384 x 4 pairs (w, v).  A pair is read by
-block id (``pair_blocks``) and its dimensions off the echelon spaces;
-``BlockTable.module`` builds a block's module on first use, for
-``stt_pair``, a rank test of ``ModuleNamer`` or ``graph_nodes``.  So
+block id (``pair_blocks``) and ``ModuleNamer`` displays a block from its
+echelon spaces; ``BlockTable.module`` builds a block's module on first use,
+for ``stt_pair``, that is for ``verify_stt`` and left mutation.  So
 everything memoized on a module (presentation, series, indecomposability,
 locally free rank) is computed once per distinct block, and the report
 tests Hom(M_a, tau M_b) = 0 once per ordered pair of blocks, on the
@@ -314,7 +314,8 @@ class IdealSemigroup:
 # ---------------------------------------------------------------------------
 
 class ModuleNamer:
-    """Stable display names: e{i}P, E{i}, e{i}I{i}, then e{v}Iw<word>.
+    """Stable display names: e{i}P, E{i}, e{i}I{i}, then e{v}Iw<word>, with
+    the dimension and the rank of each block, read off its echelon spaces.
 
     Isomorphic blocks are one block.  Pi is selfinjective, so an
     isomorphism between blocks e_vI_w and e_uI_x (submodules of e_vPi and
@@ -322,35 +323,48 @@ class ModuleNamer:
     left multiplication by some x in e_vPi e_v.  That maps e_vI_w into
     itself, so e_uI_x lies in e_vI_w, and equal dimensions make the two
     blocks equal.  Hence a block is e{v}P iff it *is* e_vI_e and e{v}I{v} iff
-    it *is* e_vI_v (one table per context), and it is E{j} iff its locally
-    free rank is delta_j: dimension vector c_j delta_j and eps_j one Jordan
-    block, which is E_j up to a change of basis.  Only a block with that
-    dimension vector has its module built, for the rank test.
+    it *is* e_vI_v (one table per context), and it is E{j} iff its
+    dimension vector is c_j delta_j: its socle is simple, so eps_j acts as
+    one Jordan block, which is E_j up to a change of basis.  The rank is
+    dims / c, the locally free rank of a locally free block, which
+    ``classification_report`` checks on the block modules it builds.
 
     A namer refers to its context but the context never to a namer, so the
     two form no reference cycle; each caller that names blocks makes one."""
 
     def __init__(self, semigroup: IdealSemigroup):
         self.semigroup = semigroup
-        self._names = {}  # block id -> name
+        self._blocks = {}  # block id -> (name, dim, rank)
+
+    def describe(self, vertex: int, w: WeylElement, b: int) -> tuple:
+        """(name, dimension, rank) of the nonzero block
+        ``b = I_w.blocks[vertex - 1]``, memoized per block."""
+        entry = self._blocks.get(b)
+        if entry is None:
+            dims = self.semigroup.table.dims(b)
+            c = self.semigroup.algebra.quiver.symmetrizer
+            rank, rest = zip(*(divmod(d, c[u]) for u, d in enumerate(dims, 1)))
+            name = self._name(vertex, w, b, dims, c)
+            if any(rest):
+                raise VerificationFailed(f"block {name} has dimension vector "
+                                         f"{dims}, not a multiple of c")
+            entry = self._blocks[b] = (name, sum(dims), rank)
+        return entry
 
     def name_block(self, vertex: int, w: WeylElement, b: int) -> str:
-        """Name of the block ``b = I_w.blocks[vertex - 1]``, memoized per
-        block."""
-        name = self._names.get(b)
-        if name is None:
-            name = self._names[b] = self._name(vertex, w, b)
-        return name
+        """The name that ``describe`` gives the block."""
+        return self.describe(vertex, w, b)[0]
 
-    def _name(self, vertex: int, w: WeylElement, b: int) -> str:
+    def rank(self, b: int) -> tuple:
+        """The rank of a block already described."""
+        return self._blocks[b][2]
+
+    def _name(self, vertex: int, w: WeylElement, b: int, dims, c) -> str:
         sg = self.semigroup
-        table = sg.table
-        if b == table.full[vertex - 1]:
+        if b == sg.table.full[vertex - 1]:
             return f"e{vertex}P"
-        dims = table.dims(b)
         j = next(u for u, d in enumerate(dims, 1) if d)
-        if (sum(dims) == dims[j - 1] == sg.algebra.quiver.symmetrizer[j]
-                and locally_free_rank(table.module(b)) is not None):
+        if sum(dims) == dims[j - 1] == c[j]:
             return f"E{j}"
         if b == sg.generator(vertex).blocks[vertex - 1]:
             return f"e{vertex}I{vertex}"
@@ -504,7 +518,7 @@ def _minimal_approximation(A, X, others):
 class GraphNode:
     summands: list       # display names, block-vertex ascending
     dims: list           # per-summand total dimension
-    rank_vectors: list   # per-summand locally-free rank or None
+    rank_vectors: list   # per-summand rank, dims / c
     projective: list     # display names of the projective part
 
 
@@ -532,8 +546,7 @@ class MutationGraph:
                 "word": ws,
                 "summands": list(n.summands),
                 "dims": list(n.dims),
-                "rank_vectors": [list(r) if r is not None else None
-                                 for r in n.rank_vectors],
+                "rank_vectors": [list(r) for r in n.rank_vectors],
                 "projective": list(n.projective),
             })
         edges = [{"from": a, "to": b, "label": i} for (a, b, i) in self.edges]
@@ -576,17 +589,14 @@ def mutation_graph(semigroup: IdealSemigroup) -> None:
 
 
 def graph_nodes(semigroup: IdealSemigroup):
-    """The ``GraphNode`` of each (I_w, P_w), in enumeration order; the rank
-    vectors build the module of every block."""
+    """The ``GraphNode`` of each (I_w, P_w), in enumeration order, read by
+    block id."""
     namer = ModuleNamer(semigroup)
-    table = semigroup.table
     for w in semigroup.weyl:
         blocks, proj = pair_blocks(semigroup, w)
-        yield GraphNode(
-            [namer.name_block(v, w, b) for v, b in blocks.items()],
-            [sum(table.dims(b)) for b in blocks.values()],
-            [locally_free_rank(table.module(b)) for b in blocks.values()],
-            sorted(f"e{j}P" for j in proj))
+        rows = [namer.describe(v, w, b) for v, b in blocks.items()]
+        yield GraphNode([r[0] for r in rows], [r[1] for r in rows],
+                        [r[2] for r in rows], sorted(f"e{j}P" for j in proj))
 
 
 def exchange_graph(semigroup: IdealSemigroup) -> MutationGraph:
@@ -629,7 +639,7 @@ def _check_edge(semigroup: IdealSemigroup, w: WeylElement, v: WeylElement,
 @dataclass
 class ClassificationReport:
     stt_count: int
-    tau_rigid_modules: list      # (name, total dim, rank vector or None)
+    tau_rigid_modules: list      # (name, total dim, rank vector)
 
 
 def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
@@ -662,7 +672,7 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
     if len(keys) != weyl.order:
         failures.append(f"only {len(keys)} distinct ideals for {weyl.order} elements")
     # (iii) pairs, and (iv) their blocks up to isomorphism, through their
-    # stable names
+    # stable names, each locally free of the rank dims / c it displays
     rigid = {}  # one verdict per ordered pair of blocks, for this call only
     seen = {}
     for w in weyl:
@@ -674,7 +684,10 @@ def classification_report(semigroup: IdealSemigroup) -> ClassificationReport:
         for v, s in zip(pair.block_vertices, pair.summands):
             name = namer.name_block(v, w, blocks[v - 1])
             if name not in seen:
-                seen[name] = (name, s.total_dim, locally_free_rank(s))
+                seen[name] = (name, s.total_dim, namer.rank(blocks[v - 1]))
+                if locally_free_rank(s) != seen[name][2]:
+                    failures.append(f"{name} is not locally free of rank "
+                                    f"{seen[name][2]}")
     tau_rigid = sorted(seen.values())
     # (v) 0-Hecke consistency, I_u I_v = I_(u*v) for every pair, from the n
     # idempotents I_i I_i = I_i.  Check (i) gives I_x I_i = I_(x s_i) at

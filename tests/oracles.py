@@ -57,6 +57,33 @@ def from_word(group, word):
     return w
 
 
+def weight_rank(cartan, word, v):
+    """The rank vector w^-1 omega_v + omega_sigma(v) of e_vI_w in
+    simple-root coordinates, for w = s_{i_1} ... s_{i_k} and ``word`` =
+    (i_1, ..., i_k), with ``cartan`` the rows of C, in integer steps only.
+    On weights in fundamental-weight coordinates s_j lam = lam - lam_j
+    alpha_j, alpha_j being column j of C.  The letters applied to omega_v,
+    first letter first, give w^-1 omega_v; then s_j at any lam_j > 0 steps
+    down to the antidominant weight w_0 omega_v = -omega_sigma(v), and the
+    lam_j alpha_j subtracted on the way add up to the rank."""
+    n = len(cartan)
+    lam = [int(k == v) for k in range(1, n + 1)]
+
+    def step(j):
+        lj = lam[j - 1]
+        for k in range(n):
+            lam[k] -= lj * cartan[k][j - 1]
+        return lj
+
+    for i in word:
+        step(i)
+    rank = [0] * n
+    while any(x > 0 for x in lam):
+        j = next(j for j, x in enumerate(lam, 1) if x > 0)
+        rank[j - 1] += step(j)
+    return tuple(rank)
+
+
 def _mat_mul(a, b):
     n = len(a)
     return tuple(

@@ -424,12 +424,11 @@ def _module_builds(monkeypatch, command):
 
 
 def test_stt_builds_each_block_once(monkeypatch, capsys):
-    """B3 ``stt`` reads its pairs by block id and builds a block module only
-    for the rank test of a block with dimension vector c_j delta_j: at
-    most n = 3 of its 20 distinct nonzero blocks."""
+    """B3 ``stt`` reads its pairs by block id and names, sizes and ranks
+    each block off its echelon spaces: it builds no block module."""
     calls = _module_builds(monkeypatch, "stt")
     assert "48 support tau-tilting pairs" in capsys.readouterr().out
-    assert 0 < calls <= len(_B3["cartan"])
+    assert calls == 0
 
 
 @pytest.mark.parametrize("command, line", [
@@ -445,6 +444,19 @@ def test_block_modules_are_built_once(monkeypatch, capsys, command, line):
     bound = sum(s - 1 for s in weyl_orbit_sizes(b3)) + len(b3)
     assert bound == 26
     assert 0 < calls <= bound
+
+
+@pytest.mark.parametrize("flags", [[], ["--dot"]], ids=["text", "dot"])
+def test_text_mutation_graph_builds_no_json(monkeypatch, capsys, flags):
+    """Only ``--json`` output reads ``MutationGraph.to_json_dict``."""
+    import preproj.tautilt as tautilt
+
+    def refuse(self):
+        raise AssertionError("JSON payload built")
+
+    monkeypatch.setattr(tautilt.MutationGraph, "to_json_dict", refuse)
+    assert main(["mutation-graph", "--config", json.dumps(_B3), *flags]) == 0
+    assert capsys.readouterr().out
 
 
 def test_verify_builds_each_projective_once(monkeypatch, capsys):
@@ -572,6 +584,11 @@ _B3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]}
 _C3 = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]}
 _D4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
                   [0, -1, 0, 2]]}
+_B4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
+                  [0, 0, -2, 2]]}
+# the B4 exchange quiver with its rank vectors is the same over QQ, F_2 and
+# F_3: at p = 2 the signs of the mesh relations collapse
+_B4_GRAPH = "3a2433f737b832b57fc74d20cb9511543550e51d1aee3400d2064371e7f9e00c"
 # `weyl` outputs recorded while every element stored its word; at --cap 40
 # the B3, F4 and affine A1 groups are truncated balls
 _F4 = {"cartan": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1],
@@ -598,6 +615,9 @@ _E6 = {"cartan": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0],
      "879004047a5f22091c0c41dd94253ddbf14d5c62c89977dd5822380f1b25c0f1"),
     ("mutation-graph", _B2_42, ["--json"],
      "d02486cd7d2b7ba94cfb8fb87cd0b01801b045585dee935845db0e4293c82523"),
+    ("mutation-graph", _B4, ["--json"], _B4_GRAPH),
+    ("mutation-graph", _B4, ["--json", "--field", "fp:2"], _B4_GRAPH),
+    ("mutation-graph", _B4, ["--json", "--field", "fp:3"], _B4_GRAPH),
     ("verify", _G2, [],
      "48cbb1dd4dbbf2cdb35de559f46669f851f33f7d647065c7eff61846a3309821"),
     ("verify", _B3, ["--field", "fp:101"],
@@ -623,7 +643,8 @@ _E6 = {"cartan": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0],
     ("weyl", _AFF, ["--cap", "40", "--json"],
      "743c419207e688688305cfa16aa31d7b8235eb4ea6acc8699ddc2f6aa8f8765a"),
 ], ids=["stt-g2", "stt-b2-42", "stt-b3", "stt-c3", "stt-d4", "graph-g2",
-        "graph-b2-42", "verify-g2", "verify-b3-fp101", "verify-f4",
+        "graph-b2-42", "graph-b4-json", "graph-b4-json-fp2",
+        "graph-b4-json-fp3", "verify-g2", "verify-b3-fp101", "verify-f4",
         "stt-e6-json", "weyl-g2",
         "weyl-g2-json", "weyl-b3", "weyl-b3-json", "weyl-f4", "weyl-f4-json",
         "weyl-affine", "weyl-affine-json"])

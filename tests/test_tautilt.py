@@ -21,6 +21,7 @@ from oracles import (
     path_extend_left,
     projective_module,
     vertex_ideal,
+    weight_rank,
 )
 
 from preproj.cartan import cartan_data
@@ -771,10 +772,11 @@ _NAMER_SPECS = {**_ROUTE_SPECS, "a2-22": ([[2, -1], [-1, 2]], (2, 2))}
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
 @pytest.mark.parametrize("name", sorted(_NAMER_SPECS))
 def test_block_names_match_the_module_namer(name, field):
-    """``ModuleNamer`` reads block ids and builds a block module only for
-    the rank test of a dimension vector c_j delta_j; at every (w, v), in
+    """``ModuleNamer`` reads block ids and builds no module, naming E{j}
+    every block of dimension vector c_j delta_j; at every (w, v), in
     enumeration order, it gives the name of ``ModuleKeyedNamer``, which
-    keys by block module and takes the rank of every block."""
+    keys by block module and still takes the locally free rank of every
+    block, naming E{j} a rank delta_j."""
     A = build_algebra(cartan_data(*_NAMER_SPECS[name]), field=field)
     W = enumerate_weyl(A.data.cartan)
     ctx = IdealSemigroup(A, W)
@@ -789,6 +791,75 @@ def test_block_names_match_the_module_namer(name, field):
                         == oracle.name_block(v, w, blk)), (name, v, w)
                 named += 1
     assert named == sum(len(pair_blocks(ctx, w)[0]) for w in W)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "f101"])
+@pytest.mark.parametrize("name", sorted(_NAMER_SPECS))
+def test_block_ranks_match_the_weight_and_the_module(name, field):
+    """At every (w, v) with e_vI_w nonzero, the rank dims / c that
+    ``ModuleNamer`` keeps is the closed form w^-1 omega_v + omega_sigma(v)
+    of ``weight_rank`` and the locally free rank of the block module."""
+    entries = _NAMER_SPECS[name][0]
+    A = build_algebra(cartan_data(*_NAMER_SPECS[name]), field=field)
+    W = enumerate_weyl(A.data.cartan)
+    ctx = IdealSemigroup(A, W)
+    namer = ModuleNamer(ctx)
+    for w in W:
+        for v, b in pair_blocks(ctx, w)[0].items():
+            namer.describe(v, w, b)
+            assert (namer.rank(b) == weight_rank(entries, W.word(w), v)
+                    == locally_free_rank(ctx.table.module(b))), (name, v, w)
+
+
+def test_describe_refuses_a_rank_that_is_not_whole(monkeypatch):
+    """A block whose dimension vector is not a multiple of c has no rank
+    dims / c: ``describe`` raises naming the block instead of flooring."""
+    A = build_algebra(cartan_data(B2, (4, 2)))
+    ctx = IdealSemigroup(A, enumerate_weyl(A.data.cartan))
+    w = ctx.weyl.simple(1)
+    b = ctx.of_element(w).blocks[1]
+    monkeypatch.setattr(ctx.table, "dims", lambda b: [1, 2])
+    with pytest.raises(VerificationFailed,
+                       match=r"block e2P has dimension vector \[1, 2\]"):
+        ModuleNamer(ctx).describe(2, w, b)
+
+
+def test_classification_report_checks_local_freeness(monkeypatch, capsys):
+    """With ``locally_free_rank`` finding one block E1 not locally free, the
+    report fails naming that block, and A2 ``verify`` prints the FAIL
+    line and exits 1."""
+    from preproj.cli import main
+    real = tautilt.locally_free_rank
+    monkeypatch.setattr(tautilt, "locally_free_rank", lambda M: (
+        None if M.dims == [1, 0] else real(M)))
+    A = build_algebra(cartan_data([[2, -1], [-1, 2]], "minimal"))
+    with pytest.raises(ReportFailure) as err:
+        classification_report(IdealSemigroup(A, enumerate_weyl(A.data.cartan)))
+    assert err.value.failures == ["E1 is not locally free of rank (1, 0)"]
+    assert main(["verify", "--config", '{"cartan": [[2, -1], [-1, 2]]}']) == 1
+    assert ("FAIL classification report (ReportFailure: classification "
+            "report failed; failures: E1 is not locally free of rank (1, 0))"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_graph_nodes_build_no_module_after_mutation_graph(monkeypatch):
+    """``mutation_graph`` builds the modules of the pairs on its sampled
+    edges; the display ``graph_nodes`` then builds none."""
+    A = build_algebra(cartan_data(B3, "minimal"))
+    ctx = IdealSemigroup(A, enumerate_weyl(A.data.cartan))
+    real = tautilt.module_from_subspace
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tautilt, "module_from_subspace", counting)
+    mutation_graph(ctx)
+    assert calls
+    calls.clear()
+    assert len(list(graph_nodes(ctx))) == 48
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
