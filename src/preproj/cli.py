@@ -45,6 +45,7 @@ from .tautilt import (
     classification_report,
     exchange_graph,
     extend_left,
+    extend_right,
     full_ideal,
     graph_nodes,
     mutation_graph,
@@ -305,8 +306,8 @@ def _homological_identities(ctx):
     sum_j |c_ji| dim e_j Pi = 2 dim e_i Pi, dim Hom(e_j Pi, E_i) = delta_ij
     c_i; on each block of I_i, Hom(e_v I_i, E_i) = 0 and e_v I_i locally
     free; tau(e_i I_i) = E_i.  I_i = Pi (1 - e_i) Pi is the left step
-    ``extend_left(i, Pi)``, so its blocks are those of ``ctx.generator(i)``
-    and no Weyl group is needed."""
+    ``extend_left(i, Pi)``, checked to equal the right step that builds
+    ``ctx.generator(i)``, ``extend_right(Pi, i)``: no Weyl group needed."""
     A, projectives = ctx.algebra, ctx.projectives
     full = full_ideal(ctx.table)
     c, d = A.data.cartan, A.quiver.symmetrizer
@@ -329,6 +330,8 @@ def _homological_identities(ctx):
                 raise VerificationFailed(f"pair ({i}, {j}): dim Hom(e_{j}Pi, "
                                          f"E_{i}) = {found}, not {want}")
         Ii = extend_left(i, full)
+        if Ii != extend_right(full, i):
+            raise VerificationFailed(f"vertex {i}: I_{i} Pi != Pi I_{i}")
         for v in range(1, A.n + 1):
             blk = Ii.block(v)
             if blk is None:

@@ -14,10 +14,11 @@ echelon ``Subspace`` per vertex, shared with the block's module), so
 equality is exact and canonical and every ideal operation works inside one
 e_vPi.  The left and right steps close a block under one matrix of the
 algebra's action tables.  I_w is memoized per Weyl element and built by
-the descent rule of ``IdealSemigroup.of_element``, which runs one left
-extension per distinct block, while ``ideal_product`` multiplies sparse
-block rows and serves as the independent route for the idempotent checks
-I_i I_i = I_i of ``classification_report``.
+``IdealSemigroup.of_element`` as one right step from its right parent,
+memoized per (block, i) and shared with the ascent check, while
+``ideal_product`` multiplies sparse block rows and serves as the
+independent route for the idempotent checks I_i I_i = I_i of
+``classification_report``.
 
 The block e_v I_w depends only on w^-1 omega_v, so a B4 run meets 76
 distinct nonzero blocks among its 384 x 4 pairs (w, v).  A pair is read by
@@ -92,6 +93,7 @@ class BlockTable:
         self.modules = []   # block id -> ModuleRep; e_vPi at once, the
                             # others on first use
         self.right = {}     # (block id, i) -> block id
+        self.zero = set()   # the ids of the zero blocks (no rows)
         self._ids = {}      # (v, echelon rows) -> block id
         one = algebra.field.one
         self.full = tuple(self.span(v, ({g: one} for g in algebra.by_target[v]))
@@ -121,6 +123,8 @@ class BlockTable:
             self.vertex.append(v)
             self.spaces.append(spaces)
             self.modules.append(None)
+            if not any(key[1]):
+                self.zero.add(b)
         return b
 
     def dims(self, b: int) -> list:
@@ -130,7 +134,7 @@ class BlockTable:
     def module(self, b: int):
         """The right module of block ``b``, or None when the block is zero."""
         mod = self.modules[b]
-        if mod is None and any(self.dims(b)):
+        if mod is None and b not in self.zero:
             mod = self.modules[b] = module_from_subspace(
                 self.modules[self.full[self.vertex[b] - 1]], self.spaces[b])
         return mod
@@ -223,12 +227,8 @@ def extend_left(i: int, J: Ideal) -> Ideal:
             act[a.index].vec(x) for a in A.quiver.arrows
             if a.target == i and not a.is_loop
             for x in table.spaces[J.blocks[a.source - 1]][u].rows))
-    return _with_block(J, i, table.intern(i, spaces))
-
-
-def _with_block(J: Ideal, i: int, b: int) -> Ideal:
-    """J with block i replaced by block ``b``."""
-    return Ideal(J.table, J.blocks[:i - 1] + (b,) + J.blocks[i:])
+    return Ideal(table, J.blocks[:i - 1] + (table.intern(i, spaces),)
+                 + J.blocks[i:])
 
 
 def extend_right(J: Ideal, i: int) -> Ideal:
@@ -285,26 +285,23 @@ class IdealSemigroup:
         return self.of_element(self.weyl.simple(i))
 
     def of_element(self, w: WeylElement) -> Ideal:
-        """I_w = I_i I_{s_i w} for the smallest left descent i of w differs
-        from I_{s_i w} in block i only.  At a second left descent j,
-        I_w = I_j I_{s_j w} keeps block i of I_{s_j w}, so ``extend_left``
-        runs only where i is the one left descent.  Check (i) of
-        ``classification_report`` proves I_w = I_{i_1} ... I_{i_k} along
-        every reduced word whatever route filled the memo: its induction
-        needs only I_e = Pi and the ascents I_u I_i = I_{u s_i}."""
+        """I_w = I_p I_i for the smallest right descent i of w, from its
+        right parent p = w s_i (``right_mul``; None, a step out of a
+        ``max_length`` ball, is no descent).  The steps are memoized per
+        (block, i) and shared with check (i) of ``classification_report``,
+        which proves I_w = I_{i_1} ... I_{i_k} along every reduced word
+        whatever route filled the memo: its induction needs only I_e = Pi
+        and the ascents I_u I_i = I_{u s_i}."""
         ideal = self._cache.get(w.index)
         if ideal is not None:
             return ideal
         if w.length == 0:
             ideal = full_ideal(self.table)
         else:
-            i, *others = [j for j, x in enumerate(w.weight, 1) if x < 0]
-            rest = self.of_element(self.weyl.left_mul(i, w))
-            if not others:
-                ideal = extend_left(i, rest)
-            else:
-                other = self.of_element(self.weyl.left_mul(others[0], w))
-                ideal = _with_block(rest, i, other.blocks[i - 1])
+            p, i = next((p, i) for i in range(1, self.weyl.n + 1)
+                        if (p := self.weyl.right_mul(w, i)) is not None
+                        and p.length < w.length)
+            ideal = extend_right(self.of_element(p), i)
         self._cache[w.index] = ideal
         return ideal
 
@@ -392,7 +389,7 @@ def pair_blocks(semigroup: IdealSemigroup, w: WeylElement):
     if not semigroup.algebra.dynkin:
         raise NotDynkin("support tau-tilting pairs require Dynkin type")
     blocks = {v: b for v, b in enumerate(semigroup.of_element(w).blocks, 1)
-              if any(semigroup.table.dims(b))}
+              if b not in semigroup.table.zero}
     return blocks, tuple(sorted(j for v, j in enumerate(semigroup.sigma, 1)
                                 if v not in blocks))
 

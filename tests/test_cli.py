@@ -406,6 +406,16 @@ def test_homological_identities_run_on_the_blocks_of_I_i(monkeypatch,
                 for blk in blocks if blk is not None] == [True] * 3
 
 
+def test_homological_identities_cross_check_the_steps(monkeypatch, capsys):
+    """``verify`` checks that the left step I_i Pi has the blocks of the
+    right step Pi I_i: a left step that returns Pi itself prints the FAIL
+    line naming vertex 1."""
+    monkeypatch.setattr(cli, "extend_left", lambda i, J: J)
+    assert main(["verify", "--config", json.dumps(EG1)]) == 1
+    assert ("FAIL homological identities (VerificationFailed: vertex 1: "
+            "I_1 Pi != Pi I_1)" in capsys.readouterr().out.splitlines())
+
+
 def _module_builds(monkeypatch, command):
     """The ``module_from_subspace`` calls of one B3 ``command``."""
     import preproj.repmod as repmod

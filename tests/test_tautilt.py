@@ -945,25 +945,33 @@ def test_classification_builds_no_tau(semigroups, monkeypatch):
         classification_report(semigroups[name])
 
 
+def _counting(monkeypatch, name):
+    """Patch ``tautilt.<name>`` to record each call; returns the record."""
+    real, calls = getattr(tautilt, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tautilt, name, counting)
+    return calls
+
+
 def test_semigroup_memos_are_bounded(monkeypatch):
-    """A B4 ``stt`` makes exactly 76 left extensions, one per distinct
-    nonzero block (383 before the descent rule); the ascent check
+    """A B4 ``stt`` builds every I_w by right steps from its right parent:
+    no left extension and exactly 131 closures, one per distinct
+    (block, i) it meets (304 under the left descent rule); the ascent check
     I_u I_i = I_{u s_i} memoizes at most one right step per (block, i)."""
     A = build_algebra(cartan_data(B4, "minimal"))
     W = enumerate_weyl(A.data.cartan)
     ctx = IdealSemigroup(A, W)
-    real = tautilt.extend_left
-    calls = []
-
-    def counting(i, J):
-        calls.append(i)
-        return real(i, J)
-
-    monkeypatch.setattr(tautilt, "extend_left", counting)
+    lefts = _counting(monkeypatch, "extend_left")
+    closures = _counting(monkeypatch, "_closure")
     assert len(list(graph_nodes(ctx))) == W.order
     monkeypatch.undo()
-    assert len(calls) == 76
     table = ctx.table
+    assert lefts == []
+    assert len(closures) == len(table.right) == 131
     for u in W:
         for i in range(1, A.n + 1):
             v = W.right_mul(u, i)
@@ -971,6 +979,33 @@ def test_semigroup_memos_are_bounded(monkeypatch):
                 assert extend_right(ctx.of_element(u), i) == \
                     ctx.of_element(v)
     assert 0 < len(table.right) <= len(table.spaces) * A.n
+
+
+def test_stt_walk_builds_no_left_action():
+    """The pairs of a B4 ``stt`` need only the right action tables of the
+    algebra: the left ones are never built."""
+    A = build_algebra(cartan_data(B4, "minimal"))
+    assert len(list(graph_nodes(
+        IdealSemigroup(A, enumerate_weyl(A.data.cartan))))) == 384
+    assert "left_action" not in A.__dict__
+
+
+def test_ascent_check_catches_a_wrong_memo_entry(algebras, weyl_groups):
+    """Check (i) of ``classification_report`` tests every ascent
+    I_u I_i = I_{u s_i}, whatever route filled the memo: with block 1 of
+    I_(121) swapped for e_1 Pi on B3, both ascents into 121 fail."""
+    A, W = algebras["b3"], weyl_groups["b3"]
+    ctx = IdealSemigroup(A, W)
+    for w in W:
+        ctx.of_element(w)
+    x = next(w for w in W if W.word_str(w) == "121")
+    ideal = ctx.of_element(x)
+    ctx._cache[x.index] = tautilt.Ideal(
+        ctx.table, (ctx.table.full[0],) + ideal.blocks[1:])
+    with pytest.raises(ReportFailure) as err:
+        classification_report(ctx)
+    assert {"I_(12) * I_1 != I_(121)",
+            "I_(21) * I_2 != I_(121)"} <= set(err.value.failures)
 
 
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
@@ -987,24 +1022,19 @@ def test_descent_rule_matches_plain_left_extension(entries, sym, field,
                                                    expected, monkeypatch):
     """``of_element`` gives, for every w, the ideal of the plain route
     I_w = extend_left(i, I_{s_i w}) for i = W.word(w)[0], with no reuse of
-    blocks, on the same ``BlockTable``.  It calls ``extend_left`` once per
-    element with a single left descent, which is one call per distinct
-    nonzero block: sum_v (|W omega_v| - 1)."""
+    blocks, on the same ``BlockTable``.  It builds them by right steps
+    alone, calling no ``extend_left``, and meets one block per w^-1 omega_v
+    other than the zero block's: sum_v (|W omega_v| - 1) nonzero blocks."""
     A = build_algebra(cartan_data(entries, sym), field=field)
     W = enumerate_weyl(A.data.cartan)
     ctx = IdealSemigroup(A, W)
     real = tautilt.extend_left
-    calls = []
-
-    def counting(i, J):
-        calls.append(i)
-        return real(i, J)
-
-    monkeypatch.setattr(tautilt, "extend_left", counting)
+    calls = _counting(monkeypatch, "extend_left")
     got = {w.index: ctx.of_element(w).blocks for w in W}
     monkeypatch.undo()
-    single = [w for w in W if sum(x < 0 for x in w.weight) == 1]
-    assert len(calls) == len(single) == expected
+    assert calls == []
+    nonzero = len(ctx.table.spaces) - len(ctx.table.zero)
+    assert nonzero == expected
     assert sum(s - 1 for s in weyl_orbit_sizes(entries)) == expected
     plain = {}
     for w in W:  # by length, so s_i w comes first
@@ -1118,7 +1148,8 @@ def test_mutation_graph_checks_every_edge_off_the_sample(algebras,
     ideal = ctx.of_element(x)
     other = next(b for b in range(len(ctx.table.spaces))
                  if b != ideal.blocks[0])
-    ctx._cache[x.index] = tautilt._with_block(ideal, 1, other)
+    ctx._cache[x.index] = tautilt.Ideal(ctx.table,
+                                        (other,) + ideal.blocks[1:])
     with pytest.raises(VerificationFailed,
                        match="changes a block other than"):
         mutation_graph(ctx)
